@@ -1,24 +1,12 @@
-//! Hash-cached process terms for O(1) visited-set probes.
+//! A deterministic 64-bit FNV-1a hasher.
 //!
-//! Interning a state during exploration requires hashing its term. Ground
-//! ACSR terms are deep trees, so the derived [`Hash`] walk is linear in the
-//! term size — and the explorer probes the visited set once per *transition*,
-//! re-walking deep terms over and over (and again for every key whenever the
-//! map rehashes on growth). [`HashedP`] computes a structural FNV-1a hash
-//! **once at construction** and reuses it for every subsequent probe:
-//! hashing a `HashedP` writes the cached 64-bit digest, and equality
-//! short-circuits on digest mismatch (then on `Arc` pointer identity) before
-//! falling back to the deep structural comparison.
-//!
-//! The digest is *deterministic within a process* (FNV-1a over the derived
-//! structural hash, no random keys), so hash-derived decisions downstream —
-//! e.g. which shard of a sharded visited set a term lands in — are
-//! reproducible run to run.
+//! The term store ([`crate::store`]) and the shape factorization
+//! ([`crate::skeleton`]) need structural digests that are reproducible run
+//! to run — no per-process random keys — so hash-derived decisions
+//! downstream (e.g. which shard of a sharded visited set a term lands in)
+//! never depend on the process. [`Fnv1a`] is that hasher.
 
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
-
-use crate::term::{Proc, P};
+use std::hash::Hasher;
 
 /// A 64-bit FNV-1a [`Hasher`]: deterministic (no per-process random keys),
 /// allocation-free, and good enough for structural term digests.
@@ -67,177 +55,17 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// The structural FNV-1a digest of a term: one full walk, the walk
-/// [`HashedP`] performs once and then never repeats.
-///
-/// # Examples
-///
-/// ```
-/// use acsr::prelude::*;
-/// use acsr::hashed::structural_hash;
-///
-/// let a = act([(Res::new("cpu"), 1)], nil());
-/// let b = act([(Res::new("cpu"), 1)], nil());
-/// assert_eq!(structural_hash(&a), structural_hash(&b)); // structural, not pointer
-/// assert_ne!(structural_hash(&a), structural_hash(&nil()));
-/// ```
-pub fn structural_hash(p: &Proc) -> u64 {
-    let mut h = Fnv1a::new();
-    p.hash(&mut h);
-    h.finish()
-}
-
-/// A process term bundled with its precomputed structural hash.
-///
-/// Use this as the key type of visited sets / interners: construction pays
-/// the one linear hash walk, after which
-///
-/// * [`Hash`] is O(1) — it writes the cached digest;
-/// * [`PartialEq`] short-circuits on digest mismatch, then on `Arc` pointer
-///   identity, before the deep structural comparison;
-/// * map rehashing (growth) never re-walks terms.
-///
-/// # Examples
-///
-/// ```
-/// use acsr::prelude::*;
-/// use acsr::hashed::HashedP;
-/// use std::collections::HashMap;
-///
-/// let term = act([(Res::new("cpu"), 1)], nil());
-/// let key = HashedP::new(term.clone());
-/// assert_eq!(key.term(), &term);
-///
-/// let mut visited: HashMap<HashedP, u32> = HashMap::new();
-/// visited.insert(key, 0);
-/// // A structurally equal term built independently probes to the same entry.
-/// let probe = HashedP::new(act([(Res::new("cpu"), 1)], nil()));
-/// assert_eq!(visited.get(&probe), Some(&0));
-/// ```
-#[derive(Clone, Debug)]
-pub struct HashedP {
-    hash: u64,
-    term: P,
-}
-
-impl HashedP {
-    /// Wrap `term`, paying its single structural hash walk now.
-    pub fn new(term: P) -> HashedP {
-        HashedP {
-            hash: structural_hash(&term),
-            term,
-        }
-    }
-
-    /// Wrap `term` with a *caller-supplied* digest instead of the structural
-    /// one — a **testing** hook for forcing digest collisions. Two `HashedP`s
-    /// built with the same forced digest but different structures must still
-    /// compare unequal (equality falls through to the deep comparison);
-    /// property tests pin exactly that.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use acsr::prelude::*;
-    /// use acsr::hashed::HashedP;
-    ///
-    /// let a = HashedP::with_digest(act([(Res::new("cpu"), 1)], nil()), 42);
-    /// let b = HashedP::with_digest(act([(Res::new("cpu"), 2)], nil()), 42);
-    /// assert_eq!(a.digest(), b.digest());
-    /// assert_ne!(a, b); // deep comparison still tells them apart
-    /// ```
-    pub fn with_digest(term: P, digest: u64) -> HashedP {
-        HashedP { hash: digest, term }
-    }
-
-    /// The cached structural digest.
-    pub fn digest(&self) -> u64 {
-        self.hash
-    }
-
-    /// The wrapped term.
-    pub fn term(&self) -> &P {
-        &self.term
-    }
-
-    /// Unwrap into the term, discarding the cache.
-    pub fn into_term(self) -> P {
-        self.term
-    }
-}
-
-impl PartialEq for HashedP {
-    fn eq(&self, other: &HashedP) -> bool {
-        self.hash == other.hash
-            && (Arc::ptr_eq(&self.term, &other.term) || self.term == other.term)
-    }
-}
-
-impl Eq for HashedP {}
-
-impl Hash for HashedP {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prelude::*;
-
-    fn cpu() -> Res {
-        Res::new("cpu")
-    }
-
-    #[test]
-    fn digest_is_structural_and_deterministic() {
-        let a = HashedP::new(act([(cpu(), 1)], act([(cpu(), 2)], nil())));
-        let b = HashedP::new(act([(cpu(), 1)], act([(cpu(), 2)], nil())));
-        assert_eq!(a.digest(), b.digest());
-        assert_eq!(a, b);
-        let c = HashedP::new(act([(cpu(), 3)], nil()));
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn shared_arcs_compare_by_pointer_fast_path() {
-        let term = par([act([(cpu(), 1)], nil()), nil()]);
-        let a = HashedP::new(term.clone());
-        let b = HashedP::new(term);
-        assert!(Arc::ptr_eq(a.term(), b.term()));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn hashmap_probes_use_the_cached_digest() {
-        use std::collections::HashMap;
-        let mut m: HashMap<HashedP, usize> = HashMap::new();
-        for i in 0..64 {
-            m.insert(HashedP::new(act([(cpu(), i)], nil())), i as usize);
-        }
-        for i in 0..64 {
-            let probe = HashedP::new(act([(cpu(), i)], nil()));
-            assert_eq!(m.get(&probe), Some(&(i as usize)));
-        }
-        assert!(m.get(&HashedP::new(nil())).is_none());
-    }
 
     #[test]
     fn fnv_matches_reference_vectors() {
-        use std::hash::Hasher;
         // FNV-1a 64 reference: fnv1a("") = offset basis, fnv1a("a") = 0xaf63dc4c8601ec8c.
         let empty = Fnv1a::new();
         assert_eq!(empty.finish(), 0xCBF2_9CE4_8422_2325);
         let mut a = Fnv1a::new();
         a.write(b"a");
         assert_eq!(a.finish(), 0xAF63_DC4C_8601_EC8C);
-    }
-
-    #[test]
-    fn into_term_round_trips() {
-        let term = act([(cpu(), 1)], nil());
-        let hp = HashedP::new(term.clone());
-        assert_eq!(hp.into_term(), term);
     }
 }

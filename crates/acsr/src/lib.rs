@@ -29,7 +29,7 @@
 //! | [`expr`]   | integer/boolean expressions over process parameters |
 //! | [`term`]   | the process term language (prefix, choice, parallel, scope, restriction, closure, recursion) |
 //! | [`mod@env`] | process definitions, parameterized recursion, provenance tags |
-//! | [`hashed`] | hash-cached terms ([`HashedP`]) for O(1) visited-set probes |
+//! | [`hashed`] | the deterministic FNV-1a hasher behind structural digests |
 //! | [`store`]  | the hash-consed term store ([`TermStore`]): one canonical `Arc` and one [`TermId`] per structure |
 //! | [`label`]  | ground transition labels |
 //! | [`step`]   | the unprioritized operational semantics, plain ([`steps`]) and interned + memoized ([`StepSession`]) |
@@ -80,7 +80,6 @@ pub mod zone;
 pub use advance::{Advance, AdvanceCache, AdvanceStats};
 pub use env::{DefId, Env, ProcDef, TagId};
 pub use expr::{BExpr, EvalError, Expr};
-pub use hashed::{structural_hash, HashedP};
 pub use label::{Dir, GAction, Label};
 pub use prio::{preempts, prioritize, prioritized_steps};
 pub use runner::{forced_run_closed, RunEnd, RunOutcome, RunSeg};

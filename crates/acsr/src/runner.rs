@@ -58,9 +58,9 @@
 //! step relation and any divergence panics. Release builds spot-check each
 //! shape variant and each macro on an exponential-backoff schedule (serves
 //! 1, 2, 4, 8, …); a failed spot check poisons the entry and falls back to
-//! concrete replay. `tools/ci.sh` additionally diffs closed-form against
-//! replay-mode verdicts on every bundled model in release mode, and
-//! `--zone-advance replay` remains the always-available escape hatch.
+//! concrete replay. `tools/ci.sh` additionally diffs closed-form zone
+//! verdicts against the concrete engine on every bundled model in release
+//! mode, and dropping `--zones` remains the always-available escape hatch.
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
@@ -674,7 +674,7 @@ impl<'a, 'e> Runner<'a, 'e> {
             } => {
                 let p = skeleton::rebuild(template.term(), values).expect(
                     "closed-form advance produced a vector outside its shape \
-                     (use --zone-advance replay to bypass the closed-form engine)",
+                     (drop --zones to explore with the concrete engine)",
                 );
                 let t = self.session.intern(&p);
                 self.session.store().note_shape(

@@ -392,7 +392,8 @@ const MEMO_SHARDS: usize = 16;
 #[derive(Copy, Clone, Debug)]
 pub struct MemoConfig {
     /// Memoize successor lists at all. Disabling reduces a session to
-    /// interning only — the `--no-memo` escape hatch.
+    /// interning only (the memo-free baseline the acsr-level tests compare
+    /// the memoized relation against).
     pub enabled: bool,
     /// Maximum number of cached successor lists across all shards. Bounded so
     /// arbitrarily long runs cannot grow memory without limit; the cache

@@ -7,8 +7,8 @@
 //! *structurally unique* [`Proc`] subterm a stable [`TermId`] and keeps one
 //! canonical [`P`] per structure, so
 //!
-//! * equality and hashing of interned terms are O(1) id comparisons — the
-//!   deep-compare fallback of [`HashedP`](crate::hashed::HashedP) disappears;
+//! * equality and hashing of interned terms are O(1) id comparisons, with
+//!   no deep structural comparison anywhere;
 //! * re-interning a term whose `Arc` is already canonical is a pointer-map
 //!   hit, no tree walk at all;
 //! * interning a freshly built successor walks only its *new spine*: shared

@@ -8,21 +8,16 @@
 //! parallel-scaling sweep (Q8, on a smaller model), the instrumented
 //! exploration report (Q6, which refreshes `BENCH_exploration.json`) and the
 //! concurrency-control verdicts (Q7) — so CI can exercise the harness
-//! end-to-end without the full sweeps. The store A/B (Q12), the delay-zone
-//! A/B (Q13) and the advance-engine A/B (Q14) run in every mode: all three
-//! feed committed sections of `BENCH_exploration.json`, which must not
-//! depend on how the harness was invoked. Q13 and Q14 dominate the smoke
-//! wall clock (both run best-of-3 exhaustive explorations of the
-//! long-hyperperiod model, a couple of minutes together).
+//! end-to-end without the full sweeps. The store A/B (Q12) and the
+//! delay-zone A/B (Q13) run in every mode: both feed committed sections of
+//! `BENCH_exploration.json`, which must not depend on how the harness was
+//! invoked. Q13 dominates the smoke wall clock (best-of-3 exhaustive
+//! explorations of the long-hyperperiod model).
 //!
 //! `--threads <n>` sets the exploration worker count for every analysis the
 //! harness runs (the Q8 sweep ignores it — it sweeps its own grid). The
 //! engine is deterministic in the thread count, so CI runs the smoke subset
 //! at 1 and 4 workers and diffs the verdict lines.
-//!
-//! `--no-memo` disables the successor memo for every analysis (the Q9 A/B
-//! sweeps its own memo grid). The memo is a pure cache, so CI also diffs the
-//! verdict lines of a `--no-memo` run against the default.
 //!
 //! `--store <dir>` points the Q12 warm-vs-cold sweep at a persistent
 //! artifact-store directory instead of the default `target/bench-cas`
@@ -51,12 +46,11 @@ fn main() {
         .find(|w| w[0] == "--threads")
         .and_then(|w| w[1].parse().ok())
         .unwrap_or(1usize);
-    let memo = !args.iter().any(|a| a == "--no-memo");
     let store_dir = args
         .windows(2)
         .find(|w| w[0] == "--store")
         .map(|w| w[1].clone());
-    f1_cruise_control(threads, memo);
+    f1_cruise_control(threads);
     if !smoke {
         q1_quantum_tradeoff();
         q2_verdict_agreement();
@@ -65,20 +59,10 @@ fn main() {
         q5_queue_overflow();
     }
     let scaling = q8_thread_scaling(smoke);
-    let interning = q9_interning(smoke);
     let cas_section = q12_store_warm_sweep(store_dir.as_deref());
-    let zones_section = q13_zones(threads, memo);
-    let zone_advance_section = q14_zone_advance(threads, memo);
-    q6_exploration_report(
-        threads,
-        memo,
-        scaling,
-        interning,
-        cas_section,
-        zones_section,
-        zone_advance_section,
-    );
-    q7_locking_protocols(threads, memo);
+    let zones_section = q13_zones(threads);
+    q6_exploration_report(threads, scaling, cas_section, zones_section);
+    q7_locking_protocols(threads);
     if smoke {
         println!("\nharness: smoke mode (skipped Q1/Q2/Q2b/Q3/Q5 sweeps)");
     }
@@ -90,7 +74,7 @@ fn header(title: &str) {
     println!("================================================================");
 }
 
-fn f1_cruise_control(threads: usize, memo: bool) {
+fn f1_cruise_control(threads: usize) {
     header("F1 — cruise control (Fig. 1): inventory and verdicts");
     let m = cruise_control_model();
     let tm = translate(&m, &TranslateOptions::default()).unwrap();
@@ -100,7 +84,6 @@ fn f1_cruise_control(threads: usize, memo: bool) {
     );
     let mut exhaustive = AnalysisOptions::exhaustive();
     exhaustive.explore.threads = threads;
-    exhaustive.explore.memo = memo;
     let v = analyze(&m, &TranslateOptions::default(), &exhaustive).unwrap();
     println!(
         "nominal:    schedulable={} states={} transitions={} time={:?}",
@@ -109,7 +92,6 @@ fn f1_cruise_control(threads: usize, memo: bool) {
     let m = instantiate(&cruise_control_overloaded(), "CruiseControl.impl").unwrap();
     let mut default = AnalysisOptions::default();
     default.explore.threads = threads;
-    default.explore.memo = memo;
     let v = analyze(&m, &TranslateOptions::default(), &default).unwrap();
     println!(
         "overloaded: schedulable={} first deadlock at quantum {} ({} states)",
@@ -301,20 +283,14 @@ fn run_counter(run: &obs::RunData, name: &str) -> u64 {
 }
 
 /// The parallel-scaling sweep behind `EXPERIMENTS.md` Q8 and the `scaling`
-/// section of `BENCH_exploration.json`. Two engines, A/B, on each model:
-///
-/// * **seed** — the pre-sharding architecture kept alive in
-///   [`bench::seedline`]: parallel expansion, single-`Mutex` output buffer,
-///   serial interner re-hashing deep terms on every probe;
-/// * **sharded** — the shipped expand-and-intern pipeline (hash-cached
-///   terms, sharded visited set), swept over workers, plus one row pinning
-///   the sharded engine to a *single* shard so the shard count's own effect
-///   is visible at 4 workers.
+/// section of `BENCH_exploration.json`: the shipped expand-and-intern
+/// pipeline (interned terms, a visited set split into
+/// `threads.next_power_of_two()` shards) swept over workers on each model.
 ///
 /// Every configuration runs three times and reports the best wall clock —
 /// min-of-N is the standard way to strip scheduler noise from short runs.
 fn q8_thread_scaling(smoke: bool) -> obs::Json {
-    header("Q8 — parallel scaling: engines × workers × visited-set shards");
+    header("Q8 — parallel scaling: workers × visited-set shards");
     let mut models: Vec<(String, aadl::instance::InstanceModel)> = vec![
         ("cruise_control".into(), cruise_control_model()),
         ("flight_control".into(), flight_control_model()),
@@ -332,43 +308,18 @@ fn q8_thread_scaling(smoke: bool) -> obs::Json {
         let tm = translate(m, &TranslateOptions::default()).unwrap();
         println!("\n{name}:");
         println!(
-            "{:>9} {:>8} {:>8} {:>8} {:>13} {:>9} {:>11}",
-            "engine", "workers", "shards", "states", "best time", "out-lock", "shard-lock"
+            "{:>8} {:>8} {:>8} {:>13} {:>9} {:>11}",
+            "workers", "shards", "states", "best time", "out-lock", "shard-lock"
         );
         let mut rows: Vec<obs::Json> = Vec::new();
 
         for threads in [1usize, 2, 4, 8] {
-            let mut best: Option<(std::time::Duration, bench::seedline::SeedStats)> = None;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let st = bench::seedline::explore_seedline(&tm.env, &tm.initial, threads);
-                let wall = t0.elapsed();
-                if best.as_ref().is_none_or(|(w, _)| wall < *w) {
-                    best = Some((wall, st));
-                }
-            }
-            let (wall, st) = best.unwrap();
-            println!(
-                "{:>9} {:>8} {:>8} {:>8} {:>13?} {:>9} {:>11}",
-                "seed", threads, "-", st.states, wall, st.lock_contention, "-"
-            );
-            rows.push(obs::Json::obj([
-                ("engine", obs::Json::from("seed")),
-                ("threads", obs::Json::from(threads)),
-                ("states", obs::Json::from(st.states)),
-                ("wall_ns", obs::Json::from(wall.as_nanos() as u64)),
-                ("lock_contention", obs::Json::from(st.lock_contention)),
-            ]));
-        }
-
-        for (threads, shards) in [(1usize, 0usize), (2, 0), (4, 1), (4, 0), (8, 0)] {
             type Best = (std::time::Duration, usize, u64, u64);
             let mut best: Option<Best> = None;
             for _ in 0..reps {
                 let rec = obs::Recorder::enabled();
                 let opts = versa::Options::default()
                     .with_threads(threads)
-                    .with_shards(shards)
                     .with_obs(rec.clone());
                 let t0 = Instant::now();
                 let ex = versa::explore(&tm.env, &tm.initial, &opts);
@@ -384,29 +335,14 @@ fn q8_thread_scaling(smoke: bool) -> obs::Json {
                 }
             }
             let (wall, states, out_lock, shard_lock) = best.unwrap();
-            let shards_actual = if shards == 0 {
-                threads.next_power_of_two()
-            } else {
-                shards
-            };
+            let shards = threads.next_power_of_two();
             println!(
-                "{:>9} {:>8} {:>8} {:>8} {:>13?} {:>9} {:>11}",
-                "sharded",
-                threads,
-                if shards == 0 {
-                    format!("auto({shards_actual})")
-                } else {
-                    shards_actual.to_string()
-                },
-                states,
-                wall,
-                out_lock,
-                shard_lock
+                "{:>8} {:>8} {:>8} {:>13?} {:>9} {:>11}",
+                threads, shards, states, wall, out_lock, shard_lock
             );
             rows.push(obs::Json::obj([
-                ("engine", obs::Json::from("sharded")),
                 ("threads", obs::Json::from(threads)),
-                ("shards", obs::Json::from(shards_actual)),
+                ("shards", obs::Json::from(shards)),
                 ("states", obs::Json::from(states)),
                 ("wall_ns", obs::Json::from(wall.as_nanos() as u64)),
                 ("lock_contention", obs::Json::from(out_lock)),
@@ -418,131 +354,7 @@ fn q8_thread_scaling(smoke: bool) -> obs::Json {
             ("rows", obs::Json::Arr(rows)),
         ]));
     }
-    println!(
-        "\n(seed = pre-sharding engine: serial interner, no hash cache; \
-         out-lock / shard-lock = try_lock misses.)"
-    );
-    obs::Json::obj([
-        ("reps", obs::Json::from(reps as u64)),
-        ("policy", obs::Json::from("min_wall_of_reps")),
-        ("models", obs::Json::Arr(sections)),
-    ])
-}
-
-/// The hash-consing A/B behind `EXPERIMENTS.md` Q9 and the `interning`
-/// section of `BENCH_exploration.json`. Four engines, all at **one** worker
-/// (the memo and the store are wins before any parallelism), on each model:
-///
-/// * **seed** — the pre-sharding [`bench::seedline`] engine (serial interner,
-///   deep re-hashing on every probe);
-/// * **hashed** — the pre-interning engine preserved as
-///   [`versa::explore_hashed`]: digest-cached keys, deep-compare fallback,
-///   successors re-derived on every expansion;
-/// * **interned** — the shipped engine with the successor memo disabled
-///   (isolates the term store's contribution);
-/// * **interned+memo** — the shipped default.
-///
-/// Same min-of-3-reps wall-clock policy as Q8. The interned rows carry the
-/// memo hit/miss/eviction counters and the store's unique-subterm count from
-/// [`versa::Stats`].
-fn q9_interning(smoke: bool) -> obs::Json {
-    header("Q9 — hash-consed store + successor memo: engine A/B at 1 worker");
-    let mut models: Vec<(String, aadl::instance::InstanceModel)> = vec![
-        ("cruise_control".into(), cruise_control_model()),
-        ("flight_control".into(), flight_control_model()),
-        (
-            "overloaded".into(),
-            instantiate(&cruise_control_overloaded(), "CruiseControl.impl").unwrap(),
-        ),
-    ];
-    let (cpus, spread) = if smoke { (5, 4) } else { (6, 4) };
-    models.push((format!("wide_system({cpus},{spread})"), wide_system(cpus, spread)));
-    let reps = 3u32;
-
-    let mut sections: Vec<obs::Json> = Vec::new();
-    for (name, m) in &models {
-        let tm = translate(m, &TranslateOptions::default()).unwrap();
-        println!("\n{name}:");
-        println!(
-            "{:>14} {:>8} {:>13} {:>10} {:>10} {:>7} {:>9}",
-            "engine", "states", "best time", "memo-hit", "memo-miss", "evict", "subterms"
-        );
-        let mut rows: Vec<obs::Json> = Vec::new();
-        let mut row = |engine: &str, states: usize, wall: std::time::Duration, stats: Option<&versa::Stats>| {
-            let (hits, misses, evictions, subterms) = stats
-                .map(|s| (s.memo_hits, s.memo_misses, s.memo_evictions, s.unique_subterms as u64))
-                .unwrap_or((0, 0, 0, 0));
-            let dash = |v: u64| if stats.is_some() { v.to_string() } else { "-".into() };
-            println!(
-                "{:>14} {:>8} {:>13?} {:>10} {:>10} {:>7} {:>9}",
-                engine, states, wall, dash(hits), dash(misses), dash(evictions), dash(subterms)
-            );
-            let mut fields = vec![
-                ("engine", obs::Json::from(engine)),
-                ("states", obs::Json::from(states)),
-                ("wall_ns", obs::Json::from(wall.as_nanos() as u64)),
-            ];
-            if stats.is_some() {
-                fields.push(("memo_hits", obs::Json::from(hits)));
-                fields.push(("memo_misses", obs::Json::from(misses)));
-                fields.push(("memo_evictions", obs::Json::from(evictions)));
-                fields.push(("unique_subterms", obs::Json::from(subterms)));
-            }
-            rows.push(obs::Json::obj(fields));
-        };
-
-        let mut best: Option<(std::time::Duration, usize)> = None;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let st = bench::seedline::explore_seedline(&tm.env, &tm.initial, 1);
-            let wall = t0.elapsed();
-            if best.as_ref().is_none_or(|(w, _)| wall < *w) {
-                best = Some((wall, st.states));
-            }
-        }
-        let (wall, states) = best.unwrap();
-        row("seed", states, wall, None);
-
-        let mut best: Option<(std::time::Duration, versa::Exploration)> = None;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let ex = versa::explore_hashed(&tm.env, &tm.initial, &versa::Options::default());
-            let wall = t0.elapsed();
-            if best.as_ref().is_none_or(|(w, _)| wall < *w) {
-                best = Some((wall, ex));
-            }
-        }
-        let (wall, ex) = best.unwrap();
-        row("hashed", ex.num_states(), wall, None);
-
-        for (engine, memo) in [("interned", false), ("interned+memo", true)] {
-            let mut best: Option<(std::time::Duration, versa::Exploration)> = None;
-            for _ in 0..reps {
-                // A fresh store per rep: reusing the translator's (or a prior
-                // rep's) store would hand later reps a pre-populated interner
-                // and flatter the steady state.
-                let opts = versa::Options::default().with_memo(memo);
-                let t0 = Instant::now();
-                let ex = versa::explore(&tm.env, &tm.initial, &opts);
-                let wall = t0.elapsed();
-                if best.as_ref().is_none_or(|(w, _)| wall < *w) {
-                    best = Some((wall, ex));
-                }
-            }
-            let (wall, ex) = best.unwrap();
-            row(engine, ex.num_states(), wall, Some(&ex.stats));
-        }
-
-        sections.push(obs::Json::obj([
-            ("model", obs::Json::from(name.as_str())),
-            ("rows", obs::Json::Arr(rows)),
-        ]));
-    }
-    println!(
-        "\n(seed = serial interner, deep re-hash per probe; hashed = digest keys, \
-         deep-compare fallback, no memo; interned = O(1) TermId keys; \
-         +memo = cached successor lists.)"
-    );
+    println!("\n(out-lock / shard-lock = try_lock misses.)");
     obs::Json::obj([
         ("reps", obs::Json::from(reps as u64)),
         ("policy", obs::Json::from("min_wall_of_reps")),
@@ -648,8 +460,8 @@ fn q12_store_warm_sweep(store_dir: Option<&str>) -> obs::Json {
 /// match and zone mode must materialize at least 10× fewer states — the
 /// harness aborts otherwise, so the committed report can never carry a
 /// regressed ratio. The state counts are deterministic; only the wall
-/// clocks are subject to noise (hence min-of-reps, same policy as Q8/Q9).
-fn q13_zones(threads: usize, memo: bool) -> obs::Json {
+/// clocks are subject to noise (hence min-of-reps, same policy as Q8).
+fn q13_zones(threads: usize) -> obs::Json {
     header("Q13 — delay zones vs concrete quantum stepping (longperiod model)");
     let path = model_file("longperiod.aadl");
     let source = std::fs::read_to_string(&path)
@@ -666,7 +478,6 @@ fn q13_zones(threads: usize, memo: bool) -> obs::Json {
             let rec = obs::Recorder::enabled();
             let opts = versa::Options::default()
                 .with_threads(threads)
-                .with_memo(memo)
                 .with_zones(zones)
                 .with_obs(rec.clone());
             let t0 = Instant::now();
@@ -744,142 +555,11 @@ fn q13_zones(threads: usize, memo: bool) -> obs::Json {
     ])
 }
 
-/// The closed-form advance A/B behind `EXPERIMENTS.md` Q14 and the
-/// `zone_advance` section of `BENCH_exploration.json`: every bundled
-/// `.aadl` model explored three ways — concrete quantum stepping, replay
-/// zones (the PR 9 path: zone *states* collapse, but every quantum is
-/// still re-derived) and closed-form zones (spans and unit macros served
-/// arithmetically) — best-of-3 wall clocks each. The verdicts and deadlock
-/// counts must agree across all three engines on every model, the
-/// closed-form run must report at least one `zone.closed_form_advances`,
-/// and closed-form must not be slower than replay on `longperiod.aadl`
-/// (the long-hyperperiod model the closed-form path targets) — the
-/// harness aborts otherwise, so the committed report can never carry a
-/// regressed ratio. State counts are deterministic; only wall clocks are
-/// noisy (min-of-reps, same policy as Q8/Q9/Q13).
-fn q14_zone_advance(threads: usize, memo: bool) -> obs::Json {
-    header("Q14 — closed-form vs replay vs concrete (all bundled models)");
-    let models = [
-        "cruise_control",
-        "flight_control",
-        "inversion",
-        "longperiod",
-        "overloaded",
-        "producer_handler",
-    ];
-    let reps = 3u32;
-    println!(
-        "{:>17} {:>12} {:>13} {:>12} {:>12} {:>8}",
-        "model", "schedulable", "concrete", "replay", "closed", "ratio"
-    );
-    let mut rows = Vec::new();
-    for name in models {
-        let path = model_file(&format!("{name}.aadl"));
-        let source = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        let pkg = parse_package(&source).unwrap_or_else(|e| panic!("parse {name}: {e}"));
-        let root = pkg.default_root().unwrap_or_else(|e| panic!("root {name}: {e}"));
-        let m = instantiate(&pkg, &root).unwrap_or_else(|e| panic!("instantiate {name}: {e}"));
-        let tm = translate(&m, &TranslateOptions::default()).unwrap();
-
-        type Best = (std::time::Duration, versa::Exploration, u64);
-        let run_once = |zones: Option<versa::ZoneAdvance>, best: &mut Option<Best>| {
-            let rec = obs::Recorder::enabled();
-            let mut opts = versa::Options::default()
-                .with_threads(threads)
-                .with_memo(memo)
-                .with_obs(rec.clone());
-            if let Some(advance) = zones {
-                opts = opts.with_zones(true).with_zone_advance(advance);
-            }
-            let t0 = Instant::now();
-            let ex = versa::explore(&tm.env, &tm.initial, &opts);
-            let wall = t0.elapsed();
-            let run = rec.finish();
-            let closed_advances = run_counter(&run, "zone.closed_form_advances");
-            if best.as_ref().is_none_or(|(w, ..)| wall < *w) {
-                *best = Some((wall, ex, closed_advances));
-            }
-        };
-
-        // Interleave the reps (closed, replay, concrete, repeat) so every
-        // engine samples the same allocator and cache conditions — a
-        // sequential block per engine lets heap state drift between the
-        // A and the B, which skews the ratio by tens of percent.
-        let (mut closed, mut replay, mut concrete) = (None, None, None);
-        for _ in 0..reps {
-            run_once(Some(versa::ZoneAdvance::Closed), &mut closed);
-            run_once(Some(versa::ZoneAdvance::Replay), &mut replay);
-            run_once(None, &mut concrete);
-        }
-        let (cw, cex, _) = concrete.unwrap();
-        let (rw, rex, _) = replay.unwrap();
-        let (zw, zex, closed_advances) = closed.unwrap();
-        let schedulable = cex.deadlocks.is_empty();
-        let ratio = rw.as_secs_f64() / zw.as_secs_f64().max(1e-9);
-        println!(
-            "{:>17} {:>12} {:>13?} {:>12?} {:>12?} {:>7.2}x",
-            name, schedulable, cw, rw, zw, ratio
-        );
-        for (engine, ex) in [("replay", &rex), ("closed", &zex)] {
-            assert_eq!(
-                schedulable,
-                ex.deadlocks.is_empty(),
-                "{engine} zones changed the {name} verdict"
-            );
-            assert_eq!(
-                cex.deadlocks.len(),
-                ex.deadlocks.len(),
-                "{engine} zones changed the {name} deadlock count"
-            );
-        }
-        if name == "longperiod" {
-            assert!(
-                closed_advances >= 1,
-                "closed-form path never fired on longperiod"
-            );
-            assert!(
-                zw <= rw,
-                "closed-form advance slower than replay on longperiod: {zw:?} vs {rw:?}"
-            );
-        }
-        let engine = |wall: std::time::Duration, ex: &versa::Exploration| {
-            obs::Json::obj([
-                ("schedulable", obs::Json::Bool(ex.deadlocks.is_empty())),
-                ("states", obs::Json::from(ex.num_states())),
-                ("wall_ns", obs::Json::from(wall.as_nanos() as u64)),
-            ])
-        };
-        rows.push(obs::Json::obj([
-            ("model", obs::Json::from(name)),
-            ("concrete", engine(cw, &cex)),
-            ("replay", engine(rw, &rex)),
-            (
-                "closed",
-                obs::Json::obj([
-                    ("schedulable", obs::Json::Bool(zex.deadlocks.is_empty())),
-                    ("states", obs::Json::from(zex.num_states())),
-                    ("wall_ns", obs::Json::from(zw.as_nanos() as u64)),
-                    ("closed_form_advances", obs::Json::from(closed_advances)),
-                ]),
-            ),
-        ]));
-    }
-    obs::Json::obj([
-        ("reps", obs::Json::from(reps as u64)),
-        ("policy", obs::Json::from("min_wall_of_reps")),
-        ("models", obs::Json::Arr(rows)),
-    ])
-}
-
 fn q6_exploration_report(
     threads: usize,
-    memo: bool,
     scaling: obs::Json,
-    interning: obs::Json,
     cas_section: obs::Json,
     zones_section: obs::Json,
-    zone_advance_section: obs::Json,
 ) {
     header("Q6 — instrumented exploration report (BENCH_exploration.json)");
     let rec = obs::Recorder::enabled();
@@ -890,12 +570,11 @@ fn q6_exploration_report(
     };
     let mut aopts = AnalysisOptions::exhaustive();
     aopts.explore.threads = threads;
-    aopts.explore.memo = memo;
     aopts.explore.obs = rec.clone();
     let tm = translate(&m, &topts).unwrap();
     let v = aadl2acsr::analyze_translated(&m, &tm, &aopts);
 
-    let canon = format!("exhaustive;threads={threads};memo={memo}");
+    let canon = format!("exhaustive;threads={threads}");
     let run_id = obs::run_id(&[b"cruise_control", canon.as_bytes()]);
     let mut report = obs::Report::new(&run_id, "bench-harness");
     report.set(
@@ -939,10 +618,8 @@ fn q6_exploration_report(
         ]),
     );
     report.set("scaling", scaling);
-    report.set("interning", interning);
     report.set("cas", cas_section);
     report.set("zones", zones_section);
-    report.set("zone_advance", zone_advance_section);
     report.attach_run(&rec.finish());
     match std::fs::write("BENCH_exploration.json", report.to_json()) {
         Ok(()) => println!("report written to BENCH_exploration.json (run_id {run_id})"),
@@ -953,7 +630,7 @@ fn q6_exploration_report(
 
 /// The three concurrency-control protocols on the bundled priority-inversion
 /// model (§7 extension): verdict, miss quantum and state count per protocol.
-fn q7_locking_protocols(threads: usize, memo: bool) {
+fn q7_locking_protocols(threads: usize) {
     header("Q7 — concurrency control on the inversion model (§7 ext.)");
     let source = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -970,7 +647,6 @@ fn q7_locking_protocols(threads: usize, memo: bool) {
     ] {
         let mut aopts = AnalysisOptions::exhaustive();
         aopts.explore.threads = threads;
-        aopts.explore.memo = memo;
         let v = analyze(
             &m,
             &TranslateOptions {

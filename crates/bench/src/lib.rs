@@ -5,7 +5,6 @@
 //! regenerates every quantitative table in one run
 //! (`cargo run --release -p bench --bin harness`).
 
-pub mod seedline;
 pub mod timing;
 
 use aadl::builder::PackageBuilder;

@@ -84,8 +84,11 @@ impl PrioSpec {
 /// * Background threads always get the lowest priority, 1.
 /// * RMS ranks deadline-constrained threads by ascending period (ties share a
 ///   priority, leaving the arbitration nondeterministic — explored
-///   exhaustively); DMS by ascending deadline; HPF takes the `Priority`
-///   property (clamped to ≥ 2, above background).
+///   exhaustively); DMS by ascending deadline; HPF by descending `Priority`
+///   property: 2 + the number of threads with a strictly lower Priority, so
+///   equal values share a level. HPF counts the threads of the whole
+///   `model`, not just `threads`, so its levels compare across processors
+///   (priority ceilings and inheritance do).
 /// * EDF/LLF produce parametric specifications; they reject background
 ///   threads (no deadline to compare) as unsupported.
 pub fn assign_priorities(
@@ -98,16 +101,31 @@ pub fn assign_priorities(
     let path = |i: usize| model.component(threads[i]).display_path().to_owned();
 
     match protocol {
-        SchedulingProtocol::Rms | SchedulingProtocol::Dms => {
-            // Key: period for RMS, deadline for DMS. Background threads have
-            // neither and sit at priority 1.
+        SchedulingProtocol::Rms | SchedulingProtocol::Dms | SchedulingProtocol::Hpf => {
+            // Key: period for RMS, deadline for DMS, the negated `Priority`
+            // property for HPF (a larger Priority is a smaller key). Only the
+            // order of the keys matters, so any Priority value — 1, 0 or
+            // beyond `u32::MAX` — keeps its place. Background threads have no
+            // key and sit at priority 1.
             let key = |tt: &ThreadTiming| -> Option<i64> {
                 match protocol {
                     // Aperiodic threads have no period; rank them by deadline
                     // (the standard practical convention).
                     SchedulingProtocol::Rms => tt.period_q.or(tt.deadline_q),
-                    _ => tt.deadline_q,
+                    SchedulingProtocol::Dms => tt.deadline_q,
+                    _ if tt.dispatch == DispatchProtocol::Background => None,
+                    _ => tt.priority.map(i64::saturating_neg),
                 }
+            };
+            // The keys a thread is ranked against: this processor's for
+            // RMS/DMS, every thread's `Priority` in the model for HPF.
+            let peers: Vec<i64> = match protocol {
+                SchedulingProtocol::Hpf => model
+                    .threads()
+                    .filter_map(|t| t.properties.priority())
+                    .map(i64::saturating_neg)
+                    .collect(),
+                _ => timings.iter().filter_map(key).collect(),
             };
             let mut out = Vec::with_capacity(timings.len());
             for (i, tt) in timings.iter().enumerate() {
@@ -122,32 +140,13 @@ pub fn assign_priorities(
                     )));
                 };
                 // Priority = 2 + number of threads with strictly greater key:
-                // smallest period/deadline ⇒ highest priority; equal keys
-                // share a priority.
-                let greater = timings
-                    .iter()
-                    .filter(|o| key(o).is_some_and(|ko| ko > k))
-                    .count() as u32;
+                // smallest period/deadline (largest HPF Priority) ⇒ highest
+                // priority; equal keys share a priority.
+                let greater = peers.iter().filter(|&&ko| ko > k).count() as u32;
                 out.push(PrioSpec::Static(2 + greater));
             }
             Ok(out)
         }
-        SchedulingProtocol::Hpf => timings
-            .iter()
-            .enumerate()
-            .map(|(i, tt)| {
-                if tt.dispatch == DispatchProtocol::Background {
-                    return Ok(PrioSpec::Static(1));
-                }
-                match tt.priority {
-                    Some(p) => Ok(PrioSpec::Static(u32::try_from(p.max(2)).unwrap_or(2))),
-                    None => Err(TranslateError::Unsupported(format!(
-                        "HPF: thread `{}` has no Priority property",
-                        path(i)
-                    ))),
-                }
-            })
-            .collect(),
         SchedulingProtocol::Edf | SchedulingProtocol::Llf => {
             let dmax = timings
                 .iter()
@@ -261,17 +260,75 @@ mod tests {
         assert!(matches!(prios[0], PrioSpec::Static(p) if p >= 2));
     }
 
+    /// An HPF model with thread `t{i}` of Priority `prios[i].0` bound to
+    /// processor `cpu{prios[i].1}` (two processors).
+    fn hpf_model(prios: &[(i64, usize)]) -> InstanceModel {
+        use aadl::builder::PackageBuilder;
+        use aadl::model::Category;
+        use aadl::properties::{names, PropertyValue, TimeVal};
+        let mut b = PackageBuilder::new("Hpf")
+            .processor("cpu_t", |p| p.prop_enum(names::SCHEDULING_PROTOCOL, "HPF"));
+        for (i, &(prio, _)) in prios.iter().enumerate() {
+            b = b.thread(&format!("T{i}"), |t| {
+                t.prop_enum(names::DISPATCH_PROTOCOL, "Periodic")
+                    .prop_int(names::PRIORITY, prio)
+            });
+        }
+        let pkg = b
+            .system("Top", |s| s)
+            .implementation("Top.impl", Category::System, |mut i| {
+                i = i
+                    .sub("cpu0", Category::Processor, "cpu_t")
+                    .sub("cpu1", Category::Processor, "cpu_t")
+                    .prop(names::SCHEDULING_QUANTUM, PropertyValue::Time(TimeVal::ms(1)));
+                for (k, &(_, cpu)) in prios.iter().enumerate() {
+                    let sub = format!("t{k}");
+                    i = i
+                        .sub(&sub, Category::Thread, &format!("T{k}"))
+                        .bind_processor(&sub, &format!("cpu{cpu}"));
+                }
+                i
+            })
+            .build();
+        aadl::instance::instantiate(&pkg, "Top.impl").unwrap()
+    }
+
+    /// The HPF levels of the threads on `cpu`, in `threads_on` order.
+    fn hpf_levels(m: &InstanceModel, cpu: &str) -> Vec<PrioSpec> {
+        let threads = m.threads_on(m.find(cpu).unwrap());
+        let timings: Vec<_> = threads
+            .iter()
+            .map(|&t| tt(Some(10), Some(10), 1, m.component(t).properties.priority()))
+            .collect();
+        assign_priorities(m, SchedulingProtocol::Hpf, &threads, &timings).unwrap()
+    }
+
     #[test]
     fn hpf_uses_the_priority_property() {
-        let m = fake_model();
-        let threads = fake_threads(2);
-        let timings = vec![
-            tt(Some(10), Some(10), 1, Some(7)),
-            tt(Some(10), Some(10), 1, Some(3)),
-        ];
-        let prios =
-            assign_priorities(&m, SchedulingProtocol::Hpf, &threads, &timings).unwrap();
-        assert_eq!(prios, vec![PrioSpec::Static(7), PrioSpec::Static(3)]);
+        let m = hpf_model(&[(7, 0), (3, 0)]);
+        // Ranked like RMS: 2 + #threads with a strictly lower Priority.
+        assert_eq!(hpf_levels(&m, "cpu0"), vec![PrioSpec::Static(3), PrioSpec::Static(2)]);
+    }
+
+    #[test]
+    fn hpf_keeps_low_and_huge_priorities_apart() {
+        let m = hpf_model(&[(2, 0), (1, 0), (i64::from(u32::MAX) + 1, 0)]);
+        assert_eq!(
+            hpf_levels(&m, "cpu0"),
+            vec![PrioSpec::Static(3), PrioSpec::Static(2), PrioSpec::Static(4)]
+        );
+        // Equal Priority values still share a level.
+        let levels = hpf_levels(&hpf_model(&[(5, 0), (5, 0)]), "cpu0");
+        assert_eq!(levels[0], levels[1]);
+    }
+
+    #[test]
+    fn hpf_levels_compare_across_processors() {
+        // cpu0: Priority 10 and 20; cpu1: Priority 30. Ranking each processor
+        // on its own would give 10 and 30 the same level.
+        let m = hpf_model(&[(10, 0), (20, 0), (30, 1)]);
+        assert_eq!(hpf_levels(&m, "cpu0"), vec![PrioSpec::Static(2), PrioSpec::Static(3)]);
+        assert_eq!(hpf_levels(&m, "cpu1"), vec![PrioSpec::Static(4)]);
     }
 
     #[test]

@@ -49,7 +49,16 @@ pub const SCHEMA: &str = "aadlsched-metrics";
 ///   `BENCH_exploration.json` gained the `zone_advance` closed-vs-replay
 ///   section. Replay-mode and concrete-mode runs emit none of the new
 ///   instruments.
-pub const SCHEMA_VERSION: u64 = 6;
+/// * v7 — one reference explorer instead of three baselines:
+///   - `memo`, `shards` and `zone_advance` left the CLI's canonical option
+///     string (hashed into the run id): the memo is always on, the shard
+///     count always follows the worker count, and zone mode always
+///     advances in closed form;
+///   - `zone_advance` left the daemon's fleet-report `config` section;
+///   - the `interning` and `zone_advance` A/B sections left
+///     `BENCH_exploration.json` (their engines are deleted; the numbers stay
+///     in git history and EXPERIMENTS.md).
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Deterministic run identifier: FNV-1a (64-bit) over the given byte slices,
 /// rendered as 16 lowercase hex digits. Feed it the model source and the
@@ -90,7 +99,7 @@ pub fn run_id(parts: &[&[u8]]) -> String {
 /// r.set("model", Json::obj([("file", Json::from("m.aadl"))]));
 /// let text = r.to_json();
 /// assert!(text.starts_with("{\n  \"schema\": \"aadlsched-metrics\""));
-/// assert!(text.contains("\"version\": 6"));
+/// assert!(text.contains("\"version\": 7"));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Report {

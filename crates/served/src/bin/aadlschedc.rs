@@ -6,7 +6,7 @@
 //! commands:
 //!   analyze <model.aadl> [--root <r>] [--quantum <ms>] [--protocol <p>]
 //!           [--compact] [--exhaustive] [--threads <n>] [--max-states <n>]
-//!           [--no-memo] [--timeout-ms <n>]
+//!           [--timeout-ms <n>]
 //!       read the model, send it inline, wait for the result; the process
 //!       exit code mirrors the wire `code` (0 schedulable, 1 not, 2 input
 //!       error, 3 unknown)
@@ -177,7 +177,6 @@ fn analyze_request(mut raw: std::env::Args) -> Result<String, String> {
                         .map_err(|e| format!("--max-states: {e}"))?,
                 ),
             )),
-            "--no-memo" => opts.push(("memo".into(), Json::Bool(false))),
             "--timeout-ms" => opts.push((
                 "timeout_ms".into(),
                 Json::UInt(

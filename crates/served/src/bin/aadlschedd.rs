@@ -30,10 +30,6 @@
 //!                             forced runs of quanta into bulk steps
 //!                             (identical verdicts and traces; job digests
 //!                             diverge from concrete-mode requests)
-//!   --zone-advance <closed|replay>  default zone advance strategy:
-//!                             `closed` (default) uses cached per-shape
-//!                             delay derivatives, `replay` re-derives every
-//!                             quantum (identical results; A/B timing lever)
 //!   --zone-cap <n>            default per-edge step cap in zone mode
 //!                             (never changes verdicts, only granularity)
 //! ```
@@ -56,8 +52,7 @@ fn usage() -> ExitCode {
          [--default-timeout-ms <n>] [--max-states <n>] [--cache-capacity <n>] \
          [--retries <n>] [--no-result-cache] [--metrics <file>] \
          [--no-trace] [--flight-capacity <n>] [--span-cap <n>] \
-         [--store <dir|readonly:dir>] [--zones] \
-         [--zone-advance <closed|replay>] [--zone-cap <n>]"
+         [--store <dir|readonly:dir>] [--zones] [--zone-cap <n>]"
     );
     ExitCode::from(2)
 }
@@ -144,15 +139,6 @@ fn parse_args() -> Result<Config, String> {
                     return Err("--zone-cap must be at least 1".into());
                 }
                 cfg.zone_cap = Some(cap);
-            }
-            "--zone-advance" => {
-                let mode = val("--zone-advance")?;
-                if mode != "closed" && mode != "replay" {
-                    return Err(format!(
-                        "--zone-advance: unknown mode `{mode}` (closed | replay)"
-                    ));
-                }
-                cfg.zone_advance = Some(mode);
             }
             other => return Err(format!("unknown flag `{other}`")),
         }

@@ -106,10 +106,6 @@ pub struct Config {
     /// Daemon-default per-edge zone step cap (`--zone-cap`; `None` = engine
     /// default). Folded into requests before the job digest, like `zones`.
     pub zone_cap: Option<u64>,
-    /// Daemon-default zone advance strategy (`--zone-advance`, `"closed"`
-    /// or `"replay"`; `None` = engine default, closed). Folded into
-    /// requests before the job digest, like `zones`.
-    pub zone_advance: Option<String>,
 }
 
 impl Default for Config {
@@ -133,7 +129,6 @@ impl Default for Config {
             store_readonly: false,
             zones: false,
             zone_cap: None,
-            zone_advance: None,
         }
     }
 }
@@ -177,13 +172,6 @@ impl Config {
             (
                 "zone_cap",
                 self.zone_cap.map(Json::UInt).unwrap_or(Json::Null),
-            ),
-            (
-                "zone_advance",
-                self.zone_advance
-                    .as_deref()
-                    .map(Json::from)
-                    .unwrap_or(Json::Null),
             ),
         ])
     }
@@ -738,9 +726,6 @@ fn handle_analyze(
     if options.zone_cap.is_none() {
         options.zone_cap = d.cfg.zone_cap;
     }
-    if options.zone_advance.is_none() {
-        options.zone_advance = d.cfg.zone_advance.clone();
-    }
     // Open the root span first, so even rejected requests leave a tree.
     let mut trace = ctx.map(|(req, recv_ns, parsed_ns)| {
         let root = d.rec.span_at("served.request", recv_ns);
@@ -1084,13 +1069,9 @@ fn analyze_source(
         AnalysisOptions::default()
     };
     aopts.explore.threads = o.threads.max(1);
-    aopts.explore.memo = o.memo;
     aopts.explore.zones = o.zones;
     if let Some(cap) = o.zone_cap {
         aopts.explore.zone_cap = cap as usize;
-    }
-    if o.zone_advance.as_deref() == Some("replay") {
-        aopts.explore.zone_advance = versa::ZoneAdvance::Replay;
     }
     aopts.explore.max_states = o.max_states.unwrap_or(usize::MAX).min(d.cfg.max_states);
     aopts.explore.cancel = cancel.clone();

@@ -40,8 +40,6 @@ pub struct AnalyzeOptions {
     pub threads: usize,
     /// Per-request state budget (always clamped to the daemon's own budget).
     pub max_states: Option<usize>,
-    /// Successor memoization (on by default).
-    pub memo: bool,
     /// Per-request wall-clock timeout in milliseconds (`None` = the daemon's
     /// default). `0` times out immediately — useful for testing the timeout
     /// path deterministically.
@@ -57,11 +55,6 @@ pub struct AnalyzeOptions {
     /// of delay edges — but it participates in the job digest like every
     /// other option.
     pub zone_cap: Option<u64>,
-    /// Zone advance strategy (`--zone-advance` on the CLI): `"closed"` (the
-    /// default) advances forced runs through cached per-shape delay
-    /// derivatives, `"replay"` re-derives every quantum. Verdicts and traces
-    /// are identical; the switch exists for honest A/B timing.
-    pub zone_advance: Option<String>,
 }
 
 impl Default for AnalyzeOptions {
@@ -74,11 +67,9 @@ impl Default for AnalyzeOptions {
             exhaustive: false,
             threads: 1,
             max_states: None,
-            memo: true,
             timeout_ms: None,
             zones: false,
             zone_cap: None,
-            zone_advance: None,
         }
     }
 }
@@ -91,7 +82,7 @@ impl AnalyzeOptions {
     pub fn canonical(&self) -> String {
         format!(
             "root={:?};quantum_ms={:?};protocol={:?};compact={};exhaustive={};threads={};\
-             max_states={:?};memo={};timeout_ms={:?};zones={};zone_cap={:?};zone_advance={:?}",
+             max_states={:?};timeout_ms={:?};zones={};zone_cap={:?}",
             self.root,
             self.quantum_ms,
             self.protocol,
@@ -99,11 +90,9 @@ impl AnalyzeOptions {
             self.exhaustive,
             self.threads,
             self.max_states,
-            self.memo,
             self.timeout_ms,
             self.zones,
             self.zone_cap,
-            self.zone_advance,
         )
     }
 }
@@ -274,7 +263,6 @@ fn parse_options(v: Option<&Json>) -> Result<AnalyzeOptions, String> {
                 o.max_states =
                     Some(val.as_u64().ok_or("options.max_states must be an integer")? as usize)
             }
-            "memo" => o.memo = bool_field(val, "options.memo")?,
             "timeout_ms" => {
                 o.timeout_ms = Some(val.as_u64().ok_or("options.timeout_ms must be an integer")?)
             }
@@ -285,15 +273,6 @@ fn parse_options(v: Option<&Json>) -> Result<AnalyzeOptions, String> {
                     return Err("options.zone_cap must be at least 1".into());
                 }
                 o.zone_cap = Some(cap);
-            }
-            "zone_advance" => {
-                let mode = str_field(val, "options.zone_advance")?;
-                if mode != "closed" && mode != "replay" {
-                    return Err(format!(
-                        "options.zone_advance must be \"closed\" or \"replay\", got `{mode}`"
-                    ));
-                }
-                o.zone_advance = Some(mode);
             }
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -499,7 +478,6 @@ mod tests {
                 assert!(options.exhaustive);
                 assert_eq!(options.threads, 2);
                 assert_eq!(options.timeout_ms, Some(5000));
-                assert!(options.memo);
             }
             other => panic!("wrong request: {other:?}"),
         }
@@ -524,14 +502,11 @@ mod tests {
         let mut z = AnalyzeOptions::default();
         z.zones = true;
         assert_ne!(job_digest("src", &a), job_digest("src", &z));
-        // The zone knobs participate too: a capped or replay-mode zone run
-        // must never share a closed-mode result.
+        // The zone cap participates too: a capped zone run must never share
+        // an uncapped result.
         let mut zc = z.clone();
         zc.zone_cap = Some(64);
         assert_ne!(job_digest("src", &z), job_digest("src", &zc));
-        let mut za = z.clone();
-        za.zone_advance = Some("replay".into());
-        assert_ne!(job_digest("src", &z), job_digest("src", &za));
         assert_ne!(job_digest("src", &a), job_digest("other", &a));
     }
 
@@ -563,6 +538,19 @@ mod tests {
             r#"{"type":"analyze","id":"x","model":"m","file":"f"}"#,
         ] {
             assert!(parse_request(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn removed_engine_options_are_unknown() {
+        // The memo is always on and zone mode always advances in closed
+        // form, so neither knob exists on the wire any more.
+        for (opt, val) in [("memo", "false"), ("zone_advance", r#""replay""#)] {
+            let line = format!(
+                r#"{{"type":"analyze","id":"x","model":"m","options":{{"{opt}":{val}}}}}"#
+            );
+            let err = parse_request(&line).unwrap_err();
+            assert_eq!(err, format!("unknown option `{opt}`"), "{line}");
         }
     }
 

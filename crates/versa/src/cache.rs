@@ -83,10 +83,6 @@ pub(crate) fn key_for(env: &Env, initial: &P, opts: &Options, id_limit: usize) -
     let ids = (id_limit.min(u64::MAX as usize) as u64).to_le_bytes();
     let zones = [opts.zones as u8];
     let zone_cap = (opts.zone_cap.min(u64::MAX as usize) as u64).to_le_bytes();
-    let zone_advance = [match opts.zone_advance {
-        crate::explore::ZoneAdvance::Closed => 0u8,
-        crate::explore::ZoneAdvance::Replay => 1u8,
-    }];
     let mut parts: Vec<&[u8]> = vec![
         b"versa.exploration.v1",
         &term_bytes,
@@ -99,7 +95,6 @@ pub(crate) fn key_for(env: &Env, initial: &P, opts: &Options, id_limit: usize) -
     ];
     if opts.zones {
         parts.push(&zone_cap);
-        parts.push(&zone_advance);
     }
     Some(cas::key(&parts))
 }
@@ -256,11 +251,7 @@ pub(crate) fn replay(
         .store
         .clone()
         .unwrap_or_else(|| Arc::new(TermStore::new()));
-    let memo_config = if opts.memo {
-        MemoConfig::with_capacity(opts.memo_capacity)
-    } else {
-        MemoConfig::disabled()
-    };
+    let memo_config = MemoConfig::with_capacity(opts.memo_capacity);
     let session = StepSession::new(env, store, memo_config);
     let root = session.intern(initial);
 
@@ -312,7 +303,7 @@ mod tests {
     /// must be serialized into the store key, or a stale artifact would
     /// silently answer a query it doesn't match. Flipping each such field —
     /// and the term, environment and id ceiling — must produce a distinct
-    /// key; fields that are pure performance knobs (threads, shards, memo)
+    /// key; fields that are pure performance knobs (threads, memo capacity)
     /// must NOT change the key, so warm sweeps still hit across them.
     #[test]
     fn key_commits_to_every_space_changing_option_and_nothing_else() {
@@ -338,16 +329,6 @@ mod tests {
         });
         distinct.push(key(&base.clone().with_zones(true), 1000).unwrap());
         distinct.push(key(&base.clone().with_zones(true).with_zone_cap(7), 1000).unwrap());
-        distinct.push(
-            key(
-                &base
-                    .clone()
-                    .with_zones(true)
-                    .with_zone_advance(crate::explore::ZoneAdvance::Replay),
-                1000,
-            )
-            .unwrap(),
-        );
         distinct.push(key(&base.clone().with_cas_context("protocol=pcp"), 1000).unwrap());
         distinct.push(key(&base, 999).unwrap()); // id ceiling
         distinct.push(key_for(&env, &nil(), &base, 1000).unwrap()); // the term
@@ -364,19 +345,7 @@ mod tests {
         // inert while the zones flag is off, keeping historical
         // concrete-mode keys addressable.
         assert_eq!(key(&base.clone().with_zone_cap(7), 1000).unwrap(), base_key);
-        assert_eq!(
-            key(
-                &base
-                    .clone()
-                    .with_zone_advance(crate::explore::ZoneAdvance::Replay),
-                1000
-            )
-            .unwrap(),
-            base_key
-        );
         assert_eq!(key(&base.clone().with_threads(8), 1000).unwrap(), base_key);
-        assert_eq!(key(&base.clone().with_shards(32), 1000).unwrap(), base_key);
-        assert_eq!(key(&base.clone().with_memo(false), 1000).unwrap(), base_key);
         assert_eq!(
             key(&base.clone().with_memo_capacity(3), 1000).unwrap(),
             base_key

@@ -13,8 +13,9 @@
 //!
 //! With [`Options::threads`] > 1 each BFS level runs an *expand-and-intern
 //! pipeline*: worker threads compute prioritized successors **and** probe the
-//! visited set concurrently — the set is distributed over power-of-two
-//! [`Mutex`] shards keyed by bits of each term's deterministic structural
+//! visited set concurrently — the set is distributed over
+//! `threads.next_power_of_two()` [`Mutex`] shards keyed by bits of each
+//! term's deterministic structural
 //! digest, so workers dedup their own discoveries instead of funnelling
 //! every raw term through a single-threaded interner.
 //! Only the *id assignment* of genuinely new states happens on the
@@ -153,18 +154,12 @@ pub struct Options {
     /// export; costs memory proportional to the number of transitions).
     pub collect_lts: bool,
     /// Worker threads for frontier expansion; `0` or `1` means sequential.
+    /// The visited set is split into `threads.next_power_of_two()` shards.
     pub threads: usize,
-    /// Visited-set shards (rounded up to a power of two). `0` means auto:
-    /// the next power of two ≥ `threads`. More shards reduce intern-time
-    /// lock contention between workers; the shard count never affects
-    /// exploration results, only concurrency.
-    pub shards: usize,
-    /// Memoize successor generation (see [`acsr::step::StepSession`]). On by
-    /// default; the `--no-memo` CLI flag clears it. The memo is a pure cache
-    /// — verdicts, state tables and traces are identical either way.
-    pub memo: bool,
-    /// Entry cap of the successor memo (FIFO eviction past it). The default
-    /// is [`MemoConfig::default`]'s capacity.
+    /// Entry cap of the successor memo (see [`acsr::step::StepSession`];
+    /// FIFO eviction past it). The memo is a pure cache — verdicts, state
+    /// tables and traces never depend on it. The default is
+    /// [`MemoConfig::default`]'s capacity.
     pub memo_capacity: usize,
     /// Share a pre-populated term store (e.g. the one the AADL translation
     /// interned the model through) instead of starting empty. `None` gives
@@ -210,36 +205,6 @@ pub struct Options {
     /// loops. Any value changes only edge granularity, never verdicts,
     /// deadlock sets or trace timelines. `0` is treated as `1`.
     pub zone_cap: usize,
-    /// Zone mode only: how delay edges advance time (see [`ZoneAdvance`]).
-    pub zone_advance: ZoneAdvance,
-}
-
-/// How the zone engine advances time along a forced run.
-///
-/// Both strategies produce identical verdicts, deadlock sets and
-/// counterexample timelines; they differ only in how much per-quantum work
-/// the advance costs (and, for pathological cyclic runs, in edge
-/// granularity). `--zone-advance` exposes the choice for honest A/B
-/// measurement.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ZoneAdvance {
-    /// Closed-form: factor states into shape × time vector, cache per-shape
-    /// delay derivatives, and advance verified spans as vector arithmetic
-    /// (see [`acsr::advance`]). Falls back to replay for non-linear or
-    /// not-yet-learned shapes. The default.
-    Closed,
-    /// Replay every quantum through the memoized step relation
-    /// ([`acsr::zone::forced_run`] — the PR 9 behaviour).
-    Replay,
-}
-
-impl std::fmt::Display for ZoneAdvance {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ZoneAdvance::Closed => "closed",
-            ZoneAdvance::Replay => "replay",
-        })
-    }
 }
 
 impl Default for Options {
@@ -249,8 +214,6 @@ impl Default for Options {
             stop_at_first_deadlock: false,
             collect_lts: false,
             threads: 1,
-            shards: 0,
-            memo: true,
             memo_capacity: MemoConfig::default().capacity,
             store: None,
             cancel: CancelToken::new(),
@@ -259,7 +222,6 @@ impl Default for Options {
             cas_context: String::new(),
             zones: false,
             zone_cap: 4096,
-            zone_advance: ZoneAdvance::Closed,
         }
     }
 }
@@ -291,19 +253,6 @@ impl Options {
         self
     }
 
-    /// Set the visited-set shard count (`0` = auto, values round up to a
-    /// power of two).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// assert_eq!(versa::Options::default().with_shards(6).shards, 6);
-    /// ```
-    pub fn with_shards(mut self, shards: usize) -> Options {
-        self.shards = shards;
-        self
-    }
-
     /// Set the state budget.
     ///
     /// # Examples
@@ -313,18 +262,6 @@ impl Options {
     /// ```
     pub fn with_max_states(mut self, max: usize) -> Options {
         self.max_states = max;
-        self
-    }
-
-    /// Switch the successor memo on or off (`true` by default).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// assert!(!versa::Options::default().with_memo(false).memo);
-    /// ```
-    pub fn with_memo(mut self, memo: bool) -> Options {
-        self.memo = memo;
         self
     }
 
@@ -445,21 +382,6 @@ impl Options {
         self.zone_cap = cap;
         self
     }
-
-    /// Set the zone-mode advance strategy (see [`ZoneAdvance`]).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use versa::{Options, ZoneAdvance};
-    /// let o = Options::default().with_zone_advance(ZoneAdvance::Replay);
-    /// assert_eq!(o.zone_advance, ZoneAdvance::Replay);
-    /// ```
-    pub fn with_zone_advance(mut self, advance: ZoneAdvance) -> Options {
-        self.zone_advance = advance;
-        self
-    }
-
 }
 
 /// Aggregate statistics of one exploration run.
@@ -492,9 +414,9 @@ pub struct Stats {
     /// back-edges merged by the visited set. `transitions - dedup_hits` is
     /// the number of *fresh* discoveries (≈ `states - 1`).
     pub dedup_hits: usize,
-    /// Successor lists served from the step memo (0 with the memo off; in
-    /// parallel runs the split between hits and misses can vary run to run —
-    /// the *results* never do).
+    /// Successor lists served from the step memo (in parallel runs the split
+    /// between hits and misses can vary run to run — the *results* never
+    /// do).
     pub memo_hits: u64,
     /// Successor lists derived fresh by the step memo.
     pub memo_misses: u64,
@@ -1158,16 +1080,12 @@ fn explore_with_id_limit(env: &Env, initial: &P, opts: &Options, id_limit: usize
     let dedup_counter = opts.obs.counter("explore.dedup_hits");
     let states_gauge = opts.obs.gauge("explore.states");
     let threads = opts.threads.max(1);
-    let visited = Visited::new(if opts.shards == 0 { threads } else { opts.shards });
+    let visited = Visited::new(threads);
     let store = opts
         .store
         .clone()
         .unwrap_or_else(|| Arc::new(TermStore::new()));
-    let memo_config = if opts.memo {
-        MemoConfig::with_capacity(opts.memo_capacity)
-    } else {
-        MemoConfig::disabled()
-    };
+    let memo_config = MemoConfig::with_capacity(opts.memo_capacity);
     let session = StepSession::new(env, store.clone(), memo_config);
 
     // Parallel-only instruments, registered once per run (not once per
@@ -1693,40 +1611,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_off_produces_identical_results() {
-        let mut env = Env::new();
-        let c1 = env.declare("C1", 1);
-        env.set_body(
-            c1,
-            choice([
-                guard(
-                    BExpr::lt(Expr::p(0), Expr::c(9)),
-                    act([(cpu(), 1)], invoke(c1, [Expr::p(0).add(Expr::c(1))])),
-                ),
-                guard(BExpr::eq(Expr::p(0), Expr::c(9)), invoke(c1, [Expr::c(0)])),
-            ]),
-        );
-        let p = invoke(c1, [Expr::c(0)]);
-        let with_memo = explore(&env, &p, &Options::default());
-        let without = explore(&env, &p, &Options::default().with_memo(false));
-        assert_eq!(with_memo.num_states(), without.num_states());
-        assert_eq!(with_memo.deadlocks, without.deadlocks);
-        assert_eq!(with_memo.stats.transitions, without.stats.transitions);
-        for i in 0..with_memo.num_states() {
-            assert_eq!(
-                with_memo.state(StateId(i as u32)),
-                without.state(StateId(i as u32))
-            );
-        }
-        // The memo was exercised on the looping structure; off means zero.
-        assert!(with_memo.stats.memo_hits > 0);
-        assert_eq!(without.stats.memo_hits, 0);
-        assert_eq!(without.stats.memo_misses, 0);
-        // Both engines interned the same term universe.
-        assert_eq!(with_memo.stats.unique_subterms, without.stats.unique_subterms);
-    }
-
-    #[test]
     fn tiny_memo_capacity_evicts_without_changing_the_verdict() {
         let mut env = Env::new();
         let c1 = env.declare("C1", 1);
@@ -1895,7 +1779,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_never_affects_results() {
+    fn thread_count_never_affects_results() {
         let mut env = Env::new();
         let c1 = env.declare("W", 1);
         env.set_body(
@@ -1914,12 +1798,8 @@ mod tests {
         );
         let p = invoke(c1, [Expr::c(0)]);
         let base = explore(&env, &p, &Options::default());
-        for (threads, shards) in [(1, 1), (4, 1), (4, 16), (8, 2), (3, 5)] {
-            let ex = explore(
-                &env,
-                &p,
-                &Options::default().with_threads(threads).with_shards(shards),
-            );
+        for threads in [2, 3, 4, 8] {
+            let ex = explore(&env, &p, &Options::default().with_threads(threads));
             assert_eq!(ex.num_states(), base.num_states());
             assert_eq!(ex.deadlocks, base.deadlocks);
             assert_eq!(ex.stats.dedup_hits, base.stats.dedup_hits);

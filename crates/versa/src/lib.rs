@@ -14,9 +14,10 @@
 //! expanded exactly once, and records a parent pointer per state so that any
 //! deadlock can be turned into a shortest counterexample [`Trace`]. States
 //! are hash-consed through an [`acsr::TermStore`] and successors are
-//! memoized per subterm (see [`acsr::StepSession`]); the pre-interning
-//! engine survives as [`hashed_engine::explore_hashed`] for differential
-//! testing and benchmarking.
+//! memoized per subterm (see [`acsr::StepSession`]). A deliberately plain
+//! sequential explorer over the bare step relation,
+//! [`reference::explore_reference`], is the executable specification the
+//! differential test suites hold every engine to.
 //!
 //! Beyond the sequential engine, [`explore()`](crate::explore::explore) offers **level-synchronous
 //! parallel frontier expansion** (successor computation fans out over scoped
@@ -41,14 +42,13 @@
 
 mod cache;
 pub mod explore;
-pub mod hashed_engine;
 pub mod lts;
+pub mod reference;
 pub mod trace;
 pub mod walk;
 mod zones;
 
-pub use explore::{explore, CancelToken, Exploration, Options, Stats, StateId, ZoneAdvance};
-pub use hashed_engine::explore_hashed;
+pub use explore::{explore, CancelToken, Exploration, Options, Stats, StateId};
 pub use lts::Lts;
 pub use trace::Trace;
 pub use walk::{random_walk, Walk};

@@ -12,22 +12,17 @@
 //! exactly one, so it can neither deadlock nor offer behaviour the endpoint
 //! doesn't already dominate (DESIGN.md §17 spells the argument out).
 //!
-//! # Two ways to walk a forced run
+//! # Walking a forced run in closed form
 //!
-//! [`Options::zone_advance`] selects how the chain is followed:
-//!
-//! * **`Replay`** — every quantum is re-derived through the memoized step
-//!   relation ([`acsr::forced_run`]). This collapses *states* but still pays
-//!   per-quantum *work*: the wall-clock win is only the fraction the
-//!   frontier machinery cost.
-//! * **`Closed`** (the default) — forced intervals are advanced through the
-//!   per-shape derivative cache of [`acsr::advance`]: each state is factored
-//!   into a structural *shape* plus a numeric *time vector*, the first visit
-//!   to a shape derives (and verifies) how the vector moves per quantum, and
-//!   every later visit jumps straight to the end of the interval in
-//!   O(#parameters) — no per-quantum re-derivation at all (DESIGN.md §18).
-//!   Non-linear shapes and unlearned boundaries fall back to concrete
-//!   replay, so the mode is a pure optimisation.
+//! Forced intervals are advanced through the per-shape derivative cache of
+//! [`acsr::advance`]: each state is factored into a structural *shape* plus
+//! a numeric *time vector*, the first visit to a shape derives (and
+//! verifies) how the vector moves per quantum, and every later visit jumps
+//! straight to the end of the interval in O(#parameters) — no per-quantum
+//! re-derivation at all (DESIGN.md §18). Non-linear shapes and unlearned
+//! boundaries fall back to concrete per-quantum steps, so the advance is a
+//! pure optimisation. ([`acsr::zone::forced_run`] keeps the per-quantum
+//! walk as the acsr-level reference.)
 //!
 //! A delay edge therefore stores a list of *segments*: concretely replayed
 //! unit steps, and closed-form spans that keep only their derivative and
@@ -44,13 +39,12 @@
 //! processed in depth order, so the first deadlock expanded has minimal
 //! concrete depth — exactly the concrete engine's shortest-counterexample
 //! guarantee, which `tests/prop_zones.rs` and `tests/prop_advance.rs` pin
-//! over random task fleets.
+//! against [`crate::reference`] over random task fleets.
 //!
 //! # Identical results, fewer states, less work
 //!
 //! Verdicts, shortest-trace lengths and (for exhaustive runs) deadlock
-//! counts are identical to the concrete engine in *both* advance modes:
-//! every zone edge *is* a concrete step sequence (closed-form spans are
+//! counts are identical to the concrete engine: every zone edge *is* a concrete step sequence (closed-form spans are
 //! verified against the step relation when their derivative is learned, and
 //! re-checked at the span ends on every use), and every deadlock state is
 //! necessarily materialized (a deadlock has out-degree 0, an interior state
@@ -69,13 +63,11 @@ use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
 
 use acsr::{
-    forced_run_closed, skeleton, zone, AdvanceCache, Env, Interned, Label, MemoConfig, RunEnd,
+    forced_run_closed, skeleton, AdvanceCache, Env, Interned, Label, MemoConfig, RunEnd,
     RunOutcome, RunSeg, StepSession, TermId, TermStore, P,
 };
 
-use crate::explore::{
-    CancelToken, Exploration, Options, StateId, Stats, ZoneAdvance, ZoneEnd, ZoneSeg,
-};
+use crate::explore::{CancelToken, Exploration, Options, StateId, Stats, ZoneEnd, ZoneSeg};
 
 /// The pure, per-state result a worker computes during bucket expansion.
 /// Workers never touch the visited set or the queue; the deterministic
@@ -92,45 +84,20 @@ enum Expansion {
     Branch(Vec<(Label, Interned)>),
 }
 
+/// The vector-domain runner ([`acsr::runner`]) walks the whole chain as
+/// (shape, vector) pairs — spans and learned unit macros advance
+/// arithmetically, everything else derives concretely — and materializes
+/// only the run endpoint.
 fn expand_state(
     session: &StepSession<'_>,
-    cache: Option<&AdvanceCache>,
+    cache: &AdvanceCache,
     t: &Interned,
     cap: u64,
 ) -> Expansion {
-    // Closed mode: the vector-domain runner ([`acsr::runner`]) walks the
-    // whole chain as (shape, vector) pairs — spans and learned unit macros
-    // advance arithmetically, everything else derives concretely — and
-    // materializes only the run endpoint.
-    if let Some(cache) = cache {
-        return match forced_run_closed(session, cache, t, cap) {
-            RunOutcome::Deadlock => Expansion::Deadlock,
-            RunOutcome::Branch(succs) => Expansion::Branch(succs),
-            RunOutcome::Run { segs, steps } => Expansion::Forced { segs, steps },
-        };
-    }
-    match zone::forced_run(session, t, cap as usize) {
-        Some(run) => {
-            let steps = run.steps.len() as u64;
-            Expansion::Forced {
-                segs: run
-                    .steps
-                    .into_iter()
-                    .map(|(l, t)| RunSeg::Unit(l, t))
-                    .collect(),
-                steps,
-            }
-        }
-        // Not forced: re-derive the successor list (a memo hit right after
-        // the probe inside `forced_run`) to distinguish deadlock from branch.
-        None => {
-            let succs = session.prioritized_steps(t);
-            if succs.is_empty() {
-                Expansion::Deadlock
-            } else {
-                Expansion::Branch(succs)
-            }
-        }
+    match forced_run_closed(session, cache, t, cap) {
+        RunOutcome::Deadlock => Expansion::Deadlock,
+        RunOutcome::Branch(succs) => Expansion::Branch(succs),
+        RunOutcome::Run { segs, steps } => Expansion::Forced { segs, steps },
     }
 }
 
@@ -150,7 +117,7 @@ fn zone_end(end: RunEnd) -> ZoneEnd {
 /// One worker's chunk of a bucket, expanded in frontier order.
 fn expand_chunk(
     session: &StepSession<'_>,
-    cache: Option<&AdvanceCache>,
+    cache: &AdvanceCache,
     states: &[Interned],
     ids: &[StateId],
     cap: u64,
@@ -272,8 +239,8 @@ pub(crate) fn explore_zones(
     let cap = opts.zone_cap.max(1) as u64;
 
     // Cross-run artifact store, exactly as in the concrete engine — the key
-    // commits to the zones flag (and, in zone mode, the cap and advance
-    // strategy), so distinct configurations can never answer each other's
+    // commits to the zones flag (and, in zone mode, the cap), so distinct
+    // configurations can never answer each other's
     // queries even though replayed artifacts would agree.
     let cas_key = crate::cache::key_for(env, initial, opts, id_limit);
     if let (Some(key), Some(artifacts)) = (&cas_key, &opts.cas) {
@@ -303,14 +270,9 @@ pub(crate) fn explore_zones(
         .store
         .clone()
         .unwrap_or_else(|| Arc::new(TermStore::new()));
-    let memo_config = if opts.memo {
-        MemoConfig::with_capacity(opts.memo_capacity)
-    } else {
-        MemoConfig::disabled()
-    };
+    let memo_config = MemoConfig::with_capacity(opts.memo_capacity);
     let session = StepSession::new(env, store.clone(), memo_config);
-    let advance_cache: Option<AdvanceCache> =
-        (opts.zone_advance == ZoneAdvance::Closed).then(AdvanceCache::new);
+    let advance_cache = AdvanceCache::new();
 
     let mut stats = Stats::default();
     let mut deadlocks: Vec<StateId> = Vec::new();
@@ -359,7 +321,7 @@ pub(crate) fn explore_zones(
                     let collected = &collected;
                     let states = &g.states[..];
                     let session = &session;
-                    let cache = advance_cache.as_ref();
+                    let cache = &advance_cache;
                     let cancel = &opts.cancel;
                     s.spawn(move || {
                         let out = expand_chunk(session, cache, states, ids, cap, cancel);
@@ -380,7 +342,7 @@ pub(crate) fn explore_zones(
         } else {
             expand_chunk(
                 &session,
-                advance_cache.as_ref(),
+                &advance_cache,
                 &g.states,
                 &frontier,
                 cap,
@@ -485,17 +447,15 @@ pub(crate) fn explore_zones(
     opts.obs.counter("zone.delay_steps").add(delay_steps);
     opts.obs.counter("zone.quanta_collapsed").add(quanta_collapsed);
     opts.obs.counter("zone.singleton_steps").add(singleton_steps);
-    if let Some(cache) = &advance_cache {
-        let a = cache.stats();
-        opts.obs
-            .counter("zone.closed_form_advances")
-            .add(a.closed_form_advances);
-        opts.obs
-            .counter("zone.replay_fallbacks")
-            .add(a.replay_fallbacks);
-        opts.obs.counter("zone.shapes_derived").add(a.shapes_derived);
-        opts.obs.gauge("zone.shape_cache").set(a.shape_cache as i64);
-    }
+    let a = advance_cache.stats();
+    opts.obs
+        .counter("zone.closed_form_advances")
+        .add(a.closed_form_advances);
+    opts.obs
+        .counter("zone.replay_fallbacks")
+        .add(a.replay_fallbacks);
+    opts.obs.counter("zone.shapes_derived").add(a.shapes_derived);
+    opts.obs.gauge("zone.shape_cache").set(a.shape_cache as i64);
     opts.obs.counter("step.memo_hits").add(stats.memo_hits);
     opts.obs.counter("step.memo_misses").add(stats.memo_misses);
     opts.obs
@@ -644,7 +604,7 @@ pub(crate) fn explore_zones(
 
 #[cfg(test)]
 mod tests {
-    use crate::explore::{explore, Options, StateId, ZoneAdvance};
+    use crate::explore::{explore, Options, StateId};
     use acsr::prelude::*;
 
     fn cpu() -> Res {
@@ -658,27 +618,6 @@ mod tests {
             p = act([(cpu(), 1)], p);
         }
         p
-    }
-
-    fn assert_agree(env: &Env, p: &P, opts: &Options) {
-        let concrete = explore(env, p, opts);
-        for advance in [ZoneAdvance::Closed, ZoneAdvance::Replay] {
-            let zoned = explore(
-                env,
-                p,
-                &opts.clone().with_zones(true).with_zone_advance(advance),
-            );
-            assert_eq!(concrete.deadlock_free(), zoned.deadlock_free());
-            assert_eq!(concrete.deadlocks.len(), zoned.deadlocks.len());
-            assert_eq!(
-                concrete.first_deadlock_trace().map(|t| t.len()),
-                zoned.first_deadlock_trace().map(|t| t.len())
-            );
-            assert_eq!(
-                concrete.first_deadlock_trace().map(|t| t.elapsed_quanta()),
-                zoned.first_deadlock_trace().map(|t| t.elapsed_quanta())
-            );
-        }
     }
 
     #[test]
@@ -700,45 +639,6 @@ mod tests {
         let concrete_trace = concrete.first_deadlock_trace().unwrap();
         for i in 0..t.len() {
             assert_eq!(t.state_after(i), concrete_trace.state_after(i));
-        }
-    }
-
-    #[test]
-    fn closed_and_replay_modes_agree_step_for_step() {
-        // A branch into two instances of the *same* shape at different time
-        // vectors: the second chain is advanced closed-form off the first
-        // chain's learned derivative, so this exercises the span path end to
-        // end — including trace materialization from (delta, len) alone.
-        let env = Env::new();
-        let p = choice([
-            act([(Res::new("bus"), 1)], chain(30)),
-            act([(cpu(), 1)], chain(20)),
-        ]);
-        let concrete = explore(&env, &p, &Options::default());
-        let closed = explore(&env, &p, &Options::default().with_zones(true));
-        let replay = explore(
-            &env,
-            &p,
-            &Options::default()
-                .with_zones(true)
-                .with_zone_advance(ZoneAdvance::Replay),
-        );
-        assert_eq!(closed.num_states(), replay.num_states());
-        assert_eq!(closed.deadlocks.len(), replay.deadlocks.len());
-        for i in 0..closed.num_states() {
-            assert_eq!(
-                closed.state(StateId(i as u32)),
-                replay.state(StateId(i as u32))
-            );
-        }
-        let tc = closed.first_deadlock_trace().unwrap();
-        let tr = replay.first_deadlock_trace().unwrap();
-        let tk = concrete.first_deadlock_trace().unwrap();
-        assert_eq!(tc.len(), tr.len());
-        assert_eq!(tc.len(), tk.len());
-        for i in 0..tc.len() {
-            assert_eq!(tc.state_after(i), tr.state_after(i));
-            assert_eq!(tc.state_after(i), tk.state_after(i));
         }
     }
 
@@ -775,22 +675,6 @@ mod tests {
             .map(|(_, v, _)| *v)
             .unwrap_or(0);
         assert!(gauge >= 1);
-
-        // Replay mode reports none of them.
-        let rec2 = obs::Recorder::enabled();
-        let _ = explore(
-            &env,
-            &p,
-            &Options::default()
-                .with_zones(true)
-                .with_zone_advance(ZoneAdvance::Replay)
-                .with_obs(rec2.clone()),
-        );
-        let run2 = rec2.finish();
-        assert!(!run2
-            .counters
-            .iter()
-            .any(|(k, _)| k == "zone.closed_form_advances"));
     }
 
     #[test]
@@ -802,49 +686,18 @@ mod tests {
         ]);
         let baseline = explore(&env, &p, &Options::default().with_zones(true));
         for cap in [1usize, 2, 3, 7] {
-            for advance in [ZoneAdvance::Closed, ZoneAdvance::Replay] {
-                let capped = explore(
-                    &env,
-                    &p,
-                    &Options::default()
-                        .with_zones(true)
-                        .with_zone_cap(cap)
-                        .with_zone_advance(advance),
-                );
-                assert_eq!(capped.deadlock_free(), baseline.deadlock_free());
-                assert_eq!(capped.deadlocks.len(), baseline.deadlocks.len());
-                assert_eq!(
-                    capped.first_deadlock_trace().map(|t| t.len()),
-                    baseline.first_deadlock_trace().map(|t| t.len())
-                );
-            }
+            let capped = explore(
+                &env,
+                &p,
+                &Options::default().with_zones(true).with_zone_cap(cap),
+            );
+            assert_eq!(capped.deadlock_free(), baseline.deadlock_free());
+            assert_eq!(capped.deadlocks.len(), baseline.deadlocks.len());
+            assert_eq!(
+                capped.first_deadlock_trace().map(|t| t.len()),
+                baseline.first_deadlock_trace().map(|t| t.len())
+            );
         }
-    }
-
-    #[test]
-    fn verdicts_and_trace_lengths_agree_on_small_shapes() {
-        let env = Env::new();
-        // Branchy: two paths of different length to a deadlock.
-        let p = choice([
-            chain(3),
-            act([(Res::new("bus"), 1)], chain(7)),
-        ]);
-        assert_agree(&env, &p, &Options::default());
-        assert_agree(&env, &p, &Options::verdict());
-
-        // Deadlock-free idle loop.
-        let mut env2 = Env::new();
-        let d = env2.declare("Idle", 0);
-        env2.set_body(d, act([] as [(Res, i32); 0], invoke(d, [])));
-        assert_agree(&env2, &invoke(d, []), &Options::default());
-
-        // Initially deadlocked.
-        assert_agree(&env, &nil(), &Options::default());
-
-        // Event mid-chain (instantaneous steps inside the forced run).
-        let done = Symbol::new("done");
-        let p = act([(cpu(), 1)], evt_send(done, 1, chain(4)));
-        assert_agree(&env, &p, &Options::default());
     }
 
     #[test]
@@ -865,7 +718,6 @@ mod tests {
                 detour
             }),
         ]);
-        assert_agree(&env, &p, &Options::default());
         let zoned = explore(&env, &p, &Options::default().with_zones(true));
         assert_eq!(zoned.first_deadlock_trace().unwrap().len(), 6);
     }
@@ -899,7 +751,6 @@ mod tests {
             base.first_deadlock_trace().map(|t| t.len()),
             par4.first_deadlock_trace().map(|t| t.len())
         );
-        assert_agree(&env, &p, &Options::default());
     }
 
     #[test]
@@ -1008,20 +859,6 @@ mod tests {
             warm.first_deadlock_trace().map(|t| t.len())
         );
         assert_eq!(cold.stats.states, warm.stats.states);
-        // The two advance strategies never answer each other's queries: the
-        // key commits to the strategy, so a replay-mode run over the same
-        // model must MISS even with a closed-mode artifact deposited.
-        let rec4 = obs::Recorder::enabled();
-        let _ = explore(
-            &env,
-            &p,
-            &zopts
-                .clone()
-                .with_zone_advance(crate::explore::ZoneAdvance::Replay)
-                .with_obs(rec4.clone()),
-        );
-        let c4 = rec4.finish().counters;
-        assert!(c4.iter().any(|(k, v)| k == "cas.misses" && *v == 1));
         // A concrete run over the same model must MISS: the key commits to
         // the zones flag (a zone artifact's stats describe the zone graph).
         let rec3 = obs::Recorder::enabled();

@@ -18,23 +18,13 @@
 //!   --exhaustive      explore the full state space (default: stop at the
 //!                     first deadlock)
 //!   --threads <n>     parallel frontier expansion with n workers
-//!   --shards <n>      visited-set shards (default: auto = next power of two
-//!                     ≥ threads; never affects results, only contention)
 //!   --max-states <n>  state budget (verdict becomes "unknown" if exceeded)
-//!   --no-memo         disable successor memoization (escape hatch; verdicts
-//!                     are identical either way, only the wall time changes)
 //!   --zones           delay-zone exploration: collapse forced runs of
 //!                     quanta into single bulk steps (identical verdicts
 //!                     and traces, far fewer materialized states on models
 //!                     with long uncontended stretches; ignored with --dot,
 //!                     which needs the concrete per-quantum LTS — a warning
 //!                     is printed on stderr when both are given)
-//!   --zone-advance <closed|replay>  how zone mode follows a forced run:
-//!                     `closed` (the default) advances through cached
-//!                     per-shape delay derivatives in O(#parameters);
-//!                     `replay` re-derives every quantum through the step
-//!                     relation. Verdicts and traces are identical — the
-//!                     switch exists for honest A/B timing
 //!   --zone-cap <n>    per-edge step cap in zone mode (default 4096; longer
 //!                     forced runs chain several edges, so the value never
 //!                     changes verdicts, only edge granularity)
@@ -76,12 +66,9 @@ struct Args {
     compact: bool,
     exhaustive: bool,
     threads: usize,
-    shards: usize,
     max_states: Option<usize>,
-    no_memo: bool,
     zones: bool,
     zone_cap: Option<usize>,
-    zone_advance: Option<versa::ZoneAdvance>,
     store: Option<String>,
     print_acsr: bool,
     print_tree: bool,
@@ -95,9 +82,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: aadlsched <model.aadl> [RootSystem.impl] \
          [--quantum <ms>] [--protocol <none|pip|pcp>] [--compact] \
-         [--exhaustive] [--threads <n>] [--shards <n>] \
-         [--max-states <n>] [--no-memo] [--zones] \
-         [--zone-advance <closed|replay>] [--zone-cap <n>] \
+         [--exhaustive] [--threads <n>] [--max-states <n>] \
+         [--zones] [--zone-cap <n>] \
          [--store <dir|readonly:dir|off>] \
          [--tree] [--acsr] [--dot <file>] \
          [--metrics <file>] [--trace-events <file>] [--progress]\n\
@@ -122,12 +108,9 @@ fn parse_args() -> Result<Args, String> {
         compact: false,
         exhaustive: false,
         threads: 1,
-        shards: 0,
         max_states: None,
-        no_memo: false,
         zones: false,
         zone_cap: None,
-        zone_advance: None,
         store: None,
         print_acsr: false,
         print_tree: false,
@@ -161,13 +144,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?
             }
-            "--shards" => {
-                args.shards = raw
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
-            }
             "--max-states" => {
                 args.max_states = Some(
                     raw.next()
@@ -176,7 +152,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--max-states: {e}"))?,
                 )
             }
-            "--no-memo" => args.no_memo = true,
             "--zones" => args.zones = true,
             "--zone-cap" => {
                 let cap: usize = raw
@@ -188,18 +163,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--zone-cap must be at least 1".into());
                 }
                 args.zone_cap = Some(cap);
-            }
-            "--zone-advance" => {
-                let mode = raw.next().ok_or("--zone-advance needs <closed|replay>")?;
-                args.zone_advance = Some(match mode.as_str() {
-                    "closed" => versa::ZoneAdvance::Closed,
-                    "replay" => versa::ZoneAdvance::Replay,
-                    other => {
-                        return Err(format!(
-                            "--zone-advance: unknown mode `{other}` (closed | replay)"
-                        ))
-                    }
-                });
             }
             "--store" => {
                 args.store = Some(raw.next().ok_or("--store needs <dir|readonly:dir|off>")?)
@@ -360,17 +323,12 @@ fn main() -> ExitCode {
         AnalysisOptions::default()
     };
     aopts.explore.threads = args.threads;
-    aopts.explore.shards = args.shards;
     if let Some(max) = args.max_states {
         aopts.explore.max_states = max;
     }
-    aopts.explore.memo = !args.no_memo;
     aopts.explore.zones = args.zones;
     if let Some(cap) = args.zone_cap {
         aopts.explore.zone_cap = cap;
-    }
-    if let Some(advance) = args.zone_advance {
-        aopts.explore.zone_advance = advance;
     }
     aopts.explore.collect_lts = args.dot.is_some();
     if args.zones && args.dot.is_some() {
@@ -442,10 +400,9 @@ fn main() -> ExitCode {
             // option string — never the wall clock, so identical invocations
             // produce identical ids.
             let canon_opts = format!(
-                "root={root};quantum_ms={:?};compact={};exhaustive={};threads={};shards={};max_states={:?};memo={};zones={};zone_cap={};zone_advance={}",
-                args.quantum_ms, args.compact, args.exhaustive, args.threads, args.shards,
-                args.max_states, !args.no_memo, args.zones,
-                aopts.explore.zone_cap, aopts.explore.zone_advance
+                "root={root};quantum_ms={:?};compact={};exhaustive={};threads={};max_states={:?};zones={};zone_cap={}",
+                args.quantum_ms, args.compact, args.exhaustive, args.threads,
+                args.max_states, args.zones, aopts.explore.zone_cap
             );
             let run_id = obs::run_id(&[source.as_bytes(), canon_opts.as_bytes()]);
             let mut report = obs::Report::new(&run_id, "aadlsched");

@@ -236,10 +236,11 @@ fn exit_codes_cover_all_outcomes() {
 }
 
 #[test]
-fn shards_flag_never_changes_the_outcome() {
-    // The visited-set shard count is a concurrency knob: any value must
+fn thread_count_never_changes_the_outcome() {
+    // The worker count (and with it the visited-set shard count, always
+    // `threads.next_power_of_two()`) is a concurrency knob: any value must
     // yield the same verdict and the same exploration statistics line.
-    let bad = write_model("shards_bad.aadl", BAD_MODEL);
+    let bad = write_model("threads_bad.aadl", BAD_MODEL);
     let path = bad.to_str().unwrap();
     let base = aadlsched(&[path, "Top.impl", "--exhaustive"]);
     assert_eq!(base.status.code(), Some(1));
@@ -252,9 +253,9 @@ fn shards_flag_never_changes_the_outcome() {
         .unwrap()
         .to_string();
     for extra in [
-        &["--threads", "4", "--shards", "1"][..],
-        &["--threads", "4", "--shards", "16"][..],
-        &["--threads", "8"][..], // auto shards
+        &["--threads", "2"][..],
+        &["--threads", "4"][..],
+        &["--threads", "8"][..],
     ] {
         let mut args = vec![path, "Top.impl", "--exhaustive"];
         args.extend_from_slice(extra);
@@ -288,7 +289,7 @@ fn metrics_flag_writes_a_schema_versioned_report() {
     let report = std::fs::read_to_string(&report_path).unwrap();
     for key in [
         "\"schema\": \"aadlsched-metrics\"",
-        "\"version\": 6",
+        "\"version\": 7",
         "\"run_id\"",
         "\"tool\": \"aadlsched\"",
         "\"model\"",
@@ -442,7 +443,7 @@ fn zones_flag_matches_concrete_on_the_longperiod_model() {
 }
 
 #[test]
-fn zone_advance_and_cap_flags_never_change_the_verdict() {
+fn zone_cap_never_changes_the_verdict_and_removed_engine_flags_are_unknown() {
     let path = write_model("ok_zoneflags.aadl", OK_MODEL);
     let base = aadlsched(&[path.to_str().unwrap(), "Top.impl", "--zones"]);
     assert!(base.status.success(), "{base:?}");
@@ -451,12 +452,7 @@ fn zone_advance_and_cap_flags_never_change_the_verdict() {
         .find(|l| l.contains("VERDICT"))
         .unwrap()
         .to_string();
-    for extra in [
-        &["--zone-advance", "replay"][..],
-        &["--zone-advance", "closed"][..],
-        &["--zone-cap", "1"][..],
-        &["--zone-cap", "3"][..],
-    ] {
+    for extra in [&["--zone-cap", "1"][..], &["--zone-cap", "3"][..]] {
         let mut args = vec![path.to_str().unwrap(), "Top.impl", "--zones"];
         args.extend_from_slice(extra);
         let out = aadlsched(&args);
@@ -465,10 +461,22 @@ fn zone_advance_and_cap_flags_never_change_the_verdict() {
         assert!(stdout.contains(&base_verdict), "{extra:?}: {stdout}");
     }
     // Bad values are usage errors.
-    let bad = aadlsched(&[path.to_str().unwrap(), "Top.impl", "--zone-advance", "magic"]);
-    assert_eq!(bad.status.code(), Some(2));
     let bad = aadlsched(&[path.to_str().unwrap(), "Top.impl", "--zone-cap", "0"]);
     assert_eq!(bad.status.code(), Some(2));
+    // The memo is always on, the shard count follows the worker count and
+    // zone mode always advances in closed form: the old knobs are gone.
+    for removed in [
+        &["--no-memo"][..],
+        &["--shards", "4"][..],
+        &["--zone-advance", "closed"][..],
+    ] {
+        let mut args = vec![path.to_str().unwrap(), "Top.impl"];
+        args.extend_from_slice(removed);
+        let out = aadlsched(&args);
+        assert_eq!(out.status.code(), Some(2), "{removed:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{removed:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -130,3 +130,21 @@ fn hpf_misassignment_is_caught_by_both() {
     assert!(simulate(&good, Policy::Hpf, ExecModel::Wcet, good.hyperperiod()).ok());
     assert!(acsr_verdict(&good, "HPF"));
 }
+
+#[test]
+fn hpf_priorities_one_and_two_stay_distinct_levels() {
+    // Priority 2 outranks Priority 1, so the long task is preempted by the
+    // short one: RTA gives R = 14 + ⌈17/6⌉·1 = 17 ≤ 20. Clamping Priority
+    // to ≥ 2 once merged the two into one level and reported a miss.
+    let mut short = sched_baselines::types::Task::new(0, 6, 1);
+    let mut long = sched_baselines::types::Task::new(0, 20, 14);
+    short.priority = Some(2);
+    long.priority = Some(1);
+    let ts = TaskSet::new(vec![short, long]);
+    assert_eq!(
+        sched_baselines::rta::response_times(&ts, &[0, 1]),
+        vec![Some(1), Some(17)]
+    );
+    assert!(simulate(&ts, Policy::Hpf, ExecModel::Wcet, ts.hyperperiod()).ok());
+    assert!(acsr_verdict(&ts, "HPF"));
+}

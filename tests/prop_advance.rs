@@ -8,12 +8,13 @@
 //! and `advance::delay_bound` must agree with `zone::delay_bound` —
 //! including the saturate-at-cap behaviour on forced timed cycles.
 //!
-//! The exploration-level counterpart: closed-mode zone exploration must be
-//! indistinguishable from replay-mode and from the concrete engine in
-//! verdict, deadlock count, shortest-counterexample length, *and* the
-//! re-expanded per-quantum counterexample timeline (state for state). The
-//! per-edge cap is a granularity knob only: any cap produces the same
-//! verdicts.
+//! The exploration-level counterpart: closed-form zone exploration must be
+//! indistinguishable from the reference explorer
+//! ([`versa::reference::explore_reference`]) in verdict, deadlocked terms,
+//! shortest-counterexample length, and every re-expanded per-quantum
+//! counterexample timeline must be a path of the plain prioritized step
+//! relation. The per-edge cap is a granularity knob only: any cap produces
+//! the same verdicts.
 //!
 //! `det_prop!` runs 64 seeded cases per property; failures print a
 //! `DET_PROP_SEED` that reproduces the exact case.
@@ -34,7 +35,12 @@ use sched_baselines::taskset::{
     taskset_to_package, taskset_to_package_locking, uunifast, TaskSetSpec,
 };
 use sched_baselines::types::{Task, TaskSet};
-use versa::{explore, Options, ZoneAdvance};
+use versa::reference::explore_reference;
+use versa::{explore, Options};
+
+#[path = "support/reference_checks.rs"]
+mod reference_checks;
+use reference_checks::assert_matches_reference;
 
 /// Bounded random specs: 2–4 tasks over a small period pool so the
 /// exhaustive exploration stays test-sized, utilizations spanning clearly
@@ -159,58 +165,22 @@ det_prop! {
         }
     }
 
-    fn closed_replay_and_concrete_explorations_tell_one_story(spec in arb_spec) {
-        // The three engines (concrete, zone/replay, zone/closed) must agree
-        // on the verdict, the deadlock count, and — state for state — the
-        // re-expanded shortest counterexample timeline.
+    fn closed_form_zones_and_the_reference_tell_one_story(spec in arb_spec) {
+        // The closed-form zone engine must agree with the reference explorer
+        // on the verdict, the deadlocked terms and the shortest
+        // counterexample, and every re-expanded timeline must be made of
+        // prioritized steps — spans and macros included.
         let ts = uunifast(&spec);
         let pkg = taskset_to_package(&ts, "RMS");
         let m = instantiate(&pkg, "Top.impl").unwrap();
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
-        let concrete = explore(&tm.env, &tm.initial, &Options::default());
-        let replay = explore(
-            &tm.env,
-            &tm.initial,
-            &Options::default()
-                .with_zones(true)
-                .with_zone_advance(ZoneAdvance::Replay),
-        );
+        let reference = explore_reference(&tm.env, &tm.initial, &Options::default());
         let closed = explore(
             &tm.env,
             &tm.initial,
             &Options::default().with_zones(true),
         );
-        let ctx = format!("{ts:?}");
-        assert_eq!(concrete.deadlocks.len(), replay.deadlocks.len(), "{ctx}");
-        assert_eq!(concrete.deadlocks.len(), closed.deadlocks.len(), "{ctx}");
-        let traces = [
-            concrete.first_deadlock_trace(),
-            replay.first_deadlock_trace(),
-            closed.first_deadlock_trace(),
-        ];
-        match traces {
-            [None, None, None] => {}
-            [Some(c), Some(r), Some(z)] => {
-                assert_eq!(c.len(), r.len(), "replay trace length: {ctx}");
-                assert_eq!(c.len(), z.len(), "closed trace length: {ctx}");
-                // Zone traces re-expand to per-quantum timelines; the closed
-                // engine rebuilds span interiors syntactically, and every
-                // state must be the concrete state at that instant.
-                for i in 0..z.len() {
-                    assert_eq!(
-                        r.state_after(i),
-                        z.state_after(i),
-                        "closed/replay timeline diverged at step {i}: {ctx}"
-                    );
-                }
-            }
-            [c, r, z] => panic!(
-                "trace presence differs (concrete: {}, replay: {}, closed: {}): {ctx}",
-                c.is_some(),
-                r.is_some(),
-                z.is_some()
-            ),
-        }
+        assert_matches_reference(&tm.env, &reference, &closed, true, &format!("{ts:?}"));
     }
 
     fn zone_cap_is_granularity_only(spec in arb_spec) {
@@ -220,23 +190,18 @@ det_prop! {
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
         let base = explore(&tm.env, &tm.initial, &Options::default().with_zones(true));
         for cap in [1usize, 5, 33] {
-            for advance in [ZoneAdvance::Closed, ZoneAdvance::Replay] {
-                let capped = explore(
-                    &tm.env,
-                    &tm.initial,
-                    &Options::default()
-                        .with_zones(true)
-                        .with_zone_cap(cap)
-                        .with_zone_advance(advance),
-                );
-                let ctx = format!("cap={cap} advance={advance} {ts:?}");
-                assert_eq!(capped.deadlocks.len(), base.deadlocks.len(), "{ctx}");
-                assert_eq!(
-                    capped.first_deadlock_trace().map(|t| t.len()),
-                    base.first_deadlock_trace().map(|t| t.len()),
-                    "{ctx}"
-                );
-            }
+            let capped = explore(
+                &tm.env,
+                &tm.initial,
+                &Options::default().with_zones(true).with_zone_cap(cap),
+            );
+            let ctx = format!("cap={cap} {ts:?}");
+            assert_eq!(capped.deadlocks.len(), base.deadlocks.len(), "{ctx}");
+            assert_eq!(
+                capped.first_deadlock_trace().map(|t| t.len()),
+                base.first_deadlock_trace().map(|t| t.len()),
+                "{ctx}"
+            );
         }
     }
 }

@@ -1,11 +1,12 @@
-//! Property-based equivalence of the interned engine and the pre-interning
-//! baseline: hash-consing and successor memoization are *representation*
-//! changes and must be invisible in results. For every generated task set the
-//! shipped engine ([`versa::explore`], TermId-keyed visited set, memoized
-//! [`acsr::StepSession`]) must agree **byte for byte** with the preserved
-//! `HashedP` engine ([`versa::explore_hashed`]) on the state table, the
-//! deadlock set, the transition/dedup counts, and the full shortest-deadlock
-//! trace — sequentially and in parallel, with the memo on and off.
+//! Property-based equivalence of the interned engine and the reference
+//! explorer: hash-consing, successor memoization and parallel expansion are
+//! *representation* changes and must be invisible in results. For every
+//! generated task set the shipped engine ([`versa::explore`], TermId-keyed
+//! visited set, memoized [`acsr::StepSession`]) must agree **byte for byte**
+//! with [`versa::reference::explore_reference`] (a plain BFS over
+//! [`acsr::prioritized_steps`]) on the state table, the deadlock set, the
+//! transition/dedup counts, and the full shortest-deadlock trace — at 1, 2
+//! and 8 workers.
 //!
 //! Randomized task sets come from the workspace's vendored [`det`] harness
 //! (`det_prop!` runs 64 seeded cases per property by default; failures print
@@ -16,7 +17,12 @@ use aadl2acsr::{translate, TranslateOptions};
 use det::det_prop;
 use det::DetRng;
 use sched_baselines::taskset::{taskset_to_package, uunifast, TaskSetSpec};
-use versa::{explore, explore_hashed, Exploration, Options, StateId};
+use versa::reference::explore_reference;
+use versa::{explore, Options};
+
+#[path = "support/reference_checks.rs"]
+mod reference_checks;
+use reference_checks::assert_identical;
 
 /// Bounded random specs: 2–4 tasks over a small period pool so the
 /// exhaustive exploration stays test-sized, utilizations spanning clearly
@@ -31,60 +37,27 @@ fn arb_spec(rng: &mut DetRng) -> TaskSetSpec {
     }
 }
 
-/// Full-structure comparison of an interned-engine run against the baseline.
-fn assert_identical(base: &Exploration, new: &Exploration, ctx: &str) {
-    assert_eq!(base.num_states(), new.num_states(), "num_states: {ctx}");
-    assert_eq!(base.deadlocks, new.deadlocks, "deadlocks: {ctx}");
-    assert_eq!(
-        base.stats.transitions, new.stats.transitions,
-        "transitions: {ctx}"
-    );
-    assert_eq!(
-        base.stats.dedup_hits, new.stats.dedup_hits,
-        "dedup_hits: {ctx}"
-    );
-    for i in 0..base.num_states() {
-        let id = StateId(i as u32);
-        assert_eq!(base.state(id), new.state(id), "state table at {i}: {ctx}");
-    }
-    match (base.first_deadlock_trace(), new.first_deadlock_trace()) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            assert_eq!(a.steps, b.steps, "shortest-deadlock trace: {ctx}");
-        }
-        (a, b) => panic!(
-            "trace presence differs (baseline: {}, interned: {}): {ctx}",
-            a.is_some(),
-            b.is_some()
-        ),
-    }
-}
-
 det_prop! {
-    fn interned_engine_matches_the_hashed_baseline(spec in arb_spec) {
+    fn interned_engine_matches_the_reference(spec in arb_spec) {
         let ts = uunifast(&spec);
         let pkg = taskset_to_package(&ts, "RMS");
         let m = instantiate(&pkg, "Top.impl").unwrap();
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
-        let base = explore_hashed(&tm.env, &tm.initial, &Options::default());
-        for (threads, memo) in [(1usize, true), (1, false), (2, true), (8, true)] {
+        let base = explore_reference(&tm.env, &tm.initial, &Options::default());
+        for threads in [1usize, 2, 8] {
             let new = explore(
                 &tm.env,
                 &tm.initial,
-                &Options::default().with_threads(threads).with_memo(memo),
+                &Options::default().with_threads(threads),
             );
-            let ctx = format!("threads={threads} memo={memo} {ts:?}");
+            let ctx = format!("threads={threads} {ts:?}");
             assert_identical(&base, &new, &ctx);
-            if memo {
-                assert!(new.stats.memo_hits > 0, "no memo hits: {ctx}");
-            } else {
-                assert_eq!(new.stats.memo_hits, 0, "memo off but hits: {ctx}");
-            }
+            assert!(new.stats.memo_hits > 0, "no memo hits: {ctx}");
             assert!(new.stats.unique_subterms > 0, "empty store: {ctx}");
         }
     }
 
-    fn interned_verdict_mode_matches_the_hashed_baseline(spec in arb_spec) {
+    fn interned_verdict_mode_matches_the_reference(spec in arb_spec) {
         // stop_at_first_deadlock takes the early-exit path through the merge;
         // the first (shortest) counterexample must not depend on the state
         // representation either.
@@ -92,7 +65,7 @@ det_prop! {
         let pkg = taskset_to_package(&ts, "RMS");
         let m = instantiate(&pkg, "Top.impl").unwrap();
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
-        let base = explore_hashed(&tm.env, &tm.initial, &Options::verdict());
+        let base = explore_reference(&tm.env, &tm.initial, &Options::verdict());
         for threads in [1usize, 2, 8] {
             let new = explore(
                 &tm.env,

@@ -2,9 +2,10 @@
 //! pipeline (sharded visited set, per-worker buffers, deterministic merge)
 //! must be *invisible* in the results. For every generated task set the
 //! sequential engine (`threads = 1`) and the parallel engine
-//! (`threads ∈ {2, 8}`) must agree exactly on the number of interned states,
-//! the deadlock set, the dedup-hit count, and the full shortest-deadlock
-//! trace — label by label, state by state.
+//! (`threads ∈ {2, 8}`) must agree exactly with the reference explorer
+//! ([`versa::reference::explore_reference`]) on the state table, the
+//! deadlock set, the dedup-hit count, and the full shortest-deadlock trace —
+//! label by label, state by state.
 //!
 //! Randomized task sets come from the workspace's vendored [`det`] harness
 //! (`det_prop!` runs 64 seeded cases per property by default; failures print
@@ -15,7 +16,12 @@ use aadl2acsr::{translate, TranslateOptions};
 use det::det_prop;
 use det::DetRng;
 use sched_baselines::taskset::{taskset_to_package, uunifast, TaskSetSpec};
-use versa::{explore, Exploration, Options, StateId};
+use versa::reference::explore_reference;
+use versa::{explore, Options};
+
+#[path = "support/reference_checks.rs"]
+mod reference_checks;
+use reference_checks::assert_identical;
 
 /// Bounded random specs: 2–4 tasks over a small period pool so the
 /// exhaustive exploration stays test-sized, utilizations spanning clearly
@@ -30,49 +36,20 @@ fn arb_spec(rng: &mut DetRng) -> TaskSetSpec {
     }
 }
 
-/// Full-structure comparison of two explorations of the same model.
-fn assert_identical(seq: &Exploration, par: &Exploration, ctx: &str) {
-    assert_eq!(seq.num_states(), par.num_states(), "num_states: {ctx}");
-    assert_eq!(seq.deadlocks, par.deadlocks, "deadlocks: {ctx}");
-    assert_eq!(
-        seq.stats.dedup_hits, par.stats.dedup_hits,
-        "dedup_hits: {ctx}"
-    );
-    assert_eq!(
-        seq.stats.transitions, par.stats.transitions,
-        "transitions: {ctx}"
-    );
-    for i in 0..seq.num_states() {
-        let id = StateId(i as u32);
-        assert_eq!(seq.state(id), par.state(id), "state table at {i}: {ctx}");
-    }
-    match (seq.first_deadlock_trace(), par.first_deadlock_trace()) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            assert_eq!(a.steps, b.steps, "shortest-deadlock trace: {ctx}");
-        }
-        (a, b) => panic!(
-            "trace presence differs (seq: {}, par: {}): {ctx}",
-            a.is_some(),
-            b.is_some()
-        ),
-    }
-}
-
 det_prop! {
     fn parallel_exploration_matches_sequential(spec in arb_spec) {
         let ts = uunifast(&spec);
         let pkg = taskset_to_package(&ts, "RMS");
         let m = instantiate(&pkg, "Top.impl").unwrap();
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
-        let seq = explore(&tm.env, &tm.initial, &Options::default());
-        for threads in [2usize, 8] {
-            let par = explore(
+        let reference = explore_reference(&tm.env, &tm.initial, &Options::default());
+        for threads in [1usize, 2, 8] {
+            let ex = explore(
                 &tm.env,
                 &tm.initial,
                 &Options::default().with_threads(threads),
             );
-            assert_identical(&seq, &par, &format!("threads={threads} {ts:?}"));
+            assert_identical(&reference, &ex, &format!("threads={threads} {ts:?}"));
         }
     }
 
@@ -83,14 +60,14 @@ det_prop! {
         let pkg = taskset_to_package(&ts, "RMS");
         let m = instantiate(&pkg, "Top.impl").unwrap();
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
-        let seq = explore(&tm.env, &tm.initial, &Options::verdict());
-        for threads in [2usize, 8] {
-            let par = explore(
+        let reference = explore_reference(&tm.env, &tm.initial, &Options::verdict());
+        for threads in [1usize, 2, 8] {
+            let ex = explore(
                 &tm.env,
                 &tm.initial,
                 &Options::verdict().with_threads(threads),
             );
-            assert_identical(&seq, &par, &format!("verdict threads={threads} {ts:?}"));
+            assert_identical(&reference, &ex, &format!("verdict threads={threads} {ts:?}"));
         }
     }
 }

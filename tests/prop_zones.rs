@@ -1,15 +1,21 @@
-//! Property-based equivalence of delay-zone exploration and the concrete
-//! per-quantum engine: collapsing forced runs is a *traversal* change and
+//! Property-based equivalence of delay-zone exploration and the per-quantum
+//! reference explorer: collapsing forced runs is a *traversal* change and
 //! must be invisible in every analysis result. For every generated task set
 //! the zone explorer ([`versa::explore`] with [`Options::with_zones`]) must
-//! agree with the concrete engine on the verdict, the number of deadlocked
-//! states (exhaustive mode), and the length of the shortest counterexample
-//! trace — zone traces re-expand to the per-quantum timeline, so their step
-//! counts are directly comparable. The *state table* is deliberately not
-//! compared: zone exploration materializes only zone endpoints, so a smaller
-//! table is the whole point (asserted as `zoned ≤ concrete`).
+//! agree with [`versa::reference::explore_reference`] on the verdict, the
+//! set of deadlocked terms (exhaustive mode, by stable digest) and the
+//! length of the shortest counterexample trace — zone traces re-expand to
+//! the per-quantum timeline, so their step counts are directly comparable —
+//! and every re-expanded counterexample must be a path of the plain
+//! prioritized step relation ending in a deadlock. The *state table* is
+//! deliberately not compared: zone exploration materializes only zone
+//! endpoints, so a smaller table is the whole point (asserted as
+//! `zoned ≤ reference`). One and four workers must produce byte-identical
+//! timelines.
 //!
-//! Also here, because they share the generators:
+//! The same checks run on hand-built terms for the zone engine's corner
+//! cases (branches, idle loops, events inside forced runs, relaxation, wide
+//! fans). Also here, because they share the generators:
 //!
 //! * the `acsr::stable` digest property for the zone primitives —
 //!   [`acsr::step_delay`]`(d)` must reach exactly the term that `d` unit
@@ -26,6 +32,7 @@ use std::sync::Arc;
 use aadl::instance::instantiate;
 use aadl::properties::ConcurrencyControlProtocol;
 use aadl2acsr::{translate, TranslateOptions};
+use acsr::prelude::{act, choice, evt_send, invoke, nil, Env, Res, Symbol, P};
 use acsr::{delay_bound, stable_digest, step_delay, MemoConfig, StepSession, TermStore};
 use det::det_prop;
 use det::DetRng;
@@ -33,7 +40,12 @@ use sched_baselines::taskset::{
     taskset_to_package, taskset_to_package_locking, uunifast, TaskSetSpec,
 };
 use sched_baselines::types::{Task, TaskSet};
-use versa::{explore, Exploration, Options, ZoneAdvance};
+use versa::reference::explore_reference;
+use versa::{explore, Options};
+
+#[path = "support/reference_checks.rs"]
+mod reference_checks;
+use reference_checks::{assert_matches_reference, assert_same_timeline};
 
 /// Bounded random specs: 2–4 tasks over a small period pool so the
 /// exhaustive exploration stays test-sized, utilizations spanning clearly
@@ -80,151 +92,29 @@ fn arb_locking_taskset(rng: &mut DetRng) -> TaskSet {
     TaskSet::new(tasks)
 }
 
-/// What zone exploration must preserve. `exhaustive` selects whether both
-/// runs enumerated every deadlock (then the counts must match exactly) or
-/// stopped at the first one (then only presence and trace length compare).
-fn assert_equivalent(concrete: &Exploration, zoned: &Exploration, exhaustive: bool, ctx: &str) {
-    assert_eq!(
-        concrete.deadlocks.is_empty(),
-        zoned.deadlocks.is_empty(),
-        "verdict: {ctx}"
-    );
-    if exhaustive {
-        // Deadlocked states have out-degree zero, so they are always zone
-        // endpoints and both engines materialize exactly the same set of
-        // deadlocked terms.
-        assert_eq!(
-            concrete.deadlocks.len(),
-            zoned.deadlocks.len(),
-            "deadlock count: {ctx}"
-        );
-    }
-    assert!(
-        zoned.num_states() <= concrete.num_states(),
-        "zone mode materialized more states ({} > {}): {ctx}",
-        zoned.num_states(),
-        concrete.num_states()
-    );
-    match (
-        concrete.first_deadlock_trace(),
-        zoned.first_deadlock_trace(),
-    ) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            // Zone traces are re-expanded to the per-quantum timeline, and
-            // the zone explorer orders its frontier by concrete depth, so
-            // the shortest counterexamples have identical length (ties may
-            // pick different, equally short paths).
-            assert_eq!(
-                a.steps.len(),
-                b.steps.len(),
-                "shortest-counterexample length: {ctx}"
-            );
-        }
-        (a, b) => panic!(
-            "trace presence differs (concrete: {}, zoned: {}): {ctx}",
-            a.is_some(),
-            b.is_some()
-        ),
-    }
-}
-
-/// The closed-form engine is a *server* for the same steps the replay
-/// engine derives one quantum at a time, so the two zone engines must be
-/// byte-identical, not merely equivalent: the same verdict, the same
-/// deadlocked terms (compared by stable digest, order-insensitively — the
-/// frontier is depth-ordered but intra-level discovery order is
-/// engine-internal), and the same shortest-counterexample timeline, label
-/// for label and state for state.
-fn assert_byte_identical(env: &acsr::Env, closed: &Exploration, replay: &Exploration, ctx: &str) {
-    let digests = |ex: &Exploration| {
-        let mut d: Vec<u64> = ex
-            .deadlocks
-            .iter()
-            .map(|&id| stable_digest(env, ex.state(id)))
-            .collect();
-        d.sort_unstable();
-        d
-    };
-    assert_eq!(
-        digests(closed),
-        digests(replay),
-        "deadlock term digests: {ctx}"
-    );
-    match (closed.first_deadlock_trace(), replay.first_deadlock_trace()) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            assert_eq!(a.render(env), b.render(env), "timeline text: {ctx}");
-            let states = |t: &versa::Trace| -> Vec<u64> {
-                t.iter().map(|(_, p)| stable_digest(env, p)).collect()
-            };
-            assert_eq!(states(&a), states(&b), "timeline states: {ctx}");
-        }
-        (a, b) => panic!(
-            "trace presence differs (closed: {}, replay: {}): {ctx}",
-            a.is_some(),
-            b.is_some()
-        ),
-    }
-}
-
 det_prop! {
     fn zones_match_concrete_on_random_task_sets(spec in arb_spec) {
         let ts = uunifast(&spec);
         let pkg = taskset_to_package(&ts, "RMS");
         let m = instantiate(&pkg, "Top.impl").unwrap();
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
-        let concrete = explore(&tm.env, &tm.initial, &Options::default());
-        let mut by_advance = Vec::new();
-        for advance in [ZoneAdvance::Closed, ZoneAdvance::Replay] {
-            for threads in [1usize, 4] {
-                let zoned = explore(
-                    &tm.env,
-                    &tm.initial,
-                    &Options::default()
-                        .with_zones(true)
-                        .with_zone_advance(advance)
-                        .with_threads(threads),
-                );
-                let ctx = format!("advance={advance} threads={threads} {ts:?}");
-                assert_equivalent(&concrete, &zoned, true, &ctx);
-                if threads == 1 {
-                    by_advance.push(zoned);
-                }
-            }
-        }
-        let (closed, replay) = (&by_advance[0], &by_advance[1]);
-        assert_byte_identical(&tm.env, closed, replay, &format!("{ts:?}"));
+        check_zones(&tm.env, &tm.initial, &Options::default(), &format!("{ts:?}"));
     }
 
     fn zones_match_concrete_in_verdict_mode(spec in arb_spec) {
-        // stop_at_first_deadlock: the zone explorer must surface the same
-        // first (shortest) counterexample the concrete engine finds.
+        // stop_at_first_deadlock: the zone explorer must surface a first
+        // counterexample as short as the reference's.
         let ts = uunifast(&spec);
         let pkg = taskset_to_package(&ts, "RMS");
         let m = instantiate(&pkg, "Top.impl").unwrap();
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
-        let concrete = explore(&tm.env, &tm.initial, &Options::verdict());
-        for advance in [ZoneAdvance::Closed, ZoneAdvance::Replay] {
-            for threads in [1usize, 4] {
-                let zoned = explore(
-                    &tm.env,
-                    &tm.initial,
-                    &Options::verdict()
-                        .with_zones(true)
-                        .with_zone_advance(advance)
-                        .with_threads(threads),
-                );
-                let ctx = format!("verdict advance={advance} threads={threads} {ts:?}");
-                assert_equivalent(&concrete, &zoned, false, &ctx);
-            }
-        }
+        check_zones(&tm.env, &tm.initial, &Options::verdict(), &format!("verdict {ts:?}"));
     }
 
     fn zones_match_concrete_under_locking_protocols(ts in arb_locking_taskset) {
         // Lock acquires, releases and priority adjustments are forced
-        // instantaneous steps inside `forced_run` chains — the protocols
-        // must not perturb any verdict or counterexample length.
+        // instantaneous steps inside forced runs — the protocols must not
+        // perturb any verdict, deadlock or counterexample length.
         for ccp in [
             ConcurrencyControlProtocol::NoneSpecified,
             ConcurrencyControlProtocol::PriorityInheritance,
@@ -233,27 +123,8 @@ det_prop! {
             let pkg = taskset_to_package_locking(&ts, "HPF", ccp);
             let m = instantiate(&pkg, "Top.impl").unwrap();
             let tm = translate(&m, &TranslateOptions::default()).unwrap();
-            let concrete = explore(&tm.env, &tm.initial, &Options::default());
-            let mut by_advance = Vec::new();
-            for advance in [ZoneAdvance::Closed, ZoneAdvance::Replay] {
-                for threads in [1usize, 4] {
-                    let zoned = explore(
-                        &tm.env,
-                        &tm.initial,
-                        &Options::default()
-                            .with_zones(true)
-                            .with_zone_advance(advance)
-                            .with_threads(threads),
-                    );
-                    let ctx = format!("ccp={ccp:?} advance={advance} threads={threads} {ts:?}");
-                    assert_equivalent(&concrete, &zoned, true, &ctx);
-                    if threads == 1 {
-                        by_advance.push(zoned);
-                    }
-                }
-            }
-            let (closed, replay) = (&by_advance[0], &by_advance[1]);
-            assert_byte_identical(&tm.env, closed, replay, &format!("ccp={ccp:?} {ts:?}"));
+            let ctx = format!("ccp={ccp:?} {ts:?}");
+            check_zones(&tm.env, &tm.initial, &Options::default(), &ctx);
         }
     }
 
@@ -322,6 +193,111 @@ det_prop! {
         }
         assert!(zones_checked > 0, "walk never entered a delay zone: {ts:?}");
     }
+}
+
+/// Zone exploration at 1 and 4 workers against the reference explorer, plus
+/// byte-identical counterexample timelines across the two worker counts.
+fn check_zones(env: &acsr::Env, initial: &acsr::P, opts: &Options, ctx: &str) {
+    let reference = explore_reference(env, initial, opts);
+    let exhaustive = !opts.stop_at_first_deadlock;
+    let zoned: Vec<_> = [1usize, 4]
+        .into_iter()
+        .map(|threads| {
+            let opts = opts.clone().with_zones(true).with_threads(threads);
+            let ex = explore(env, initial, &opts);
+            let ctx = format!("threads={threads} {ctx}");
+            assert_matches_reference(env, &reference, &ex, exhaustive, &ctx);
+            ex
+        })
+        .collect();
+    assert_same_timeline(env, &zoned[0], &zoned[1], &format!("1 vs 4 workers {ctx}"));
+}
+
+/// A straight forced chain of `n` quanta ending in NIL.
+fn chain(n: usize) -> P {
+    let mut p = nil();
+    for _ in 0..n {
+        p = act([(Res::new("cpu"), 1)], p);
+    }
+    p
+}
+
+/// Hand-built terms for the zone engine's corner cases, against the
+/// reference in exhaustive and verdict mode.
+#[test]
+fn zones_match_the_reference_on_hand_built_terms() {
+    let mut env = Env::new();
+    let cpu = || Res::new("cpu");
+    let idle = env.declare("Idle", 0);
+    env.set_body(idle, act([] as [(Res, i32); 0], invoke(idle, [])));
+    // A fan of 16 sibling chains of different lengths, wide enough to
+    // trigger parallel bucket expansion.
+    let fan = env.declare("Fan", 0);
+    env.set_body(
+        fan,
+        choice((0..16).map(|i| act([(Res::new(&format!("r{i}")), 1)], chain(i + 1)))),
+    );
+    // Two routes to the same 5-quantum tail: a 1-step hop and a forced
+    // 9-quantum detour, which relaxation must settle at the shorter depth.
+    let mut detour = chain(5);
+    for _ in 0..9 {
+        detour = act([(cpu(), 1)], detour);
+    }
+    let cases = [
+        (
+            "two paths of different length",
+            choice([chain(3), act([(Res::new("bus"), 1)], chain(7))]),
+        ),
+        ("deadlock-free idle loop", invoke(idle, [])),
+        ("initially deadlocked", nil()),
+        (
+            "event mid-chain",
+            act([(cpu(), 1)], evt_send(Symbol::new("done"), 1, chain(4))),
+        ),
+        (
+            "shared tail",
+            choice([act([(Res::new("bus"), 1)], chain(5)), detour]),
+        ),
+        ("wide fan", invoke(fan, [])),
+    ];
+    for (name, p) in &cases {
+        for opts in [Options::default(), Options::verdict()] {
+            let ctx = format!("{name}, stop_at_first={}", opts.stop_at_first_deadlock);
+            check_zones(&env, p, &opts, &ctx);
+            let elapsed =
+                |ex: &versa::Exploration| ex.first_deadlock_trace().map(|t| t.elapsed_quanta());
+            assert_eq!(
+                elapsed(&explore_reference(&env, p, &opts)),
+                elapsed(&explore(&env, p, &opts.clone().with_zones(true))),
+                "shortest-counterexample elapsed quanta: {ctx}"
+            );
+        }
+    }
+}
+
+/// A branch into two instances of the *same* shape at different time
+/// vectors: the second chain is advanced closed-form off the first chain's
+/// learned derivative, so this exercises the span path end to end —
+/// including trace materialization from (delta, len) alone — and the
+/// re-expanded timeline must be the reference's, state for state.
+#[test]
+fn closed_form_spans_replay_the_reference_timeline_step_for_step() {
+    let env = Env::new();
+    let p = choice([
+        act([(Res::new("bus"), 1)], chain(30)),
+        act([(Res::new("cpu"), 1)], chain(20)),
+    ]);
+    let reference = explore_reference(&env, &p, &Options::default());
+    let zoned = explore(&env, &p, &Options::default().with_zones(true));
+    let (tz, tr) = (
+        zoned.first_deadlock_trace().unwrap(),
+        reference.first_deadlock_trace().unwrap(),
+    );
+    assert_eq!(tz.len(), tr.len());
+    for i in 0..tz.len() {
+        assert_eq!(tz.state_after(i), tr.state_after(i));
+    }
+    check_zones(&env, &p, &Options::default(), "same shape at two vectors");
 }
 
 /// Walk a model's deterministic prioritized-step sequence, jumping through

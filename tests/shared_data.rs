@@ -229,3 +229,92 @@ end Acc;
     .unwrap();
     assert!(v.schedulable());
 }
+
+/// HPF on two processors with a `Priority_Ceiling` store. On `cpu1`, `T_a`
+/// (Priority 10; period 4, exec 3, one 3 ms critical section) and `T_b`
+/// (Priority 20; period 6, exec 1, deadline 1). On `cpu2`, `T_c` (Priority 30;
+/// period 12, exec 1, one 1 ms critical section) when `remote_sharer` is set.
+fn ceiling_model(remote_sharer: bool) -> InstanceModel {
+    let thread = |period: i64, exec: i64, deadline: i64, prio: i64| {
+        move |t: aadl::builder::TypeBuilder| {
+            t.prop_enum(names::DISPATCH_PROTOCOL, "Periodic")
+                .prop(names::PERIOD, PropertyValue::Time(TimeVal::ms(period)))
+                .prop(
+                    names::COMPUTE_EXECUTION_TIME,
+                    PropertyValue::TimeRange(TimeVal::ms(exec), TimeVal::ms(exec)),
+                )
+                .prop(names::COMPUTE_DEADLINE, PropertyValue::Time(TimeVal::ms(deadline)))
+                .prop_int(names::PRIORITY, prio)
+        }
+    };
+    let cs = |ms: i64| PropertyValue::Time(TimeVal::ms(ms));
+    let pkg = PackageBuilder::new("Ceiling")
+        .processor("cpu_t", |p| p.prop_enum(names::SCHEDULING_PROTOCOL, "HPF"))
+        .component("store", Category::Data, |d| {
+            d.prop_enum(names::CONCURRENCY_CONTROL_PROTOCOL, "Priority_Ceiling")
+        })
+        .thread("TA", thread(4, 3, 4, 10))
+        .thread("TB", thread(6, 1, 1, 20))
+        .thread("TC", thread(12, 1, 12, 30))
+        .system("Top", |s| s)
+        .implementation("Top.impl", Category::System, |i| {
+            let mut i = i
+                .sub("cpu1", Category::Processor, "cpu_t")
+                .sub("cpu2", Category::Processor, "cpu_t")
+                .sub("shared", Category::Data, "store")
+                .sub("t_a", Category::Thread, "TA")
+                .sub("t_b", Category::Thread, "TB")
+                .sub("t_c", Category::Thread, "TC")
+                .bind_processor("t_a", "cpu1")
+                .bind_processor("t_b", "cpu1")
+                .bind_processor("t_c", "cpu2")
+                .connect_data_access("a_a", "shared", "t_a")
+                .conn_prop(names::CRITICAL_SECTION_EXECUTION_TIME, cs(3))
+                .prop(
+                    names::SCHEDULING_QUANTUM,
+                    PropertyValue::Time(TimeVal::ms(1)),
+                );
+            if remote_sharer {
+                i = i
+                    .connect_data_access("a_c", "shared", "t_c")
+                    .conn_prop(names::CRITICAL_SECTION_EXECUTION_TIME, cs(1));
+            }
+            i
+        })
+        .build();
+    instantiate(&pkg, "Top.impl").unwrap()
+}
+
+#[test]
+fn a_remote_sharer_raises_the_hpf_ceiling_on_the_holders_processor() {
+    // With `T_a` the only sharer, the ceiling is `T_a`'s own priority: `T_b`
+    // preempts the critical section at t = 6 and both deadlines hold.
+    let v = analyze(
+        &ceiling_model(false),
+        &TranslateOptions::default(),
+        &AnalysisOptions::exhaustive(),
+    )
+    .unwrap();
+    assert!(v.schedulable(), "stats: {:?}", v.stats());
+
+    // `T_c` (Priority 30, on cpu2) also locks the store, so the ceiling is
+    // above `T_b` (Priority 20): `T_a`'s section started at t = 4 blocks the
+    // job `T_b` releases at t = 6 until t = 7, and it misses its deadline.
+    // The levels must compare across processors for this to hold.
+    let v = analyze(
+        &ceiling_model(true),
+        &TranslateOptions::default(),
+        &AnalysisOptions::default(),
+    )
+    .unwrap();
+    assert!(!v.schedulable());
+    let sc = v.scenario().unwrap();
+    assert!(
+        sc.violations.iter().any(|vk| matches!(
+            vk,
+            ViolationKind::DeadlineMiss { thread } if thread == "t_b"
+        )),
+        "{:?}",
+        sc.violations
+    );
+}

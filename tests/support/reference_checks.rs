@@ -1,0 +1,130 @@
+//! Checks that hold an exploration to the reference explorer
+//! ([`versa::reference::explore_reference`]), shared by the property suites
+//! through `#[path]` includes.
+
+#![allow(dead_code)] // each suite uses its own subset
+
+use acsr::{prioritized_steps, stable_digest, Env};
+use versa::{Exploration, StateId, Trace};
+
+/// Byte-level identity of two explorations of the same model: the state
+/// table, the deadlock set, the transition and dedup counts and the full
+/// shortest-deadlock trace.
+pub fn assert_identical(reference: &Exploration, ex: &Exploration, ctx: &str) {
+    assert_eq!(reference.num_states(), ex.num_states(), "num_states: {ctx}");
+    assert_eq!(reference.deadlocks, ex.deadlocks, "deadlocks: {ctx}");
+    assert_eq!(
+        reference.stats.transitions, ex.stats.transitions,
+        "transitions: {ctx}"
+    );
+    assert_eq!(
+        reference.stats.dedup_hits, ex.stats.dedup_hits,
+        "dedup_hits: {ctx}"
+    );
+    for i in 0..reference.num_states() {
+        let id = StateId(i as u32);
+        assert_eq!(
+            reference.state(id),
+            ex.state(id),
+            "state table at {i}: {ctx}"
+        );
+    }
+    match (reference.first_deadlock_trace(), ex.first_deadlock_trace()) {
+        (None, None) => {}
+        (Some(a), Some(b)) => assert_eq!(a.steps, b.steps, "shortest-deadlock trace: {ctx}"),
+        (a, b) => panic!(
+            "trace presence differs (reference: {}, engine: {}): {ctx}",
+            a.is_some(),
+            b.is_some()
+        ),
+    }
+}
+
+/// Sorted stable digests of the deadlocked terms of an exploration.
+pub fn deadlock_digests(env: &Env, ex: &Exploration) -> Vec<u64> {
+    let mut d: Vec<u64> = ex
+        .deadlocks
+        .iter()
+        .map(|&id| stable_digest(env, ex.state(id)))
+        .collect();
+    d.sort_unstable();
+    d
+}
+
+/// The step-relation check: every `(label, next)` of `trace` is one of the
+/// plain prioritized steps of its predecessor, and the last state has none.
+pub fn assert_steps_in_relation(env: &Env, trace: &Trace, ctx: &str) {
+    let mut prev = trace.initial_state().clone();
+    for (i, (label, next)) in trace.iter().enumerate() {
+        let succs = prioritized_steps(env, &prev);
+        assert!(
+            succs.iter().any(|(l, q)| l == label && q == next),
+            "step {i} of a counterexample is not a prioritized step: {ctx}"
+        );
+        prev = next.clone();
+    }
+    assert!(
+        prioritized_steps(env, &prev).is_empty(),
+        "a counterexample ends in a state with successors: {ctx}"
+    );
+}
+
+/// The four checks a zone exploration must pass against the reference: the
+/// verdict, the deadlocked terms (when both runs were exhaustive), the
+/// shortest counterexample length, and the step relation along every
+/// counterexample timeline the zone run can re-expand.
+pub fn assert_matches_reference(
+    env: &Env,
+    reference: &Exploration,
+    zoned: &Exploration,
+    exhaustive: bool,
+    ctx: &str,
+) {
+    assert_eq!(
+        reference.deadlocks.is_empty(),
+        zoned.deadlocks.is_empty(),
+        "verdict: {ctx}"
+    );
+    if exhaustive {
+        // Deadlocked states have out-degree zero, so they are always zone
+        // endpoints: both runs hold exactly the same deadlocked terms.
+        assert_eq!(
+            deadlock_digests(env, reference),
+            deadlock_digests(env, zoned),
+            "deadlock term digests: {ctx}"
+        );
+    }
+    assert!(
+        zoned.num_states() <= reference.num_states(),
+        "zone mode materialized more states ({} > {}): {ctx}",
+        zoned.num_states(),
+        reference.num_states()
+    );
+    assert_eq!(
+        reference.first_deadlock_trace().map(|t| t.len()),
+        zoned.first_deadlock_trace().map(|t| t.len()),
+        "shortest-counterexample length: {ctx}"
+    );
+    for &dead in &zoned.deadlocks {
+        assert_steps_in_relation(env, &zoned.trace_to(dead), ctx);
+    }
+}
+
+/// Byte identity of two zone runs' counterexample timelines (rendered text
+/// and per-step state digests).
+pub fn assert_same_timeline(env: &Env, a: &Exploration, b: &Exploration, ctx: &str) {
+    match (a.first_deadlock_trace(), b.first_deadlock_trace()) {
+        (None, None) => {}
+        (Some(ta), Some(tb)) => {
+            assert_eq!(ta.render(env), tb.render(env), "timeline text: {ctx}");
+            let states =
+                |t: &Trace| -> Vec<u64> { t.iter().map(|(_, p)| stable_digest(env, p)).collect() };
+            assert_eq!(states(&ta), states(&tb), "timeline states: {ctx}");
+        }
+        (ta, tb) => panic!(
+            "trace presence differs ({} vs {}): {ctx}",
+            ta.is_some(),
+            tb.is_some()
+        ),
+    }
+}

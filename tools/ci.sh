@@ -10,21 +10,18 @@
 #      `--store` directory — verdict lines must be byte-identical cold vs
 #      warm, and the second run must demonstrably serve its Q12 cold pass
 #      from the store the first run deposited (cas.hits >= 1)
-#   4. the bench harness in smoke mode, three times — with the successor
-#      memo disabled, then at 1 and at 4 exploration workers — with diffs
-#      over the verdict lines: the engine is deterministic in the thread
-#      count and the memo is a pure cache, so any difference is a
-#      regression in the parallel dedup path or the memoized step relation
-#      (the last run also refreshes BENCH_exploration.json, which is
-#      committed — deliberately after the store stage, so the committed
-#      report's `cas` section reflects a fresh cold/warm A/B)
-#   5. the zone smoke: every bundled model analyzed with `--exhaustive`,
-#      with `--exhaustive --zones` (closed-form advance, the default) and
-#      with `--exhaustive --zones --zone-advance replay` — exit codes and
-#      verdict lines must be byte-identical across all three (delay-zone
-#      exploration is a traversal change, never a verdict change, and the
-#      closed-form advance is a serving change, never a traversal change),
-#      and the long-hyperperiod model must demonstrably collapse quanta
+#   4. the bench harness in smoke mode, twice — at 1 and at 4 exploration
+#      workers — with a diff over the verdict lines: the engine is
+#      deterministic in the thread count, so any difference is a regression
+#      in the parallel dedup path (the last run also refreshes
+#      BENCH_exploration.json, which is committed — deliberately after the
+#      store stage, so the committed report's `cas` section reflects a
+#      fresh cold/warm A/B)
+#   5. the zone smoke: every bundled model analyzed with `--exhaustive` and
+#      with `--exhaustive --zones` — exit codes and verdict lines must be
+#      byte-identical (delay-zone exploration with its closed-form advance
+#      is a traversal change, never a verdict change), and the
+#      long-hyperperiod model must demonstrably collapse quanta
 #      (`zone.quanta_collapsed` >= 1) and serve them closed-form
 #      (`zone.closed_form_advances` >= 1) in its `--metrics` report
 #   6. the daemon smoke: start `aadlschedd`, analyze all four bundled
@@ -34,7 +31,10 @@
 #      assert the live `stats` snapshot parses with monotone request_wall
 #      quantiles, then drain gracefully (daemon must exit 0 and write a
 #      fleet report carrying the flight-recorder window)
-#   7. the hermetic-build audit (path-only deps, pinned dependency graph,
+#   7. the benchmark smoke: `bash benchmark/run.sh --smoke` builds the
+#      separate benchmark package and runs every workload briefly (see
+#      benchmark/README.md)
+#   8. the hermetic-build audit (path-only deps, pinned dependency graph,
 #      obs dependency-free, `cargo doc` with warnings denied — see
 #      tools/check_hermetic.sh)
 #
@@ -93,29 +93,22 @@ if ! grep -q '"cas"' BENCH_exploration.json; then
 fi
 echo "artifact store: second run served $cold_hits artifact(s) from the store"
 
-echo "== bench harness (smoke): verdicts must agree across workers and memo =="
-# The --no-memo run goes first so the committed BENCH_exploration.json
-# reflects the shipped default (the final --threads 4 run).
-cargo run --release -q -p bench --bin harness -- --smoke --threads 1 --no-memo \
-  | extract_verdicts > target/ci/verdicts-nomemo.txt
+echo "== bench harness (smoke): verdicts must agree across workers =="
 cargo run --release -q -p bench --bin harness -- --smoke --threads 1 \
   | extract_verdicts > target/ci/verdicts-t1.txt
 cargo run --release -q -p bench --bin harness -- --smoke --threads 4 \
   | extract_verdicts > target/ci/verdicts-t4.txt
 diff -u target/ci/verdicts-t1.txt target/ci/verdicts-t4.txt
 echo "verdicts identical across worker counts"
-diff -u target/ci/verdicts-t1.txt target/ci/verdicts-nomemo.txt
-echo "verdicts identical with the successor memo disabled"
 
 echo "== zone smoke: --zones verdicts must match the concrete engine =="
-# Every bundled model, three engines: concrete, closed-form zones (the
-# default) and replay zones (--zone-advance replay). Exit codes and
-# verdict lines must be byte-identical across all three (state counts
-# intentionally differ — zone mode materializes fewer, which the
-# longperiod run below proves is actually happening via the
-# zone.quanta_collapsed counter; that the closed-form path is actually
-# serving, not silently falling back to replay, is proved the same way
-# via zone.closed_form_advances).
+# Every bundled model, concrete and closed-form zones. Exit codes and
+# verdict lines must be byte-identical (state counts intentionally differ
+# — zone mode materializes fewer, which the longperiod run below proves is
+# actually happening via the zone.quanta_collapsed counter; that the
+# closed-form path is actually serving, not silently falling back to
+# per-quantum steps, is proved the same way via
+# zone.closed_form_advances).
 for model in cruise_control flight_control inversion overloaded producer_handler longperiod; do
   zone_flags="--exhaustive --zones"
   if [ "$model" = longperiod ]; then
@@ -127,24 +120,16 @@ for model in cruise_control flight_control inversion overloaded producer_handler
   zones_code=0
   target/release/aadlsched "examples/models/$model.aadl" $zone_flags \
     > target/ci/zone-zoned.txt || zones_code=$?
-  replay_code=0
-  target/release/aadlsched "examples/models/$model.aadl" --exhaustive --zones \
-    --zone-advance replay > target/ci/zone-replay.txt || replay_code=$?
-  if [ "$concrete_code" -ne "$zones_code" ] || [ "$concrete_code" -ne "$replay_code" ]; then
-    echo "zone smoke: $model: exit codes differ (concrete $concrete_code, closed $zones_code, replay $replay_code)"
+  if [ "$concrete_code" -ne "$zones_code" ]; then
+    echo "zone smoke: $model: exit codes differ (concrete $concrete_code, zones $zones_code)"
     exit 1
   fi
   if ! diff -u <(extract_verdicts < target/ci/zone-concrete.txt) \
                <(extract_verdicts < target/ci/zone-zoned.txt); then
-    echo "zone smoke: $model: verdict lines differ (concrete vs closed-form zones)"
+    echo "zone smoke: $model: verdict lines differ (concrete vs zones)"
     exit 1
   fi
-  if ! diff -u <(extract_verdicts < target/ci/zone-replay.txt) \
-               <(extract_verdicts < target/ci/zone-zoned.txt); then
-    echo "zone smoke: $model: verdict lines differ (replay vs closed-form zones)"
-    exit 1
-  fi
-  echo "zone smoke: $model: verdicts agree across all three engines (exit $concrete_code)"
+  echo "zone smoke: $model: verdicts agree (exit $concrete_code)"
 done
 collapsed="$(grep -o '"zone.quanta_collapsed": [0-9]*' target/ci/zones-metrics.json \
   | grep -o '[0-9]*$')"
@@ -242,6 +227,9 @@ if ! grep -q '"flight"' target/ci/fleet.json \
   exit 1
 fi
 echo "daemon smoke: cache hit observed, graceful drain, fleet report carries the flight window"
+
+echo "== benchmark smoke: bash benchmark/run.sh --smoke =="
+bash benchmark/run.sh --smoke
 
 echo "== hermetic audit =="
 tools/check_hermetic.sh
