@@ -1,4 +1,4 @@
-//! Vector-domain forced runs: the closed-form engine behind zone mode.
+//! Vector-domain forced runs: the closed-form engine behind delay zones.
 //!
 //! [`crate::advance`] removes the per-quantum work *inside* a forced timed
 //! interval, but a periodic model's forced runs are not one interval: every
@@ -59,8 +59,8 @@
 //! shape variant and each macro on an exponential-backoff schedule (serves
 //! 1, 2, 4, 8, …); a failed spot check poisons the entry and falls back to
 //! concrete replay. `tools/ci.sh` additionally diffs closed-form zone
-//! verdicts against the concrete engine on every bundled model in release
-//! mode, and dropping `--zones` remains the always-available escape hatch.
+//! verdicts against the per-quantum search (the `--dot` path) on every small
+//! bundled model in release mode.
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
@@ -73,7 +73,7 @@ use crate::advance::{
 use crate::label::Label;
 use crate::skeleton::{self, Factored};
 use crate::step::StepSession;
-use crate::store::Interned;
+use crate::store::{Interned, TermId};
 
 /// Maximum instantaneous-macro hops a lookahead certificate may cross.
 const MAX_LOOKAHEAD: usize = 4;
@@ -637,8 +637,8 @@ fn virt_hash(key: ShapeKey, values: &[i64]) -> u64 {
     h
 }
 
-fn real_hash(t: &Interned) -> u64 {
-    mix(0x9e37_79b9_7f4a_7c15, t.id().raw() as u64)
+fn real_hash(id: TermId) -> u64 {
+    mix(0x9e37_79b9_7f4a_7c15, id.raw() as u64)
 }
 
 /// How one loop iteration left the runner.
@@ -652,7 +652,7 @@ enum Flow {
 impl<'a, 'e> Runner<'a, 'e> {
     fn cur_hash(&self) -> u64 {
         match &self.cur {
-            Cur::Real(t) => real_hash(t),
+            Cur::Real(t) => real_hash(t.id()),
             Cur::Virt { key, values, .. } => virt_hash(*key, values),
         }
     }
@@ -674,7 +674,8 @@ impl<'a, 'e> Runner<'a, 'e> {
             } => {
                 let p = skeleton::rebuild(template.term(), values).expect(
                     "closed-form advance produced a vector outside its shape \
-                     (drop --zones to explore with the concrete engine)",
+                     (a learned span or macro is wrong; `--dot` explores per \
+                     quantum instead)",
                 );
                 let t = self.session.intern(&p);
                 self.session.store().note_shape(
@@ -779,8 +780,6 @@ impl<'a, 'e> Runner<'a, 'e> {
             let f = self.session.store().shape_of(&cur);
             let key = (f.digest, f.values.len() as u32);
             if let Some(verdict) = span_clear(self.cache, key, &f.values) {
-                if !verdict {
-                }
                 return verdict;
             }
             match unique_step(self.session, &cur) {
@@ -797,10 +796,9 @@ impl<'a, 'e> Runner<'a, 'e> {
     }
 
     /// Take one concrete forced step (the learning path), recording the
-    /// observation under `ukey` when one is given.
-    /// Take one concrete forced step. `certified` says the *current*
-    /// instant is known clear of foreign events (θ-certification from an
-    /// exit, or carried instant validity). Observations are only recorded
+    /// observation under `ukey` when one is given. `certified` says the
+    /// *current* instant is known clear of foreign events (θ-certification
+    /// from an exit, or carried instant validity). Observations are only recorded
     /// at certified instants — a diamond-instant cascade behaves
     /// differently from the common case at the *same* shape, and letting
     /// its steps into the observation set would poison the macro for
@@ -814,9 +812,6 @@ impl<'a, 'e> Runner<'a, 'e> {
                 let mut certified = certified;
                 if !certified && !l.is_timed() {
                     certified = self.chain_certifies(&t);
-                }
-                if certified {
-                } else {
                 }
                 if certified {
                     if let Some(ukey) = ukey {
@@ -1077,10 +1072,16 @@ impl<'a, 'e> Runner<'a, 'e> {
 /// (cap bound, cycle guard at segment granularity, blocked-state
 /// classification) mirror [`crate::zone::forced_run`]; results are
 /// intern-identical to a concrete replay of the same chain.
+///
+/// `walked` lists the states a caller already stepped through concretely on
+/// the same run before reaching `entry` (empty for a fresh run): the cycle
+/// guard starts out holding them, so a run resumed mid-way ends exactly
+/// where a walk from its true start would. `cap` counts steps from `entry`.
 pub fn forced_run_closed(
     session: &StepSession<'_>,
     cache: &AdvanceCache,
     entry: &Interned,
+    walked: &[TermId],
     cap: u64,
 ) -> RunOutcome {
     let mut r = Runner {
@@ -1091,7 +1092,7 @@ pub fn forced_run_closed(
         cap,
         cur: Cur::Real(entry.clone()),
         instant_valid: false,
-        seen: HashSet::new(),
+        seen: walked.iter().copied().map(real_hash).collect(),
     };
     r.note_seen();
     while r.steps < r.cap {
@@ -1204,7 +1205,7 @@ mod tests {
     /// step for step. Returns the run's endpoint (or `None` at a
     /// deadlock/branch, which must agree with the concrete successor set).
     fn check_run(s: &StepSession<'_>, cache: &AdvanceCache, cur: &Interned) -> Option<Interned> {
-        match forced_run_closed(s, cache, cur, 64) {
+        match forced_run_closed(s, cache, cur, &[], 64) {
             RunOutcome::Run { segs, steps } => {
                 assert!(!segs.is_empty(), "a run has at least one segment");
                 assert_eq!(
@@ -1254,7 +1255,7 @@ mod tests {
         let s = session(&env);
         let cache = AdvanceCache::new();
         let t0 = s.intern(&p);
-        for pass in 0..6 {
+        for _ in 0..6 {
             let mut cur = t0.clone();
             for _ in 0..12 {
                 match check_run(&s, &cache, &cur) {
@@ -1282,7 +1283,7 @@ mod tests {
         let t0 = s.intern(&p);
         let mut cur = t0.clone();
         for _ in 0..64 {
-            match forced_run_closed(&s, &cache, &cur, 64) {
+            match forced_run_closed(&s, &cache, &cur, &[], 64) {
                 RunOutcome::Run { segs, .. } => {
                     cur = segs
                         .last()
@@ -1301,7 +1302,7 @@ mod tests {
             .count();
         assert!(ready >= 1, "no unit macro became ready");
         let before = cache.stats().closed_form_advances;
-        let out = forced_run_closed(&s, &cache, &t0, 64);
+        let out = forced_run_closed(&s, &cache, &t0, &[], 64);
         assert!(matches!(out, RunOutcome::Run { .. }));
         assert!(
             cache.stats().closed_form_advances > before,
@@ -1319,7 +1320,7 @@ mod tests {
         let cache = AdvanceCache::new();
         let t0 = s.intern(&p);
         for cap in [1u64, 2, 3, 7] {
-            match forced_run_closed(&s, &cache, &t0, cap) {
+            match forced_run_closed(&s, &cache, &t0, &[], cap) {
                 RunOutcome::Run { steps, .. } => assert!(steps <= cap),
                 other => panic!(
                     "forced entry must yield a run at cap {cap}, got {}",
@@ -1333,7 +1334,7 @@ mod tests {
         }
         let dead = s.intern(&nil());
         assert!(matches!(
-            forced_run_closed(&s, &cache, &dead, 64),
+            forced_run_closed(&s, &cache, &dead, &[], 64),
             RunOutcome::Deadlock
         ));
         // Two incomparable timed actions: a branch, reported with the full
@@ -1342,7 +1343,7 @@ mod tests {
             act([(Res::new("x"), 1)], nil()),
             act([(Res::new("y"), 1)], nil()),
         ]));
-        match forced_run_closed(&s, &cache, &br, 64) {
+        match forced_run_closed(&s, &cache, &br, &[], 64) {
             RunOutcome::Branch(succs) => assert_eq!(succs.len(), 2),
             _ => panic!("incomparable choice must branch"),
         }
@@ -1394,7 +1395,7 @@ mod tests {
         let mut cur = s.intern(&p);
         for _ in 0..40 {
             let concrete_forced = zone::forced_run(&s, &cur, 1024).is_some();
-            let closed = forced_run_closed(&s, &cache, &cur, 1024);
+            let closed = forced_run_closed(&s, &cache, &cur, &[], 1024);
             match (&closed, concrete_forced) {
                 (RunOutcome::Run { .. }, true) => {}
                 (RunOutcome::Deadlock | RunOutcome::Branch(_), false) => {}

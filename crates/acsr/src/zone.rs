@@ -240,7 +240,7 @@ pub fn delay_bound(session: &StepSession<'_>, t: &Interned, cap: u64) -> u64 {
 /// cap ≥ `d`. The result is *the same interned term* (`TermId` and all) a
 /// quantum-by-quantum walk reaches, because each quantum is re-derived
 /// through the same memoized step relation — the delay abstraction cannot
-/// diverge from the concrete engine by construction.
+/// diverge from a per-quantum walk by construction.
 ///
 /// # Examples
 ///

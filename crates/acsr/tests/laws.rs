@@ -263,7 +263,7 @@ fn prioritized_is_a_subrelation_of_unprioritized_everywhere() {
         ]),
     );
     let p = invoke(d, [Expr::c(0)]);
-    let ex = versa::explore(&env, &p, &versa::Options::default());
+    let ex = versa::explore(&env, &p, &versa::Options::default().with_lts());
     for i in 0..ex.num_states() {
         let st = ex.state(versa::StateId(i as u32));
         let all = steps(&env, st);

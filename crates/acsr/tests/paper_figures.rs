@@ -101,8 +101,9 @@ fn fig2b_idling_steps_let_the_process_wait() {
 fn fig2_simple_runs_alone_without_contention() {
     let mut env = Env::new();
     let simple = simple_a(&mut env);
-    let ex = versa::explore(&env, &simple, &versa::Options::default());
-    // 3 states: initial, after first step, after second step (then done! loops).
+    let ex = versa::explore(&env, &simple, &versa::Options::default().with_lts());
+    // 3 states of the per-quantum LTS: initial, after first step, after
+    // second step (then done! loops).
     assert!(ex.deadlock_free());
     assert_eq!(ex.num_states(), 3);
 }
@@ -224,7 +225,7 @@ fn fig3_all_three_scope_exits_are_reachable() {
     // prioritized transition system.
     let mut env = Env::new();
     let (sys, _, _, _) = fig3(&mut env);
-    let ex = versa::explore(&env, &sys, &versa::Options::default());
+    let ex = versa::explore(&env, &sys, &versa::Options::default().with_lts());
     let mut found = [false; 3]; // int, exc, to
     for id in 0..ex.num_states() {
         let st = ex.state(versa::StateId(id as u32));

@@ -1,5 +1,8 @@
 //! State-space exploration throughput (the VERSA-equivalent engine): states
-//! per second on product spaces, and trace reconstruction cost.
+//! per second of the per-quantum search on product spaces, and trace
+//! reconstruction cost. The product spaces are fully forced cycles, which
+//! the zone graph of a verdict run collapses to a handful of states, so the
+//! throughput benches take the per-quantum (LTS) path.
 
 use acsr::prelude::*;
 use bench::timing::Runner;
@@ -44,7 +47,7 @@ fn bench_product_spaces(r: &mut Runner) {
         let mut env = Env::new();
         let p = counters(&mut env, &lens);
         r.bench_with_param("explore_product_space", label, || {
-            explore(&env, &p, &Options::default())
+            explore(&env, &p, &Options::default().with_lts())
         });
     }
 }
@@ -54,7 +57,11 @@ fn bench_parallel_workers(r: &mut Runner) {
     let p = counters(&mut env, &[13, 11, 7]);
     for threads in [1usize, 2, 4] {
         r.bench_with_param("explore_workers", threads, || {
-            explore(&env, &p, &Options::default().with_threads(threads))
+            explore(
+                &env,
+                &p,
+                &Options::default().with_lts().with_threads(threads),
+            )
         });
     }
 }

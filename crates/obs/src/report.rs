@@ -58,7 +58,19 @@ pub const SCHEMA: &str = "aadlsched-metrics";
 ///   - the `interning` and `zone_advance` A/B sections left
 ///     `BENCH_exploration.json` (their engines are deleted; the numbers stay
 ///     in git history and EXPERIMENTS.md).
-pub const SCHEMA_VERSION: u64 = 7;
+/// * v8 — delay zones are the only verdict engine:
+///   - every verdict run (no LTS export) records the `zone.*` counters and
+///     the `zone.shape_cache` gauge, plus the new `zone.learned_runs`
+///     counter (forced runs handed to the closed-form runner after the
+///     fixed walk-first length); `--dot` runs explore per quantum and emit
+///     none of them;
+///   - the `explore` span lost its `zones` field;
+///   - `zones` and `zone_cap` left the CLI's canonical option string
+///     (hashed into the run id) and the daemon's fleet-report `config`
+///     section;
+///   - the `zones` section of `BENCH_exploration.json` lost its `concrete`
+///     row and gained `learned_runs` and `closed_form_advances`.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// Deterministic run identifier: FNV-1a (64-bit) over the given byte slices,
 /// rendered as 16 lowercase hex digits. Feed it the model source and the
@@ -99,7 +111,7 @@ pub fn run_id(parts: &[&[u8]]) -> String {
 /// r.set("model", Json::obj([("file", Json::from("m.aadl"))]));
 /// let text = r.to_json();
 /// assert!(text.starts_with("{\n  \"schema\": \"aadlsched-metrics\""));
-/// assert!(text.contains("\"version\": 7"));
+/// assert!(text.contains("\"version\": 8"));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Report {

@@ -10,7 +10,9 @@
 //!   --rate-limit <n>          per-client requests/second, 0 = unlimited
 //!   --burst <n>               rate-limit burst capacity (default 8)
 //!   --default-timeout-ms <n>  default per-request wall-clock timeout
-//!   --max-states <n>          daemon-wide state budget clamp
+//!   --max-states <n>          daemon-wide state budget clamp (zone-graph
+//!                             states: branch points, deadlocks, run
+//!                             endpoints — not quanta)
 //!   --cache-capacity <n>      completed results kept for cache hits
 //!   --retries <n>             retries on transient analysis failures
 //!   --no-result-cache         always recompute, never serve cached verdicts
@@ -26,12 +28,6 @@
 //!                             result cache is boot-warmed from it, and a
 //!                             graceful drain persists the cache back;
 //!                             readonly:<dir> serves hits without writing
-//!   --zones                   delay-zone exploration by default: collapse
-//!                             forced runs of quanta into bulk steps
-//!                             (identical verdicts and traces; job digests
-//!                             diverge from concrete-mode requests)
-//!   --zone-cap <n>            default per-edge step cap in zone mode
-//!                             (never changes verdicts, only granularity)
 //! ```
 //!
 //! On startup the daemon prints `aadlschedd listening on <addr>` — parse
@@ -52,7 +48,7 @@ fn usage() -> ExitCode {
          [--default-timeout-ms <n>] [--max-states <n>] [--cache-capacity <n>] \
          [--retries <n>] [--no-result-cache] [--metrics <file>] \
          [--no-trace] [--flight-capacity <n>] [--span-cap <n>] \
-         [--store <dir|readonly:dir>] [--zones] [--zone-cap <n>]"
+         [--store <dir|readonly:dir>]"
     );
     ExitCode::from(2)
 }
@@ -129,16 +125,6 @@ fn parse_args() -> Result<Config, String> {
                     Some(_) => return Err("--store readonly: needs a directory".into()),
                     None => cfg.store = Some(spec),
                 }
-            }
-            "--zones" => cfg.zones = true,
-            "--zone-cap" => {
-                let cap: u64 = val("--zone-cap")?
-                    .parse()
-                    .map_err(|e| format!("--zone-cap: {e}"))?;
-                if cap == 0 {
-                    return Err("--zone-cap must be at least 1".into());
-                }
-                cfg.zone_cap = Some(cap);
             }
             other => return Err(format!("unknown flag `{other}`")),
         }

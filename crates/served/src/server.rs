@@ -97,15 +97,6 @@ pub struct Config {
     /// are served but nothing is ever written, including the drain-time
     /// result-cache snapshot.
     pub store_readonly: bool,
-    /// Delay-zone exploration as the daemon default (`--zones`): every
-    /// analysis collapses forced runs of quanta into bulk steps. Applied
-    /// *before* the job digest is computed, so a zone daemon and a
-    /// concrete daemon never share coalesced jobs or cached results for
-    /// the same request line.
-    pub zones: bool,
-    /// Daemon-default per-edge zone step cap (`--zone-cap`; `None` = engine
-    /// default). Folded into requests before the job digest, like `zones`.
-    pub zone_cap: Option<u64>,
 }
 
 impl Default for Config {
@@ -127,8 +118,6 @@ impl Default for Config {
             span_cap: 65_536,
             store: None,
             store_readonly: false,
-            zones: false,
-            zone_cap: None,
         }
     }
 }
@@ -168,11 +157,6 @@ impl Config {
                     .unwrap_or(Json::Null),
             ),
             ("store_readonly", Json::Bool(self.store_readonly)),
-            ("zones", Json::Bool(self.zones)),
-            (
-                "zone_cap",
-                self.zone_cap.map(Json::UInt).unwrap_or(Json::Null),
-            ),
         ])
     }
 }
@@ -713,19 +697,10 @@ fn handle_analyze(
     writer: &Arc<Mutex<TcpStream>>,
     id: &str,
     source: ModelSource,
-    mut options: AnalyzeOptions,
+    options: AnalyzeOptions,
     ctx: Option<(u64, u64, u64)>,
 ) {
     d.m.analyze.inc();
-    // The daemon-wide `--zones` default folds into the request *before* the
-    // digest is computed, so zone-mode results are keyed apart from
-    // concrete ones even when the request line itself never mentions zones.
-    if d.cfg.zones {
-        options.zones = true;
-    }
-    if options.zone_cap.is_none() {
-        options.zone_cap = d.cfg.zone_cap;
-    }
     // Open the root span first, so even rejected requests leave a tree.
     let mut trace = ctx.map(|(req, recv_ns, parsed_ns)| {
         let root = d.rec.span_at("served.request", recv_ns);
@@ -1069,10 +1044,6 @@ fn analyze_source(
         AnalysisOptions::default()
     };
     aopts.explore.threads = o.threads.max(1);
-    aopts.explore.zones = o.zones;
-    if let Some(cap) = o.zone_cap {
-        aopts.explore.zone_cap = cap as usize;
-    }
     aopts.explore.max_states = o.max_states.unwrap_or(usize::MAX).min(d.cfg.max_states);
     aopts.explore.cancel = cancel.clone();
     aopts.explore.obs = rec.clone();

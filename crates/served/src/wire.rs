@@ -44,17 +44,6 @@ pub struct AnalyzeOptions {
     /// default). `0` times out immediately — useful for testing the timeout
     /// path deterministically.
     pub timeout_ms: Option<u64>,
-    /// Delay-zone exploration (`--zones` on the CLI): collapse forced runs
-    /// of quanta into single bulk steps. Verdicts and traces are identical
-    /// to the concrete engine; only the exploration strategy changes — but
-    /// the flag still participates in the job digest, so zone and concrete
-    /// requests never coalesce or share a cached result.
-    pub zones: bool,
-    /// Per-edge step cap in zone mode (`--zone-cap` on the CLI; `None` = the
-    /// engine default, 4096). Never changes verdicts, only the granularity
-    /// of delay edges — but it participates in the job digest like every
-    /// other option.
-    pub zone_cap: Option<u64>,
 }
 
 impl Default for AnalyzeOptions {
@@ -68,8 +57,6 @@ impl Default for AnalyzeOptions {
             threads: 1,
             max_states: None,
             timeout_ms: None,
-            zones: false,
-            zone_cap: None,
         }
     }
 }
@@ -82,7 +69,7 @@ impl AnalyzeOptions {
     pub fn canonical(&self) -> String {
         format!(
             "root={:?};quantum_ms={:?};protocol={:?};compact={};exhaustive={};threads={};\
-             max_states={:?};timeout_ms={:?};zones={};zone_cap={:?}",
+             max_states={:?};timeout_ms={:?}",
             self.root,
             self.quantum_ms,
             self.protocol,
@@ -91,8 +78,6 @@ impl AnalyzeOptions {
             self.threads,
             self.max_states,
             self.timeout_ms,
-            self.zones,
-            self.zone_cap,
         )
     }
 }
@@ -265,14 +250,6 @@ fn parse_options(v: Option<&Json>) -> Result<AnalyzeOptions, String> {
             }
             "timeout_ms" => {
                 o.timeout_ms = Some(val.as_u64().ok_or("options.timeout_ms must be an integer")?)
-            }
-            "zones" => o.zones = bool_field(val, "options.zones")?,
-            "zone_cap" => {
-                let cap = val.as_u64().ok_or("options.zone_cap must be an integer")?;
-                if cap == 0 {
-                    return Err("options.zone_cap must be at least 1".into());
-                }
-                o.zone_cap = Some(cap);
             }
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -496,17 +473,6 @@ mod tests {
         let mut c = AnalyzeOptions::default();
         c.timeout_ms = Some(1);
         assert_ne!(job_digest("src", &a), job_digest("src", &c));
-        // Zone mode yields identical verdicts, but its digest still
-        // diverges: cached zone results must never answer concrete
-        // requests (and vice versa), so the A/B lever stays honest.
-        let mut z = AnalyzeOptions::default();
-        z.zones = true;
-        assert_ne!(job_digest("src", &a), job_digest("src", &z));
-        // The zone cap participates too: a capped zone run must never share
-        // an uncapped result.
-        let mut zc = z.clone();
-        zc.zone_cap = Some(64);
-        assert_ne!(job_digest("src", &z), job_digest("src", &zc));
         assert_ne!(job_digest("src", &a), job_digest("other", &a));
     }
 
@@ -543,9 +509,15 @@ mod tests {
 
     #[test]
     fn removed_engine_options_are_unknown() {
-        // The memo is always on and zone mode always advances in closed
-        // form, so neither knob exists on the wire any more.
-        for (opt, val) in [("memo", "false"), ("zone_advance", r#""replay""#)] {
+        // The memo is always on and every verdict comes from the delay-zone
+        // engine with one edge cap, advancing in closed form, so none of
+        // these knobs exists on the wire any more.
+        for (opt, val) in [
+            ("memo", "false"),
+            ("zone_advance", r#""replay""#),
+            ("zones", "true"),
+            ("zone_cap", "64"),
+        ] {
             let line = format!(
                 r#"{{"type":"analyze","id":"x","model":"m","options":{{"{opt}":{val}}}}}"#
             );

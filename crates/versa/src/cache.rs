@@ -12,7 +12,9 @@
 //!
 //! The store key commits to everything the artifact depends on:
 //!
-//! * a schema tag (`versa.exploration.v1`) so future layouts can't collide,
+//! * a schema tag (`versa.exploration.v2`) so other layouts and engines can't
+//!   collide (v1 keys came from builds whose default engine was the
+//!   per-quantum search, whose stats describe a different graph),
 //! * [`acsr::stable_digest`] of the initial term — the *string-stable* walk,
 //!   not the in-memory [`acsr::TermId`] digest, which depends on this
 //!   process's interning history,
@@ -21,9 +23,11 @@
 //!   translation-options fingerprint, so a `--protocol pcp` artifact can
 //!   never answer a `--protocol none` query),
 //! * the exploration options that change results: `max_states`,
-//!   `stop_at_first_deadlock`, the id ceiling, and the `zones` engine flag
-//!   (zone-mode stats describe the zone graph, so the two engines must
-//!   never answer each other's queries even though their verdicts agree).
+//!   `stop_at_first_deadlock`, the id ceiling, and the zone-graph edge cap
+//!   (the stats describe the zone graph, whose edges the cap splits).
+//!
+//! Only zone-graph runs are cached: an LTS run ([`Options::collect_lts`])
+//! has no key.
 //!
 //! Changing any input changes the key; invalidation is purely structural
 //! (stale artifacts are simply never addressed again).
@@ -74,29 +78,22 @@ pub(crate) fn key_for(env: &Env, initial: &P, opts: &Options, id_limit: usize) -
     }
     let term = acsr::stable_digest(env, initial);
     let fp = acsr::env_fingerprint(env);
-    // Zone-only knobs join the key only in zone mode, so every concrete-mode
-    // key stays byte-identical to what earlier releases derived.
     let term_bytes = term.to_le_bytes();
     let fp_bytes = fp.to_le_bytes();
     let max_states = (opts.max_states.min(u64::MAX as usize) as u64).to_le_bytes();
     let first = [opts.stop_at_first_deadlock as u8];
     let ids = (id_limit.min(u64::MAX as usize) as u64).to_le_bytes();
-    let zones = [opts.zones as u8];
     let zone_cap = (opts.zone_cap.min(u64::MAX as usize) as u64).to_le_bytes();
-    let mut parts: Vec<&[u8]> = vec![
-        b"versa.exploration.v1",
+    Some(cas::key(&[
+        b"versa.exploration.v2",
         &term_bytes,
         &fp_bytes,
         opts.cas_context.as_bytes(),
         &max_states,
         &first,
         &ids,
-        &zones,
-    ];
-    if opts.zones {
-        parts.push(&zone_cap);
-    }
-    Some(cas::key(&parts))
+        &zone_cap,
+    ]))
 }
 
 /// A decoded artifact.
@@ -327,24 +324,32 @@ mod tests {
             o.stop_at_first_deadlock = true;
             key(&o, 1000).unwrap()
         });
-        distinct.push(key(&base.clone().with_zones(true), 1000).unwrap());
-        distinct.push(key(&base.clone().with_zones(true).with_zone_cap(7), 1000).unwrap());
+        distinct.push(key(&base.clone().with_zone_cap(7), 1000).unwrap());
         distinct.push(key(&base.clone().with_cas_context("protocol=pcp"), 1000).unwrap());
         distinct.push(key(&base, 999).unwrap()); // id ceiling
         distinct.push(key_for(&env, &nil(), &base, 1000).unwrap()); // the term
         let mut env2 = Env::new();
         env2.declare("Extra", 0);
         distinct.push(key_for(&env2, &p, &base, 1000).unwrap()); // the environment
+        // The same query as keyed by builds whose default was the per-quantum
+        // search (domain v1, zones byte 0): its stats describe another graph.
+        distinct.push(cas::key(&[
+            b"versa.exploration.v1",
+            &acsr::stable_digest(&env, &p).to_le_bytes(),
+            &acsr::env_fingerprint(&env).to_le_bytes(),
+            b"",
+            &(usize::MAX as u64).to_le_bytes(),
+            &[0],
+            &1000u64.to_le_bytes(),
+            &[0],
+        ]));
         for i in 0..distinct.len() {
             for j in i + 1..distinct.len() {
                 assert_ne!(distinct[i], distinct[j], "inputs {i} and {j} collided");
             }
         }
 
-        // Performance knobs: none may move the key. Zone-only knobs are
-        // inert while the zones flag is off, keeping historical
-        // concrete-mode keys addressable.
-        assert_eq!(key(&base.clone().with_zone_cap(7), 1000).unwrap(), base_key);
+        // Performance knobs: none may move the key.
         assert_eq!(key(&base.clone().with_threads(8), 1000).unwrap(), base_key);
         assert_eq!(
             key(&base.clone().with_memo_capacity(3), 1000).unwrap(),

@@ -1,9 +1,20 @@
-//! Breadth-first construction of the prioritized transition system.
+//! Exploration of the prioritized transition system.
 //!
-//! States are ground ACSR terms, interned into dense [`StateId`]s. The search
-//! is breadth-first so the first deadlock found yields a *shortest*
-//! counterexample — the most readable failing scenario to raise back to the
-//! AADL level.
+//! States are ground ACSR terms, interned into dense [`StateId`]s. Every
+//! search finds the first deadlock along a *shortest* trace — the most
+//! readable failing scenario to raise back to the AADL level. [`explore`]
+//! has two engines behind one entry point:
+//!
+//! * verdict runs (no [`Options::collect_lts`]) go to the delay-zone engine
+//!   in the `zones` module, which collapses forced runs of quanta into
+//!   weighted delay edges and searches the resulting zone graph in
+//!   shortest-depth order;
+//! * LTS runs ([`Options::collect_lts`], the `--dot` export) need every
+//!   per-quantum transition, so they take the breadth-first engine in this
+//!   module, which materializes one state per quantum.
+//!
+//! Verdicts, deadlock counts and counterexample timelines agree between the
+//! two; only [`Stats`] differ (the zone graph is far smaller).
 //!
 //! States live in a hash-consed [`TermStore`]: every term is interned to a
 //! [`TermId`] whose equality *is* structural equality, and successor lists
@@ -11,7 +22,8 @@
 //! [`acsr::step`]) — revisiting the skeleton states of a periodic task model
 //! costs a cache hit instead of a re-derivation.
 //!
-//! With [`Options::threads`] > 1 each BFS level runs an *expand-and-intern
+//! In the breadth-first engine, with [`Options::threads`] > 1 each level
+//! runs an *expand-and-intern
 //! pipeline*: worker threads compute prioritized successors **and** probe the
 //! visited set concurrently — the set is distributed over
 //! `threads.next_power_of_two()` [`Mutex`] shards keyed by bits of each
@@ -40,8 +52,8 @@ use crate::trace::Trace;
 
 /// Dense identifier of an interned state.
 ///
-/// Ids are assigned in BFS discovery order, so `StateId(0)` is always the
-/// initial state and lower ids are closer to it.
+/// Ids are assigned in discovery order, so `StateId(0)` is always the
+/// initial state.
 ///
 /// # Examples
 ///
@@ -147,11 +159,14 @@ pub struct Options {
     /// Abort after interning this many states (the exploration is then marked
     /// [`Exploration::truncated`]).
     pub max_states: usize,
-    /// Stop as soon as the first deadlock is interned (its trace is still
-    /// shortest: BFS order guarantees no shorter deadlock exists).
+    /// Stop as soon as the first deadlock is found (its trace is still
+    /// shortest: the search order guarantees no shorter deadlock exists).
     pub stop_at_first_deadlock: bool,
     /// Record the full labelled transition relation (needed for [`Lts`]
     /// export; costs memory proportional to the number of transitions).
+    /// Selects the per-quantum breadth-first engine: the zone graph's delay
+    /// edges are not the concrete transition relation. Such runs never
+    /// touch [`Options::cas`].
     pub collect_lts: bool,
     /// Worker threads for frontier expansion; `0` or `1` means sequential.
     /// The visited set is split into `threads.next_power_of_two()` shards.
@@ -188,22 +203,13 @@ pub struct Options {
     /// translation options). Two calls that differ only in this string
     /// never share artifacts.
     pub cas_context: String,
-    /// Delay-abstracted (zone-based) exploration: collapse maximal forced
-    /// runs — chains of states with exactly one prioritized successor —
-    /// into single weighted delay steps (see the `zones` module and
-    /// [`acsr::zone`]). Off by default. Verdicts, shortest counterexample
-    /// traces and deadlock counts are identical to the concrete engine;
-    /// explored-state counts on long-hyperperiod periodic models drop by
-    /// orders of magnitude. Ignored (the concrete engine runs) when
-    /// [`Options::collect_lts`] is also set — the zone graph is not the
-    /// concrete transition relation, so an LTS export must not come from it.
-    pub zones: bool,
-    /// Zone mode only: per-quantum steps a single delay edge may span.
+    /// Per-quantum steps a single delay edge of the zone graph may span.
     /// Longer forced runs become several chained edges — the cap bounds the
     /// work between two cancellation polls and the size of any one edge's
     /// stored timeline, and doubles as the cycle horizon for closed idle
     /// loops. Any value changes only edge granularity, never verdicts,
-    /// deadlock sets or trace timelines. `0` is treated as `1`.
+    /// deadlock sets or trace timelines. `0` is treated as `1`. Ignored by
+    /// LTS runs.
     pub zone_cap: usize,
 }
 
@@ -220,7 +226,6 @@ impl Default for Options {
             obs: obs::Recorder::disabled(),
             cas: None,
             cas_context: String::new(),
-            zones: false,
             zone_cap: 4096,
         }
     }
@@ -239,6 +244,19 @@ impl Options {
             stop_at_first_deadlock: true,
             ..Options::default()
         }
+    }
+
+    /// Record the labelled transition relation ([`Options::collect_lts`]),
+    /// which selects the per-quantum engine.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// assert!(versa::Options::verdict().with_lts().collect_lts);
+    /// ```
+    pub fn with_lts(mut self) -> Options {
+        self.collect_lts = true;
+        self
     }
 
     /// Set the worker-thread count (`0` or `1` means sequential).
@@ -357,21 +375,7 @@ impl Options {
         self
     }
 
-    /// Switch delay-abstracted (zone-based) exploration on or off (see
-    /// [`Options::zones`]).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// assert!(versa::Options::default().with_zones(true).zones);
-    /// assert!(!versa::Options::default().zones);
-    /// ```
-    pub fn with_zones(mut self, zones: bool) -> Options {
-        self.zones = zones;
-        self
-    }
-
-    /// Set the zone-mode edge cap (see [`Options::zone_cap`]).
+    /// Set the zone-graph edge cap (see [`Options::zone_cap`]).
     ///
     /// # Examples
     ///
@@ -392,10 +396,15 @@ impl Options {
 /// use acsr::prelude::*;
 /// use versa::{explore, Options};
 ///
-/// // Two timed steps to NIL: 3 states, 2 transitions, 3 BFS levels.
+/// // Two forced timed steps to NIL collapse into one delay edge: 2 states,
+/// // 1 transition, 2 levels (the root and the deadlock two quanta later).
 /// let env = Env::new();
 /// let p = act([(Res::new("cpu"), 1)], act([(Res::new("cpu"), 1)], nil()));
 /// let stats = explore(&env, &p, &Options::default()).stats;
+/// assert_eq!((stats.states, stats.transitions, stats.levels), (2, 1, 2));
+/// // The per-quantum LTS engine materializes the middle state too.
+/// let lts = Options { collect_lts: true, ..Options::default() };
+/// let stats = explore(&env, &p, &lts).stats;
 /// assert_eq!((stats.states, stats.transitions, stats.levels), (3, 2, 3));
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -441,8 +450,8 @@ impl fmt::Display for Stats {
     /// let env = Env::new();
     /// let p = act([(Res::new("cpu"), 1)], act([(Res::new("cpu"), 1)], nil()));
     /// let line = explore(&env, &p, &Options::default()).stats.to_string();
-    /// assert!(line.starts_with("3 states, 2 transitions"));
-    /// assert!(line.contains("3 levels"));
+    /// assert!(line.starts_with("2 states, 1 transitions"));
+    /// assert!(line.contains("2 levels"));
     /// assert!(line.contains("0 dedup hits"));
     /// ```
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -527,20 +536,6 @@ impl Stats {
     }
 }
 
-/// The result of exploring a model.
-///
-/// # Examples
-///
-/// ```
-/// use acsr::prelude::*;
-/// use versa::{explore, Options};
-///
-/// let env = Env::new();
-/// let ex = explore(&env, &act([(Res::new("cpu"), 1)], nil()), &Options::default());
-/// assert_eq!(ex.num_states(), 2);
-/// assert!(!ex.deadlock_free()); // NIL has no steps
-/// assert!(!ex.truncated);
-/// ```
 /// The endpoint of a [`ZoneSeg`]: a materialized term, or a virtual
 /// `(template, vector)` pair rebuilt syntactically on demand (interior
 /// segment ends of closed-form runs are never interned by the engine).
@@ -563,7 +558,7 @@ impl ZoneEnd {
     }
 }
 
-/// One segment of a zone-mode delay edge (see [`Exploration::zone_edges`]).
+/// One segment of a zone-graph delay edge (see [`Exploration::zone_edges`]).
 #[derive(Clone, Debug)]
 pub(crate) enum ZoneSeg {
     /// A concretely replayed step.
@@ -592,17 +587,32 @@ impl ZoneSeg {
     }
 }
 
+/// The result of exploring a model.
+///
+/// # Examples
+///
+/// ```
+/// use acsr::prelude::*;
+/// use versa::{explore, Options};
+///
+/// let env = Env::new();
+/// let ex = explore(&env, &act([(Res::new("cpu"), 1)], nil()), &Options::default());
+/// assert_eq!(ex.num_states(), 2);
+/// assert!(!ex.deadlock_free()); // NIL has no steps
+/// assert!(!ex.truncated);
+/// ```
 #[derive(Clone, Debug)]
 pub struct Exploration {
     pub(crate) states: Vec<P>,
-    /// Predecessor of each state in BFS order (`None` for the initial state).
+    /// Predecessor of each state on its shortest trace (`None` for the
+    /// initial state).
     pub(crate) parents: Vec<Option<(StateId, Label)>>,
-    /// Zone mode only: the segments of the delay edge into each state,
+    /// Zone graphs only: the segments of the delay edge into each state,
     /// parallel to `parents` (`None` for unit edges; the last segment's
     /// target equals the materialized target). Replayed quanta are stored as
     /// [`ZoneSeg::Unit`] steps; closed-form spans keep only their derivative
     /// and length ([`ZoneSeg::Span`]) and re-materialize interior states
-    /// syntactically on demand. The concrete engine leaves this empty,
+    /// syntactically on demand. The LTS engine leaves this empty,
     /// making every trace query below behave exactly as before.
     pub(crate) zone_edges: Vec<Option<Vec<ZoneSeg>>>,
     /// Deadlocked states (no outgoing prioritized transitions), in discovery
@@ -709,10 +719,10 @@ impl Exploration {
             cur = *parent;
         }
         path.reverse();
-        // Zone mode: delay edges re-expand to their per-quantum timelines,
-        // with interior states appended to the trace's own state table (they
-        // were deliberately never materialized in `self.states`). Concrete
-        // mode has no zone edges and this is the plain parent walk.
+        // Delay edges re-expand to their per-quantum timelines, with interior
+        // states appended to the trace's own state table (they were
+        // deliberately never materialized in `self.states`). Unit edges, and
+        // every edge of an LTS run, are the plain parent walk.
         let mut states = self.states.clone();
         let mut steps: Vec<(Label, StateId)> = Vec::with_capacity(path.len());
         for to in path {
@@ -809,9 +819,12 @@ impl Exploration {
         self.deadlocks.first().map(|&d| self.trace_to(d))
     }
 
-    /// All states whose term satisfies `pred`, in BFS (shortest-distance)
-    /// order. Useful for reachability queries beyond deadlock detection —
-    /// e.g. "is any state with the queue at capacity reachable?".
+    /// All states whose term satisfies `pred`, in id (discovery) order.
+    /// Useful for reachability queries beyond deadlock detection — e.g. "is
+    /// any state with the queue at capacity reachable?". A zone graph holds
+    /// only branch points, deadlocks and run endpoints, so states strictly
+    /// inside a forced run are not searched: a query over every reachable
+    /// state needs an exploration run with [`Options::collect_lts`].
     ///
     /// # Examples
     ///
@@ -833,7 +846,8 @@ impl Exploration {
             .collect()
     }
 
-    /// BFS depth of a state: the number of steps on its shortest trace.
+    /// Depth of a state: the number of per-quantum steps on its shortest
+    /// trace.
     ///
     /// # Examples
     ///
@@ -850,8 +864,8 @@ impl Exploration {
         let mut depth = 0;
         let mut cur = id;
         while let Some((parent, _)) = &self.parents[cur.index()] {
-            // A zone-mode delay edge counts its full per-quantum length, so
-            // depths agree with the concrete engine's step counts.
+            // A delay edge counts its full per-quantum length, so depths
+            // agree with the per-quantum step counts.
             depth += self
                 .zone_edges
                 .get(cur.index())
@@ -1043,38 +1057,13 @@ fn expand_chunk(
 /// so tests can exercise the graceful-truncation path without interning
 /// four billion states.
 fn explore_with_id_limit(env: &Env, initial: &P, opts: &Options, id_limit: usize) -> Exploration {
-    // Delay-abstracted mode: hand the whole search to the zone engine. An
-    // LTS request forces the concrete engine regardless — the zone graph's
-    // delay edges are not the concrete transition relation.
-    if opts.zones && !opts.collect_lts {
-        return crate::zones::explore_zones(env, initial, opts, id_limit.max(1).min(ID_LIMIT));
+    let id_limit = id_limit.clamp(1, ID_LIMIT);
+    if !opts.collect_lts {
+        return crate::zones::explore_zones(env, initial, opts, id_limit);
     }
+    // The LTS path: one state per quantum, breadth-first. Its runs are never
+    // cached (an artifact carries no transition relation).
     let start = Instant::now();
-    let id_limit = id_limit.max(1).min(ID_LIMIT);
-
-    // Cross-run artifact store: consult before exploring. A hit replays the
-    // recorded verdict (and trace skeleton) instead of searching; anything
-    // short of a byte-perfect, semantics-matching artifact counts an
-    // invalidation and falls through to the full exploration below, which
-    // then overwrites the entry.
-    let cas_key = crate::cache::key_for(env, initial, opts, id_limit);
-    if let (Some(key), Some(artifacts)) = (&cas_key, &opts.cas) {
-        match artifacts.get(key) {
-            cas::Lookup::Hit(payload) => {
-                let replayed = crate::cache::decode(&payload)
-                    .and_then(|a| crate::cache::replay(env, initial, &a, opts, start));
-                match replayed {
-                    Some(ex) => {
-                        opts.obs.counter("cas.hits").inc();
-                        return ex;
-                    }
-                    None => opts.obs.counter("cas.invalidations").inc(),
-                }
-            }
-            cas::Lookup::Miss => opts.obs.counter("cas.misses").inc(),
-            cas::Lookup::Invalid => opts.obs.counter("cas.invalidations").inc(),
-        }
-    }
 
     let run_span = opts.obs.span("explore");
     let dedup_counter = opts.obs.counter("explore.dedup_hits");
@@ -1227,7 +1216,7 @@ fn explore_with_id_limit(env: &Env, initial: &P, opts: &Options, id_limit: usize
                         break 'level;
                     }
                 }
-                if opts.collect_lts && lts_transitions.len() <= id.index() {
+                if lts_transitions.len() <= id.index() {
                     lts_transitions.resize(id.index() + 1, Vec::new());
                 }
                 for (label, target) in succs {
@@ -1260,9 +1249,7 @@ fn explore_with_id_limit(env: &Env, initial: &P, opts: &Options, id_limit: usize
                             }
                         }
                     };
-                    if opts.collect_lts {
-                        lts_transitions[id.index()].push((label.clone(), sid));
-                    }
+                    lts_transitions[id.index()].push((label.clone(), sid));
                     if fresh {
                         level_discovered += 1;
                     } else {
@@ -1334,28 +1321,10 @@ fn explore_with_id_limit(env: &Env, initial: &P, opts: &Options, id_limit: usize
     }
     run_span.end();
 
-    // Deposit the finished run for the next process. Cancelled runs are
-    // partial (no verdict) and deposit nothing; a failed encode or write
-    // degrades to "no cache", never to an error.
-    if let (Some(key), Some(artifacts)) = (&cas_key, &opts.cas) {
-        if !cancelled {
-            let payload = crate::cache::encode(
-                env, &session, &states, &parents, &deadlocks, &stats, truncated,
-            );
-            if let Some(payload) = payload {
-                if matches!(artifacts.put(key, &payload), Ok(true)) {
-                    opts.obs.counter("cas.writes").inc();
-                }
-            }
-        }
-    }
-
-    let lts = opts.collect_lts.then(|| {
-        lts_transitions.resize(states.len(), Vec::new());
-        Lts {
-            initial: root,
-            transitions: lts_transitions,
-        }
+    lts_transitions.resize(states.len(), Vec::new());
+    let lts = Some(Lts {
+        initial: root,
+        transitions: lts_transitions,
     });
     Exploration {
         states: states.into_iter().map(Interned::into_term).collect(),
@@ -1424,7 +1393,7 @@ mod tests {
     fn finite_process_deadlocks_at_the_end() {
         let env = Env::new();
         let p = act([(cpu(), 1)], act([(cpu(), 1)], nil()));
-        let ex = explore(&env, &p, &Options::default());
+        let ex = explore(&env, &p, &Options::default().with_lts());
         assert_eq!(ex.num_states(), 3);
         assert_eq!(ex.deadlocks.len(), 1);
         let t = ex.first_deadlock_trace().unwrap();
@@ -1465,7 +1434,11 @@ mod tests {
             act([(cpu(), 1)], invoke(d, [Expr::p(0).add(Expr::c(1))])),
         );
         let p = invoke(d, [Expr::c(0)]);
-        let ex = explore(&env, &p, &Options::default().with_max_states(100));
+        let ex = explore(
+            &env,
+            &p,
+            &Options::default().with_lts().with_max_states(100),
+        );
         assert!(ex.truncated);
         assert_eq!(ex.num_states(), 100);
         assert!(!ex.deadlock_free());
@@ -1504,8 +1477,8 @@ mod tests {
             ]),
         );
         let p = par([invoke(c1, [Expr::c(0)]), invoke(c2, [Expr::c(0)])]);
-        let seq = explore(&env, &p, &Options::default());
-        let par4 = explore(&env, &p, &Options::default().with_threads(4));
+        let seq = explore(&env, &p, &Options::default().with_lts());
+        let par4 = explore(&env, &p, &Options::default().with_lts().with_threads(4));
         assert_eq!(seq.num_states(), par4.num_states());
         assert_eq!(seq.stats.transitions, par4.stats.transitions);
         assert_eq!(seq.deadlocks, par4.deadlocks);
@@ -1527,11 +1500,7 @@ mod tests {
             act([(cpu(), 1)], nil()),
             evt_send(Symbol::new("go"), 1, nil()),
         ]);
-        let opts = Options {
-            collect_lts: true,
-            ..Options::default()
-        };
-        let ex = explore(&env, &p, &opts);
+        let ex = explore(&env, &p, &Options::default().with_lts());
         let lts = ex.lts.as_ref().unwrap();
         let total: usize = lts.transitions.iter().map(Vec::len).sum();
         assert_eq!(total, ex.stats.transitions);
@@ -1596,7 +1565,7 @@ mod tests {
             ]),
         );
         let p = invoke(c1, [Expr::c(0)]);
-        let ex = explore(&env, &p, &Options::default());
+        let ex = explore(&env, &p, &Options::default().with_lts());
         assert_eq!(ex.depth_of(ex.initial()), 0);
         for i in 0..ex.num_states() {
             let id = StateId(i as u32);
@@ -1660,7 +1629,7 @@ mod tests {
     fn stats_track_levels_and_frontier() {
         let env = Env::new();
         let p = act([(cpu(), 1)], act([(cpu(), 1)], nil()));
-        let ex = explore(&env, &p, &Options::default());
+        let ex = explore(&env, &p, &Options::default().with_lts());
         assert_eq!(ex.stats.levels, 3); // two expansions + the deadlocked leaf
         assert!(ex.stats.peak_frontier >= 1);
         assert_eq!(ex.stats.states, 3);
@@ -1671,7 +1640,11 @@ mod tests {
         let env = Env::new();
         let p = act([(cpu(), 1)], act([(cpu(), 1)], nil()));
         let rec = obs::Recorder::with_clock(Box::new(obs::FakeClock::new(1)));
-        let ex = explore(&env, &p, &Options::default().with_obs(rec.clone()));
+        let ex = explore(
+            &env,
+            &p,
+            &Options::default().with_lts().with_obs(rec.clone()),
+        );
         let run = rec.finish();
         let roots: Vec<_> = run.spans.iter().filter(|s| s.name == "explore").collect();
         assert_eq!(roots.len(), 1);
@@ -1769,7 +1742,7 @@ mod tests {
         let p = invoke(d, [Expr::c(0)]);
         // Shrink the id space to 3 (instead of u32::MAX) so the overflow
         // path runs in a test-sized exploration.
-        let ex = explore_with_id_limit(&env, &p, &Options::default(), 3);
+        let ex = explore_with_id_limit(&env, &p, &Options::default().with_lts(), 3);
         assert!(ex.truncated);
         assert_eq!(ex.num_states(), 3);
         assert!(!ex.deadlock_free()); // truncated ⇒ unknown, never "free"
@@ -1832,12 +1805,15 @@ mod tests {
             ]),
         );
         let p = invoke(c1, [Expr::c(0)]);
-        let seq = explore(&env, &p, &Options::default());
+        let seq = explore(&env, &p, &Options::default().with_lts());
         let rec = obs::Recorder::enabled();
         let par4 = explore(
             &env,
             &p,
-            &Options::default().with_threads(4).with_obs(rec.clone()),
+            &Options::default()
+                .with_lts()
+                .with_threads(4)
+                .with_obs(rec.clone()),
         );
         assert_eq!(seq.num_states(), par4.num_states());
         assert_eq!(seq.stats.transitions, par4.stats.transitions);

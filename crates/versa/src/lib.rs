@@ -10,21 +10,21 @@
 //! > the start state to the deadlocked state.
 //!
 //! The explorer builds the *prioritized* transition system of a ground ACSR
-//! term (see [`acsr::prio`]) breadth-first, interning states so each is
-//! expanded exactly once, and records a parent pointer per state so that any
-//! deadlock can be turned into a shortest counterexample [`Trace`]. States
-//! are hash-consed through an [`acsr::TermStore`] and successors are
-//! memoized per subterm (see [`acsr::StepSession`]). A deliberately plain
-//! sequential explorer over the bare step relation,
-//! [`reference::explore_reference`], is the executable specification the
-//! differential test suites hold every engine to.
-//!
-//! Beyond the sequential engine, [`explore()`](crate::explore::explore) offers **level-synchronous
-//! parallel frontier expansion** (successor computation fans out over scoped
-//! `std::thread` workers; interning stays sequential per level, so results —
-//! including traces — are bit-for-bit identical to the sequential engine).
-//! This addresses the paper's future-work note on "improving the state-space
-//! exploration efficiency of VERSA" (§7).
+//! term (see [`acsr::prio`]), interning states so each is expanded exactly
+//! once, and records a parent pointer per state so that any deadlock can be
+//! turned into a shortest counterexample [`Trace`]. States are hash-consed
+//! through an [`acsr::TermStore`] and successors are memoized per subterm
+//! (see [`acsr::StepSession`]). Verdict runs search a *zone graph*: forced
+//! runs of quanta collapse into weighted delay edges, walked in closed form
+//! once they grow long, so a long hyperperiod costs little more than its
+//! branch points (this addresses the paper's future-work note on
+//! "improving the state-space exploration efficiency of VERSA", §7). An LTS
+//! export ([`Options::collect_lts`]) takes a per-quantum breadth-first
+//! search instead, with level-synchronous parallel frontier expansion over
+//! scoped `std::thread` workers whose results are bit-for-bit identical to
+//! the sequential run. A deliberately plain sequential explorer over the
+//! bare step relation, [`reference::explore_reference`], is the executable
+//! specification the differential test suites hold both engines to.
 //!
 //! ```
 //! use acsr::prelude::*;
@@ -52,3 +52,4 @@ pub use explore::{explore, CancelToken, Exploration, Options, Stats, StateId};
 pub use lts::Lts;
 pub use trace::Trace;
 pub use walk::{random_walk, Walk};
+pub use zones::{LEARN_AFTER, LEARN_AFTER_VOLUME};

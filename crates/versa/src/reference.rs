@@ -8,16 +8,18 @@
 //! worker threads, no artifact store and no observability, and it honours
 //! only [`Options::max_states`] and [`Options::stop_at_first_deadlock`].
 //!
-//! It assigns ids exactly as the production engine does — frontier order,
-//! then successor order — so the differential suites hold the engines to it:
+//! It assigns ids exactly as the per-quantum engine does — frontier order,
+//! then successor order — so the differential suites hold both engines of
+//! [`explore`] to it:
 //!
-//! * concrete [`explore`] at any thread count must reproduce its state
-//!   table, deadlock set, transition and dedup counts and shortest trace
-//!   byte for byte (`tests/prop_interning.rs`, `tests/prop_parallel.rs`);
-//! * zone exploration must agree with it on the verdict, the deadlocked
-//!   terms, the shortest counterexample length, and must only ever take
-//!   steps of the relation it walks (`tests/prop_zones.rs`,
-//!   `tests/prop_advance.rs`).
+//! * the per-quantum LTS engine ([`Options::collect_lts`]) at any thread
+//!   count must reproduce its state table, deadlock set, transition and
+//!   dedup counts and shortest trace byte for byte
+//!   (`tests/prop_interning.rs`, `tests/prop_parallel.rs`);
+//! * the zone engine that answers every verdict run must agree with it on
+//!   the verdict, the deadlocked terms, the shortest counterexample length,
+//!   and must only ever take steps of the relation it walks
+//!   (`tests/prop_zones.rs`, `tests/prop_advance.rs`).
 //!
 //! [`explore`]: crate::explore::explore
 

@@ -1,32 +1,36 @@
-//! Delay-abstracted (zone-based) exploration.
+//! Delay-abstracted (zone-based) exploration: the verdict engine.
 //!
-//! The concrete engine ([`crate::explore`]) materializes one state per
-//! scheduling quantum, so the explored-state count of a periodic task model
-//! scales with the hyperperiod — the source paper's own scalability wall
-//! (§7). This module is the alternative frontier strategy behind
-//! [`Options::zones`]: whenever a state has exactly one prioritized
-//! successor, the whole *forced* chain — up to the next branch, deadlock,
-//! cycle or the edge cap — becomes a single weighted *delay edge* of the
-//! zone graph. Only branch points, deadlocks and run endpoints are
+//! A per-quantum explorer materializes one state per scheduling quantum, so
+//! the explored-state count of a periodic task model scales with the
+//! hyperperiod — the source paper's own scalability wall (§7). This module
+//! is the frontier strategy behind every [`crate::explore::explore`] call
+//! that does not ask for an LTS: whenever a state has exactly one
+//! prioritized successor, the whole *forced* chain — up to the next branch,
+//! deadlock, cycle or the edge cap — becomes a single weighted *delay edge*
+//! of the zone graph. Only branch points, deadlocks and run endpoints are
 //! materialized as states; everything strictly inside a run has out-degree
 //! exactly one, so it can neither deadlock nor offer behaviour the endpoint
 //! doesn't already dominate (DESIGN.md §17 spells the argument out).
 //!
-//! # Walking a forced run in closed form
+//! # Learning lazily
 //!
-//! Forced intervals are advanced through the per-shape derivative cache of
-//! [`acsr::advance`]: each state is factored into a structural *shape* plus
-//! a numeric *time vector*, the first visit to a shape derives (and
-//! verifies) how the vector moves per quantum, and every later visit jumps
-//! straight to the end of the interval in O(#parameters) — no per-quantum
-//! re-derivation at all (DESIGN.md §18). Non-linear shapes and unlearned
-//! boundaries fall back to concrete per-quantum steps, so the advance is a
-//! pure optimisation. ([`acsr::zone::forced_run`] keeps the per-quantum
-//! walk as the acsr-level reference.)
+//! Each frontier state is first classified with the plain memoized
+//! successor list: deadlocks and branch points never touch the shape
+//! machinery. A forced run is walked with plain unique steps. Once the
+//! exploration has walked [`LEARN_AFTER_VOLUME`] steps of runs longer than
+//! [`LEARN_AFTER`], a run still forced after [`LEARN_AFTER`] steps is
+//! handed to the closed-form runner ([`acsr::forced_run_closed`]), which
+//! factors each state into a structural *shape* plus a numeric *time
+//! vector*, learns (and verifies) how the vector moves per quantum, and
+//! jumps to the end of each interval in O(#parameters) (DESIGN.md §18).
+//! Small models and branching-heavy models therefore pay nothing for the
+//! closed form; long hyperperiods pay for it once per shape. Both walks end
+//! a run at the same place, so the zone graph does not depend on where the
+//! handoff happens.
 //!
-//! A delay edge therefore stores a list of *segments*: concretely replayed
-//! unit steps, and closed-form spans that keep only their derivative and
-//! length and re-materialize interior states syntactically on demand.
+//! A delay edge stores a list of *segments*: concretely walked unit steps,
+//! and closed-form spans that keep only their derivative and length and
+//! re-materialize interior states syntactically on demand.
 //!
 //! # Shortest traces under weighted edges
 //!
@@ -37,25 +41,27 @@
 //! parent pointer, edge and depth are updated while the state is still
 //! unexpanded, and stale queue entries are skipped on pop. Buckets are
 //! processed in depth order, so the first deadlock expanded has minimal
-//! concrete depth — exactly the concrete engine's shortest-counterexample
-//! guarantee, which `tests/prop_zones.rs` and `tests/prop_advance.rs` pin
-//! against [`crate::reference`] over random task fleets.
+//! concrete depth — exactly the per-quantum explorer's
+//! shortest-counterexample guarantee, which `tests/prop_zones.rs` and
+//! `tests/prop_advance.rs` pin against [`crate::reference`] over random task
+//! fleets.
 //!
 //! # Identical results, fewer states, less work
 //!
 //! Verdicts, shortest-trace lengths and (for exhaustive runs) deadlock
-//! counts are identical to the concrete engine: every zone edge *is* a concrete step sequence (closed-form spans are
-//! verified against the step relation when their derivative is learned, and
-//! re-checked at the span ends on every use), and every deadlock state is
-//! necessarily materialized (a deadlock has out-degree 0, an interior state
-//! out-degree 1). [`Exploration::trace_to`] re-expands delay edges into the
-//! same concrete timeline `diagnose` would get from the concrete engine.
-//! [`Stats`] describes the zone graph (materialized states, delay edges,
-//! buckets); the compression is reported through the `zone.delay_steps` /
-//! `zone.quanta_collapsed` / `zone.singleton_steps` counters, and the
-//! closed-form cache through `zone.closed_form_advances` /
-//! `zone.replay_fallbacks` / `zone.shapes_derived` and the
-//! `zone.shape_cache` gauge.
+//! counts are identical to a per-quantum search: every zone edge *is* a
+//! concrete step sequence (closed-form spans are verified against the step
+//! relation when their derivative is learned, and re-checked at the span
+//! ends on every use), and every deadlock state is necessarily materialized
+//! (a deadlock has out-degree 0, an interior state out-degree 1).
+//! [`Exploration::trace_to`] re-expands delay edges into the concrete
+//! timeline `diagnose` needs. [`Stats`] describes the zone graph
+//! (materialized states, delay edges, buckets); the compression is reported
+//! through the `zone.delay_steps` / `zone.quanta_collapsed` /
+//! `zone.singleton_steps` counters, the handoffs through
+//! `zone.learned_runs`, and the closed-form cache through
+//! `zone.closed_form_advances` / `zone.replay_fallbacks` /
+//! `zone.shapes_derived` and the `zone.shape_cache` gauge.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -63,11 +69,26 @@ use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
 
 use acsr::{
-    forced_run_closed, skeleton, AdvanceCache, Env, Interned, Label, MemoConfig, RunEnd,
-    RunOutcome, RunSeg, StepSession, TermId, TermStore, P,
+    forced_run, forced_run_closed, skeleton, AdvanceCache, Env, Interned, Label, MemoConfig,
+    RunEnd, RunOutcome, RunSeg, StepSession, TermId, TermStore, P,
 };
 
 use crate::explore::{CancelToken, Exploration, Options, StateId, Stats, ZoneEnd, ZoneSeg};
+
+/// Forced steps walked concretely before a run is handed to the closed-form
+/// runner. Shorter runs never factor a state into its shape; longer runs
+/// intern only this prefix (EXPERIMENTS.md Q15 measures 2, 4 and 8).
+pub const LEARN_AFTER: u64 = 4;
+
+/// Steps of runs longer than [`LEARN_AFTER`] that an exploration walks
+/// before any run is handed to the closed-form runner. Learning a shape
+/// costs several times a concrete step and pays off only over many
+/// revisits of long runs, which an exploration made of branch points and
+/// short runs never makes: below this volume every run is walked
+/// concretely. Counted at the deterministic merge and fixed for a whole
+/// bucket, so the handoff never depends on the worker count. Measured in
+/// EXPERIMENTS.md Q15.
+pub const LEARN_AFTER_VOLUME: u64 = 4096;
 
 /// The pure, per-state result a worker computes during bucket expansion.
 /// Workers never touch the visited set or the queue; the deterministic
@@ -79,25 +100,69 @@ enum Expansion {
     /// Exactly one prioritized successor: the maximal forced chain,
     /// `steps` concrete steps across the segments. The final segment's end
     /// is always materialized (it becomes the edge's target state).
-    Forced { segs: Vec<RunSeg>, steps: u64 },
+    /// `learned` says the run outgrew [`LEARN_AFTER`] and its tail came
+    /// from the closed-form runner.
+    Forced {
+        segs: Vec<RunSeg>,
+        steps: u64,
+        learned: bool,
+    },
     /// Two or more prioritized successors: ordinary weight-1 edges.
     Branch(Vec<(Label, Interned)>),
 }
 
-/// The vector-domain runner ([`acsr::runner`]) walks the whole chain as
-/// (shape, vector) pairs — spans and learned unit macros advance
-/// arithmetically, everything else derives concretely — and materializes
-/// only the run endpoint.
+/// Classify `t` and, when it is forced, walk its run: [`acsr::forced_run`]
+/// first and, when `learn` is set, the closed-form runner for whatever
+/// remains past [`LEARN_AFTER`] steps.
 fn expand_state(
     session: &StepSession<'_>,
     cache: &AdvanceCache,
     t: &Interned,
     cap: u64,
+    learn: bool,
 ) -> Expansion {
-    match forced_run_closed(session, cache, t, cap) {
-        RunOutcome::Deadlock => Expansion::Deadlock,
-        RunOutcome::Branch(succs) => Expansion::Branch(succs),
-        RunOutcome::Run { segs, steps } => Expansion::Forced { segs, steps },
+    let succs = session.prioritized_steps(t);
+    if succs.len() != 1 {
+        return if succs.is_empty() {
+            Expansion::Deadlock
+        } else {
+            Expansion::Branch(succs)
+        };
+    }
+    let prefix_cap = if learn { cap.min(LEARN_AFTER) } else { cap };
+    let run = forced_run(session, t, prefix_cap as usize).expect("t has exactly one successor");
+    let end = run.endpoint().clone();
+    let mut steps = run.len() as u64;
+    // The states the prefix left, which seed the closed-form runner's cycle
+    // guard so that it ends the run where a concrete walk would.
+    let walked: Vec<TermId> = std::iter::once(t.id())
+        .chain(run.steps[..run.len() - 1].iter().map(|(_, s)| s.id()))
+        .collect();
+    let mut segs: Vec<RunSeg> = run
+        .steps
+        .into_iter()
+        .map(|(label, s)| RunSeg::Unit(label, s))
+        .collect();
+    let mut learned = false;
+    if steps == prefix_cap
+        && steps < cap
+        && !walked.contains(&end.id())
+        && session.prioritized_steps(&end).len() == 1
+    {
+        if let RunOutcome::Run {
+            segs: rest,
+            steps: n,
+        } = forced_run_closed(session, cache, &end, &walked, cap - steps)
+        {
+            learned = true;
+            segs.extend(rest);
+            steps += n;
+        }
+    }
+    Expansion::Forced {
+        segs,
+        steps,
+        learned,
     }
 }
 
@@ -121,6 +186,7 @@ fn expand_chunk(
     states: &[Interned],
     ids: &[StateId],
     cap: u64,
+    learn: bool,
     cancel: &CancelToken,
 ) -> Vec<Expansion> {
     let mut out = Vec::with_capacity(ids.len());
@@ -128,7 +194,13 @@ fn expand_chunk(
         if cancel.is_cancelled() {
             break;
         }
-        out.push(expand_state(session, cache, &states[id.index()], cap));
+        out.push(expand_state(
+            session,
+            cache,
+            &states[id.index()],
+            cap,
+            learn,
+        ));
     }
     out
 }
@@ -141,10 +213,14 @@ struct ZoneGraph {
     /// Expanded states are settled: their depth is final.
     expanded: Vec<bool>,
     parents: Vec<Option<(StateId, Label)>>,
-    /// Segments of the delay edge into each state (`None` for unit edges —
-    /// exactly the concrete engine's representation).
+    /// Segments of the delay edge into each state (`None` for unit edges,
+    /// which the parent pointer alone describes).
     edges: Vec<Option<Vec<RunSeg>>>,
     visited: HashMap<TermId, StateId>,
+    /// Unexpanded states by concrete depth (stale entries are skipped).
+    queue: BTreeMap<u64, Vec<StateId>>,
+    /// State budget: the id ceiling or `max_states`, whichever is lower.
+    limit: usize,
 }
 
 enum EdgeOutcome {
@@ -153,7 +229,7 @@ enum EdgeOutcome {
 }
 
 impl ZoneGraph {
-    fn new(root: Interned) -> ZoneGraph {
+    fn new(root: Interned, limit: usize) -> ZoneGraph {
         let mut visited = HashMap::new();
         visited.insert(root.id(), StateId(0));
         ZoneGraph {
@@ -163,30 +239,24 @@ impl ZoneGraph {
             parents: vec![None],
             edges: vec![None],
             visited,
+            queue: BTreeMap::from([(0, vec![StateId(0)])]),
+            limit,
         }
     }
 
-    /// Record one delay edge (total weight 1 is an ordinary unit edge) out
-    /// of `from`, relaxing the target's depth Dijkstra-style.
+    /// Record one edge into `target` (a delay edge when `timeline` holds its
+    /// segments, an ordinary unit edge otherwise) out of `from`, relaxing
+    /// the target's depth Dijkstra-style.
     fn record_edge(
         &mut self,
         from: StateId,
-        segs: Vec<RunSeg>,
-        queue: &mut BTreeMap<u64, Vec<StateId>>,
+        label: Label,
+        target: Interned,
+        weight: u64,
+        timeline: Option<Vec<RunSeg>>,
         stats: &mut Stats,
-        id_limit: usize,
-        max_states: usize,
     ) -> EdgeOutcome {
-        let last = segs.last().expect("edges are non-empty");
-        let last_label = last.label().clone();
-        let target = last
-            .end()
-            .interned()
-            .cloned()
-            .expect("the final segment of an edge is always materialized");
-        let weight: u64 = segs.iter().map(RunSeg::weight).sum();
         let depth = self.depths[from.index()] + weight;
-        let timeline = if weight >= 2 { Some(segs) } else { None };
         stats.transitions += 1;
         match self.visited.entry(target.id()) {
             Entry::Occupied(e) => {
@@ -198,14 +268,14 @@ impl ZoneGraph {
                 // earlier bucket can ever improve.
                 if !self.expanded[sid.index()] && depth < self.depths[sid.index()] {
                     self.depths[sid.index()] = depth;
-                    self.parents[sid.index()] = Some((from, last_label));
+                    self.parents[sid.index()] = Some((from, label));
                     self.edges[sid.index()] = timeline;
-                    queue.entry(depth).or_default().push(sid);
+                    self.queue.entry(depth).or_default().push(sid);
                 }
                 EdgeOutcome::Recorded
             }
             Entry::Vacant(v) => {
-                if self.states.len() >= id_limit || self.states.len() >= max_states {
+                if self.states.len() >= self.limit {
                     return EdgeOutcome::Truncated;
                 }
                 let sid = StateId(self.states.len() as u32);
@@ -213,17 +283,17 @@ impl ZoneGraph {
                 self.states.push(target);
                 self.depths.push(depth);
                 self.expanded.push(false);
-                self.parents.push(Some((from, last_label)));
+                self.parents.push(Some((from, label)));
                 self.edges.push(timeline);
-                queue.entry(depth).or_default().push(sid);
+                self.queue.entry(depth).or_default().push(sid);
                 EdgeOutcome::Recorded
             }
         }
     }
 }
 
-/// The zone-mode engine behind [`crate::explore::explore`] (dispatched to
-/// when [`Options::zones`] is set and no LTS is requested).
+/// The engine behind [`crate::explore::explore`] whenever no LTS is
+/// requested.
 pub(crate) fn explore_zones(
     env: &Env,
     initial: &P,
@@ -238,10 +308,11 @@ pub(crate) fn explore_zones(
     // several chained edges, so the value never changes verdicts.
     let cap = opts.zone_cap.max(1) as u64;
 
-    // Cross-run artifact store, exactly as in the concrete engine — the key
-    // commits to the zones flag (and, in zone mode, the cap), so distinct
-    // configurations can never answer each other's
-    // queries even though replayed artifacts would agree.
+    // Cross-run artifact store: consult before exploring. A hit replays the
+    // recorded verdict (and trace skeleton) instead of searching; anything
+    // short of a byte-perfect, semantics-matching artifact counts an
+    // invalidation and falls through to the full exploration below, which
+    // then overwrites the entry.
     let cas_key = crate::cache::key_for(env, initial, opts, id_limit);
     if let (Some(key), Some(artifacts)) = (&cas_key, &opts.cas) {
         match artifacts.get(key) {
@@ -262,7 +333,6 @@ pub(crate) fn explore_zones(
     }
 
     let run_span = opts.obs.span("explore");
-    run_span.set("zones", 1);
     let dedup_counter = opts.obs.counter("explore.dedup_hits");
     let states_gauge = opts.obs.gauge("explore.states");
     let threads = opts.threads.max(1);
@@ -281,12 +351,13 @@ pub(crate) fn explore_zones(
     let mut delay_steps = 0u64;
     let mut quanta_collapsed = 0u64;
     let mut singleton_steps = 0u64;
+    let mut learned_runs = 0u64;
+    // Steps of long runs merged so far: the volume that switches learning on.
+    let mut long_run_steps = 0u64;
 
-    let mut g = ZoneGraph::new(session.intern(initial));
-    let mut queue: BTreeMap<u64, Vec<StateId>> = BTreeMap::new();
-    queue.insert(0, vec![StateId(0)]);
+    let mut g = ZoneGraph::new(session.intern(initial), id_limit.min(opts.max_states));
 
-    'search: while let Some((depth, bucket)) = queue.pop_first() {
+    'search: while let Some((depth, bucket)) = g.queue.pop_first() {
         if opts.cancel.is_cancelled() {
             cancelled = true;
             break;
@@ -306,6 +377,7 @@ pub(crate) fn explore_zones(
         stats.levels += 1;
         stats.peak_frontier = stats.peak_frontier.max(frontier.len());
         let level_span = run_span.child("explore.level");
+        let learn = long_run_steps >= LEARN_AFTER_VOLUME;
 
         // Phase 1 — expansion. Per-state work is pure (successor lists and
         // forced runs from the shared memoized session; the advance cache
@@ -324,7 +396,7 @@ pub(crate) fn explore_zones(
                     let cache = &advance_cache;
                     let cancel = &opts.cancel;
                     s.spawn(move || {
-                        let out = expand_chunk(session, cache, states, ids, cap, cancel);
+                        let out = expand_chunk(session, cache, states, ids, cap, learn, cancel);
                         let mut guard = match collected.try_lock() {
                             Ok(guard) => guard,
                             Err(TryLockError::WouldBlock) => {
@@ -346,6 +418,7 @@ pub(crate) fn explore_zones(
                 &g.states,
                 &frontier,
                 cap,
+                learn,
                 &opts.cancel,
             )
         };
@@ -368,27 +441,40 @@ pub(crate) fn explore_zones(
                     stats.deadlocks += 1;
                     if opts.stop_at_first_deadlock {
                         level_span.set("level", stats.levels as i64);
-                        level_span
-                            .set("transitions", (stats.transitions - before_transitions) as i64);
+                        level_span.set(
+                            "transitions",
+                            (stats.transitions - before_transitions) as i64,
+                        );
                         level_span.end();
                         break 'search;
                     }
                 }
-                Expansion::Forced { segs, steps } => {
+                Expansion::Forced {
+                    segs,
+                    steps,
+                    learned,
+                } => {
                     if steps >= 2 {
                         delay_steps += 1;
                         quanta_collapsed += steps - 1;
                     } else {
                         singleton_steps += 1;
                     }
-                    if let EdgeOutcome::Truncated = g.record_edge(
-                        *id,
-                        segs,
-                        &mut queue,
-                        &mut stats,
-                        id_limit,
-                        opts.max_states,
-                    ) {
+                    learned_runs += u64::from(learned);
+                    if steps > LEARN_AFTER {
+                        long_run_steps += steps;
+                    }
+                    let last = segs.last().expect("forced runs are never empty");
+                    let label = last.label().clone();
+                    let target = last
+                        .end()
+                        .interned()
+                        .cloned()
+                        .expect("the final segment of a run is always materialized");
+                    let timeline = (steps >= 2).then_some(segs);
+                    if let EdgeOutcome::Truncated =
+                        g.record_edge(*id, label, target, steps, timeline, &mut stats)
+                    {
                         truncated = true;
                         level_span.end();
                         break 'search;
@@ -397,14 +483,9 @@ pub(crate) fn explore_zones(
                 Expansion::Branch(succs) => {
                     singleton_steps += 1;
                     for (label, target) in succs {
-                        if let EdgeOutcome::Truncated = g.record_edge(
-                            *id,
-                            vec![RunSeg::Unit(label, target)],
-                            &mut queue,
-                            &mut stats,
-                            id_limit,
-                            opts.max_states,
-                        ) {
+                        if let EdgeOutcome::Truncated =
+                            g.record_edge(*id, label, target, 1, None, &mut stats)
+                        {
                             truncated = true;
                             level_span.end();
                             break 'search;
@@ -416,14 +497,17 @@ pub(crate) fn explore_zones(
         level_span.set("level", stats.levels as i64);
         level_span.set("frontier", frontier.len() as i64);
         level_span.set("discovered", (g.states.len() - before_states) as i64);
-        level_span.set("transitions", (stats.transitions - before_transitions) as i64);
+        level_span.set(
+            "transitions",
+            (stats.transitions - before_transitions) as i64,
+        );
         level_span.set("states_total", g.states.len() as i64);
         level_span.end();
         states_gauge.set(g.states.len() as i64);
         opts.obs.progress(
             g.states.len() as u64,
             stats.levels as u64,
-            queue.values().map(Vec::len).sum::<usize>() as u64,
+            g.queue.values().map(Vec::len).sum::<usize>() as u64,
         );
     }
 
@@ -445,8 +529,13 @@ pub(crate) fn explore_zones(
     }
     dedup_counter.add(stats.dedup_hits as u64);
     opts.obs.counter("zone.delay_steps").add(delay_steps);
-    opts.obs.counter("zone.quanta_collapsed").add(quanta_collapsed);
-    opts.obs.counter("zone.singleton_steps").add(singleton_steps);
+    opts.obs
+        .counter("zone.quanta_collapsed")
+        .add(quanta_collapsed);
+    opts.obs
+        .counter("zone.singleton_steps")
+        .add(singleton_steps);
+    opts.obs.counter("zone.learned_runs").add(learned_runs);
     let a = advance_cache.stats();
     opts.obs
         .counter("zone.closed_form_advances")
@@ -454,7 +543,9 @@ pub(crate) fn explore_zones(
     opts.obs
         .counter("zone.replay_fallbacks")
         .add(a.replay_fallbacks);
-    opts.obs.counter("zone.shapes_derived").add(a.shapes_derived);
+    opts.obs
+        .counter("zone.shapes_derived")
+        .add(a.shapes_derived);
     opts.obs.gauge("zone.shape_cache").set(a.shape_cache as i64);
     opts.obs.counter("step.memo_hits").add(stats.memo_hits);
     opts.obs.counter("step.memo_misses").add(stats.memo_misses);
@@ -466,12 +557,14 @@ pub(crate) fn explore_zones(
         .set(stats.unique_subterms as i64);
     run_span.end();
 
-    // Deposit for the next process. The artifact layout is shared with the
-    // concrete engine and records a *per-quantum* deadlock skeleton, so the
-    // first-deadlock zone path is re-expanded into its concrete chain here
-    // (`cache::encode` indexes each step in prioritized-successor order —
-    // a notion that only exists quantum by quantum). Closed-form spans are
-    // materialized syntactically, the same way `trace_to` does it.
+    // Deposit for the next process. Cancelled runs are partial (no verdict)
+    // and deposit nothing; a failed encode or write degrades to "no cache",
+    // never to an error. The artifact records a *per-quantum* deadlock
+    // skeleton, so the first-deadlock zone path is re-expanded into its
+    // concrete chain here (`cache::encode` indexes each step in
+    // prioritized-successor order — a notion that only exists quantum by
+    // quantum). Closed-form spans are materialized syntactically, the same
+    // way `trace_to` does it.
     if let (Some(key), Some(artifacts)) = (&cas_key, &opts.cas) {
         if !cancelled {
             let (chain_states, chain_parents, chain_deadlocks) = match deadlocks.first() {
@@ -531,11 +624,8 @@ pub(crate) fn explore_zones(
                                 }
                             }
                             None => {
-                                let label = g.parents[to.index()]
-                                    .as_ref()
-                                    .expect("on path")
-                                    .1
-                                    .clone();
+                                let label =
+                                    g.parents[to.index()].as_ref().expect("on path").1.clone();
                                 let prev = StateId((cs.len() - 1) as u32);
                                 cp.push(Some((prev, label)));
                                 cs.push(g.states[to.index()].clone());
@@ -604,8 +694,12 @@ pub(crate) fn explore_zones(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use super::{expand_state, Expansion, LEARN_AFTER};
     use crate::explore::{explore, Options, StateId};
     use acsr::prelude::*;
+    use acsr::{AdvanceCache, MemoConfig, StepSession, TermStore};
 
     fn cpu() -> Res {
         Res::new("cpu")
@@ -624,8 +718,8 @@ mod tests {
     fn long_forced_chain_collapses_to_two_states() {
         let env = Env::new();
         let p = chain(100);
-        let concrete = explore(&env, &p, &Options::default());
-        let zoned = explore(&env, &p, &Options::default().with_zones(true));
+        let concrete = explore(&env, &p, &Options::default().with_lts());
+        let zoned = explore(&env, &p, &Options::default());
         assert_eq!(concrete.num_states(), 101);
         assert_eq!(zoned.num_states(), 2); // entry + the deadlocked endpoint
         assert_eq!(zoned.deadlocks.len(), 1);
@@ -643,54 +737,37 @@ mod tests {
     }
 
     #[test]
-    fn closed_mode_emits_the_advance_cache_counters() {
+    fn runs_past_learn_after_are_handed_off_only_when_learning_is_on() {
         let env = Env::new();
-        // Same shape twice at different vectors: one derivation, then a
-        // closed-form advance; the chain end is always a replay fallback.
-        let p = choice([
-            act([(Res::new("bus"), 1)], chain(30)),
-            act([(cpu(), 1)], chain(20)),
-        ]);
-        let rec = obs::Recorder::enabled();
-        let _ = explore(
-            &env,
-            &p,
-            &Options::default().with_zones(true).with_obs(rec.clone()),
-        );
-        let run = rec.finish();
-        let counter = |name: &str| {
-            run.counters
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
-        assert!(counter("zone.closed_form_advances") >= 1);
-        assert!(counter("zone.replay_fallbacks") >= 1);
-        assert!(counter("zone.shapes_derived") >= 1);
-        let gauge = run
-            .gauges
-            .iter()
-            .find(|(k, _, _)| k == "zone.shape_cache")
-            .map(|(_, v, _)| *v)
-            .unwrap_or(0);
-        assert!(gauge >= 1);
+        let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+        let t = LEARN_AFTER as usize;
+        for n in [t - 1, t, t + 1, 50 * t] {
+            for learn in [false, true] {
+                let entry = session.intern(&chain(n));
+                let cache = AdvanceCache::new();
+                let Expansion::Forced {
+                    segs,
+                    steps,
+                    learned,
+                } = expand_state(&session, &cache, &entry, 4096, learn)
+                else {
+                    panic!("a chain is forced");
+                };
+                assert_eq!(steps, n as u64, "n={n} learn={learn}");
+                assert_eq!(learned, learn && n > t, "n={n} learn={learn}");
+                let end = segs.last().unwrap().end().interned().cloned().unwrap();
+                assert!(matches!(&**end.term(), Proc::Nil), "n={n} learn={learn}");
+            }
+        }
     }
 
     #[test]
     fn zone_cap_changes_never_change_verdicts() {
         let env = Env::new();
-        let p = choice([
-            chain(3),
-            act([(Res::new("bus"), 1)], chain(7)),
-        ]);
-        let baseline = explore(&env, &p, &Options::default().with_zones(true));
+        let p = choice([chain(3), act([(Res::new("bus"), 1)], chain(7))]);
+        let baseline = explore(&env, &p, &Options::default());
         for cap in [1usize, 2, 3, 7] {
-            let capped = explore(
-                &env,
-                &p,
-                &Options::default().with_zones(true).with_zone_cap(cap),
-            );
+            let capped = explore(&env, &p, &Options::default().with_zone_cap(cap));
             assert_eq!(capped.deadlock_free(), baseline.deadlock_free());
             assert_eq!(capped.deadlocks.len(), baseline.deadlocks.len());
             assert_eq!(
@@ -718,7 +795,7 @@ mod tests {
                 detour
             }),
         ]);
-        let zoned = explore(&env, &p, &Options::default().with_zones(true));
+        let zoned = explore(&env, &p, &Options::default());
         assert_eq!(zoned.first_deadlock_trace().unwrap().len(), 6);
     }
 
@@ -734,12 +811,8 @@ mod tests {
         let d = env.declare("Root", 0);
         env.set_body(d, p);
         let p = invoke(d, []);
-        let base = explore(&env, &p, &Options::default().with_zones(true));
-        let par4 = explore(
-            &env,
-            &p,
-            &Options::default().with_zones(true).with_threads(4),
-        );
+        let base = explore(&env, &p, &Options::default());
+        let par4 = explore(&env, &p, &Options::default().with_threads(4));
         assert_eq!(base.num_states(), par4.num_states());
         assert_eq!(base.deadlocks, par4.deadlocks);
         assert_eq!(base.stats.transitions, par4.stats.transitions);
@@ -758,11 +831,7 @@ mod tests {
         let env = Env::new();
         let p = chain(50);
         let rec = obs::Recorder::enabled();
-        let ex = explore(
-            &env,
-            &p,
-            &Options::default().with_zones(true).with_obs(rec.clone()),
-        );
+        let ex = explore(&env, &p, &Options::default().with_obs(rec.clone()));
         assert_eq!(ex.num_states(), 2);
         let run = rec.finish();
         let counter = |name: &str| {
@@ -788,15 +857,14 @@ mod tests {
             d,
             choice([
                 act([(cpu(), 1)], invoke(d, [Expr::p(0).add(Expr::c(1))])),
-                act([(Res::new("bus"), 1)], invoke(d, [Expr::p(0).add(Expr::c(2))])),
+                act(
+                    [(Res::new("bus"), 1)],
+                    invoke(d, [Expr::p(0).add(Expr::c(2))]),
+                ),
             ]),
         );
         let p = invoke(d, [Expr::c(0)]);
-        let ex = explore(
-            &env,
-            &p,
-            &Options::default().with_zones(true).with_max_states(40),
-        );
+        let ex = explore(&env, &p, &Options::default().with_max_states(40));
         assert!(ex.truncated);
         assert!(!ex.deadlock_free());
     }
@@ -808,33 +876,24 @@ mod tests {
         env.set_body(d, act([] as [(Res, i32); 0], invoke(d, [])));
         let token = crate::explore::CancelToken::new();
         token.cancel();
-        let ex = explore(
-            &env,
-            &invoke(d, []),
-            &Options::default().with_zones(true).with_cancel(token),
-        );
+        let ex = explore(&env, &invoke(d, []), &Options::default().with_cancel(token));
         assert!(ex.cancelled);
         assert!(!ex.deadlock_free());
     }
 
     #[test]
-    fn collect_lts_falls_back_to_the_concrete_engine() {
+    fn collect_lts_runs_the_per_quantum_engine() {
         let env = Env::new();
         let p = chain(10);
-        let opts = Options {
-            collect_lts: true,
-            zones: true,
-            ..Options::default()
-        };
-        let ex = explore(&env, &p, &opts);
-        // The concrete engine ran: all 11 states materialized, LTS present.
+        let ex = explore(&env, &p, &Options::default().with_lts());
+        // The per-quantum engine ran: all 11 states materialized, LTS present.
         assert_eq!(ex.num_states(), 11);
         let lts = ex.lts.as_ref().unwrap();
         assert_eq!(lts.transitions.len(), 11);
     }
 
     #[test]
-    fn zone_artifacts_round_trip_through_the_store_and_never_cross_modes() {
+    fn zone_artifacts_round_trip_through_the_store_and_never_cross_caps() {
         let env = Env::new();
         let p = chain(20);
         let dir = std::env::temp_dir().join(format!(
@@ -844,32 +903,48 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let store = std::sync::Arc::new(cas::CasStore::open(&dir, cas::Mode::ReadWrite).unwrap());
-        let zopts = Options::default().with_zones(true).with_cas(store.clone());
+        let zopts = Options::default().with_cas(store.clone());
         let rec1 = obs::Recorder::enabled();
         let cold = explore(&env, &p, &zopts.clone().with_obs(rec1.clone()));
         let cold_counters = rec1.finish().counters;
-        assert!(cold_counters.iter().any(|(k, v)| k == "cas.writes" && *v == 1));
+        assert!(cold_counters
+            .iter()
+            .any(|(k, v)| k == "cas.writes" && *v == 1));
         let rec2 = obs::Recorder::enabled();
         let warm = explore(&env, &p, &zopts.clone().with_obs(rec2.clone()));
         let warm_counters = rec2.finish().counters;
-        assert!(warm_counters.iter().any(|(k, v)| k == "cas.hits" && *v == 1));
+        assert!(warm_counters
+            .iter()
+            .any(|(k, v)| k == "cas.hits" && *v == 1));
         assert_eq!(cold.deadlock_free(), warm.deadlock_free());
         assert_eq!(
             cold.first_deadlock_trace().map(|t| t.len()),
             warm.first_deadlock_trace().map(|t| t.len())
         );
         assert_eq!(cold.stats.states, warm.stats.states);
-        // A concrete run over the same model must MISS: the key commits to
-        // the zones flag (a zone artifact's stats describe the zone graph).
+        // Another edge cap must MISS: the key commits to the cap (an
+        // artifact's stats describe its own zone graph).
         let rec3 = obs::Recorder::enabled();
-        let concrete = explore(
-            &env,
-            &p,
-            &Options::default().with_cas(store).with_obs(rec3.clone()),
-        );
+        let capped = explore(&env, &p, &zopts.with_zone_cap(7).with_obs(rec3.clone()));
         let c = rec3.finish().counters;
         assert!(c.iter().any(|(k, v)| k == "cas.misses" && *v == 1));
-        assert_eq!(concrete.num_states(), 21);
+        assert_eq!(capped.num_states(), 4);
+        // An LTS run never consults the store.
+        let rec4 = obs::Recorder::enabled();
+        let per_quantum = explore(
+            &env,
+            &p,
+            &Options::default()
+                .with_lts()
+                .with_cas(store)
+                .with_obs(rec4.clone()),
+        );
+        assert!(rec4
+            .finish()
+            .counters
+            .iter()
+            .all(|(k, _)| !k.starts_with("cas.")));
+        assert_eq!(per_quantum.num_states(), 21);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -18,27 +18,27 @@
 //!   --exhaustive      explore the full state space (default: stop at the
 //!                     first deadlock)
 //!   --threads <n>     parallel frontier expansion with n workers
-//!   --max-states <n>  state budget (verdict becomes "unknown" if exceeded)
-//!   --zones           delay-zone exploration: collapse forced runs of
-//!                     quanta into single bulk steps (identical verdicts
-//!                     and traces, far fewer materialized states on models
-//!                     with long uncontended stretches; ignored with --dot,
-//!                     which needs the concrete per-quantum LTS — a warning
-//!                     is printed on stderr when both are given)
-//!   --zone-cap <n>    per-edge step cap in zone mode (default 4096; longer
-//!                     forced runs chain several edges, so the value never
-//!                     changes verdicts, only edge granularity)
+//!   --max-states <n>  state budget (verdict becomes "unknown" if exceeded);
+//!                     it counts zone-graph states (branch points,
+//!                     deadlocks, run endpoints), not quanta — or every
+//!                     quantum under --dot
 //!   --store <s>       persistent cross-run artifact store: a directory to
 //!                     consult before exploring and deposit verdicts into
 //!                     after, `readonly:<dir>` to consult without writing,
 //!                     or `off` (the default — no store is touched)
 //!   --tree            print the instance tree with bindings and timing
 //!   --acsr            print the generated ACSR process definitions
-//!   --dot <file>      write the explored LTS as Graphviz dot
+//!   --dot <file>      write the explored LTS as Graphviz dot (the verdict
+//!                     then comes from the per-quantum search that builds
+//!                     it, not from the delay-zone graph)
 //!   --metrics <file>  write a schema-versioned JSON run report
 //!   --trace-events <file>  write the span/event stream as JSON lines
 //!   --progress        emit rate-limited exploration progress on stderr
 //! ```
+//!
+//! The verdict search collapses forced runs of quanta into delay edges (see
+//! `versa`'s zone engine), so the `exploration:` line counts zone-graph
+//! states; verdicts and counterexample timelines equal a per-quantum search.
 //!
 //! Exit codes: 0 schedulable, 1 not schedulable, 2 usage/input error,
 //! 3 unknown (state budget exhausted before a verdict).
@@ -67,8 +67,6 @@ struct Args {
     exhaustive: bool,
     threads: usize,
     max_states: Option<usize>,
-    zones: bool,
-    zone_cap: Option<usize>,
     store: Option<String>,
     print_acsr: bool,
     print_tree: bool,
@@ -83,7 +81,6 @@ fn usage() -> ExitCode {
         "usage: aadlsched <model.aadl> [RootSystem.impl] \
          [--quantum <ms>] [--protocol <none|pip|pcp>] [--compact] \
          [--exhaustive] [--threads <n>] [--max-states <n>] \
-         [--zones] [--zone-cap <n>] \
          [--store <dir|readonly:dir|off>] \
          [--tree] [--acsr] [--dot <file>] \
          [--metrics <file>] [--trace-events <file>] [--progress]\n\
@@ -109,8 +106,6 @@ fn parse_args() -> Result<Args, String> {
         exhaustive: false,
         threads: 1,
         max_states: None,
-        zones: false,
-        zone_cap: None,
         store: None,
         print_acsr: false,
         print_tree: false,
@@ -151,18 +146,6 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|e| format!("--max-states: {e}"))?,
                 )
-            }
-            "--zones" => args.zones = true,
-            "--zone-cap" => {
-                let cap: usize = raw
-                    .next()
-                    .ok_or("--zone-cap needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--zone-cap: {e}"))?;
-                if cap == 0 {
-                    return Err("--zone-cap must be at least 1".into());
-                }
-                args.zone_cap = Some(cap);
             }
             "--store" => {
                 args.store = Some(raw.next().ok_or("--store needs <dir|readonly:dir|off>")?)
@@ -326,17 +309,9 @@ fn main() -> ExitCode {
     if let Some(max) = args.max_states {
         aopts.explore.max_states = max;
     }
-    aopts.explore.zones = args.zones;
-    if let Some(cap) = args.zone_cap {
-        aopts.explore.zone_cap = cap;
-    }
+    // The dot export needs the per-quantum LTS, so `--dot` runs take the
+    // per-quantum search for the verdict as well.
     aopts.explore.collect_lts = args.dot.is_some();
-    if args.zones && args.dot.is_some() {
-        eprintln!(
-            "warning: --dot needs the concrete per-quantum LTS, so --zones is \
-             ignored for this run; drop --dot to explore with delay zones"
-        );
-    }
     aopts.explore.obs = rec.clone();
     // The persistent artifact store. Off by default, so every store-less
     // invocation (including the fake-clock snapshot tests) is byte-identical
@@ -400,9 +375,8 @@ fn main() -> ExitCode {
             // option string — never the wall clock, so identical invocations
             // produce identical ids.
             let canon_opts = format!(
-                "root={root};quantum_ms={:?};compact={};exhaustive={};threads={};max_states={:?};zones={};zone_cap={}",
-                args.quantum_ms, args.compact, args.exhaustive, args.threads,
-                args.max_states, args.zones, aopts.explore.zone_cap
+                "root={root};quantum_ms={:?};compact={};exhaustive={};threads={};max_states={:?}",
+                args.quantum_ms, args.compact, args.exhaustive, args.threads, args.max_states
             );
             let run_id = obs::run_id(&[source.as_bytes(), canon_opts.as_bytes()]);
             let mut report = obs::Report::new(&run_id, "aadlsched");

@@ -230,16 +230,16 @@ fn exit_codes_cover_all_outcomes() {
         Some(1)
     );
     assert_eq!(aadlsched(&["/nonexistent/nope.aadl"]).status.code(), Some(2));
-    let out = aadlsched(&[ok.to_str().unwrap(), "Top.impl", "--max-states", "3"]);
+    // The model's zone graph has two states, so a one-state budget runs out.
+    let out = aadlsched(&[ok.to_str().unwrap(), "Top.impl", "--max-states", "1"]);
     assert_eq!(out.status.code(), Some(3), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("VERDICT: unknown"));
 }
 
 #[test]
 fn thread_count_never_changes_the_outcome() {
-    // The worker count (and with it the visited-set shard count, always
-    // `threads.next_power_of_two()`) is a concurrency knob: any value must
-    // yield the same verdict and the same exploration statistics line.
+    // The worker count is a concurrency knob: any value must yield the same
+    // verdict and the same exploration statistics line.
     let bad = write_model("threads_bad.aadl", BAD_MODEL);
     let path = bad.to_str().unwrap();
     let base = aadlsched(&[path, "Top.impl", "--exhaustive"]);
@@ -289,7 +289,7 @@ fn metrics_flag_writes_a_schema_versioned_report() {
     let report = std::fs::read_to_string(&report_path).unwrap();
     for key in [
         "\"schema\": \"aadlsched-metrics\"",
-        "\"version\": 7",
+        "\"version\": 8",
         "\"run_id\"",
         "\"tool\": \"aadlsched\"",
         "\"model\"",
@@ -358,8 +358,10 @@ fn trace_events_flag_writes_json_lines() {
 
 #[test]
 fn progress_flag_emits_deterministic_stderr_lines() {
-    // The cruise-control exhaustive exploration reaches 256 states; with
-    // doubling thresholds from 64 that is exactly the 64/128/256 crossings.
+    // The cruise-control exhaustive exploration reaches 224 zone-graph
+    // states; with doubling thresholds from 64 that is exactly the 64 and
+    // 128 crossings (the second report lands at 130 states, where the
+    // bucket that crossed 128 ends).
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/examples/models/cruise_control.aadl"
@@ -371,9 +373,9 @@ fn progress_flag_emits_deterministic_stderr_lines() {
         .lines()
         .filter(|l| l.starts_with("progress: "))
         .collect();
-    assert_eq!(lines.len(), 3, "{stderr}");
+    assert_eq!(lines.len(), 2, "{stderr}");
     assert!(lines[0].starts_with("progress: 64 states"), "{stderr}");
-    assert!(lines[2].starts_with("progress: 256 states"), "{stderr}");
+    assert!(lines[1].starts_with("progress: 130 states"), "{stderr}");
 }
 
 #[test]
@@ -418,57 +420,122 @@ fn validation_failure_names_the_property_and_its_source_span() {
 }
 
 #[test]
-fn zones_flag_matches_concrete_on_the_longperiod_model() {
+fn default_engine_explores_the_longperiod_zone_graph() {
     // The bundled long-hyperperiod model (co-prime periods 17/19/23/29 ms,
-    // hyperperiod 215441 quanta) is the zone-mode showcase: both engines
-    // agree on the verdict, and the pinned state counts document the >10×
-    // compression EXPERIMENTS.md Q13 measures. The counts are exact —
-    // both engines are deterministic — so any drift in either engine
-    // (or in the translation) shows up here.
+    // hyperperiod 215441 quanta) is the delay-zone showcase: forced runs of
+    // quanta collapse into delay edges, and the pinned zone-graph counts
+    // document the 12.2× compression over the 306015-state per-quantum
+    // search that EXPERIMENTS.md Q13 measures. The counts are exact — the
+    // engine is deterministic, and where a forced run switches to the
+    // closed form must not move them — so any drift in the engine (or in
+    // the translation) shows up here.
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/examples/models/longperiod.aadl"
     );
-    let concrete = aadlsched(&[path, "--exhaustive"]);
-    assert!(concrete.status.success(), "{concrete:?}");
-    let stdout = String::from_utf8_lossy(&concrete.stdout);
+    let report = std::env::temp_dir().join("aadlsched_cli_tests/longperiod.json");
+    let out = aadlsched(&[path, "--exhaustive", "--metrics", report.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("VERDICT: schedulable"), "{stdout}");
-    assert!(stdout.contains("exploration: 306015 states"), "{stdout}");
+    assert!(
+        stdout.contains("exploration: 25094 states, 34416 transitions"),
+        "{stdout}"
+    );
+    // Its long idle stretches outgrow the handoff length and are served in
+    // closed form.
+    let (counters, _) = zone_instruments(&report);
+    assert!(counters("zone.learned_runs") >= 1);
+    assert!(counters("zone.closed_form_advances") >= 1);
+    assert_eq!(counters("zone.quanta_collapsed"), 577_426);
+}
 
-    let zones = aadlsched(&[path, "--exhaustive", "--zones"]);
-    assert!(zones.status.success(), "{zones:?}");
-    let stdout = String::from_utf8_lossy(&zones.stdout);
-    assert!(stdout.contains("VERDICT: schedulable"), "{stdout}");
-    assert!(stdout.contains("exploration: 25094 states"), "{stdout}");
+/// The `zone.*` counters and the `zone.shape_cache` gauge of a `--metrics`
+/// report, as lookup closures (absent instruments read as 0).
+fn zone_instruments(report: &std::path::Path) -> (impl Fn(&str) -> u64, impl Fn(&str) -> u64) {
+    let text = std::fs::read_to_string(report).unwrap();
+    let json = obs::Json::parse(&text).unwrap();
+    let counters = json.get("counters").cloned();
+    let gauges = json.get("gauges").cloned();
+    (
+        move |name: &str| {
+            counters
+                .as_ref()
+                .and_then(|c| c.get(name))
+                .and_then(obs::Json::as_u64)
+                .unwrap_or(0)
+        },
+        move |name: &str| {
+            gauges
+                .as_ref()
+                .and_then(|g| g.get(name))
+                .and_then(|g| g.get("peak"))
+                .and_then(obs::Json::as_u64)
+                .unwrap_or(0)
+        },
+    )
+}
+
+#[test]
+fn small_bundled_models_never_learn_a_shape() {
+    // Learning is lazy: a forced run reaches the closed-form runner only
+    // once the exploration has walked `versa::LEARN_AFTER_VOLUME` steps of
+    // long runs and the run itself is longer than `versa::LEARN_AFTER`.
+    // None of the small models walks that much, so none hands a run off
+    // and the shape cache stays empty.
+    for model in [
+        "cruise_control",
+        "flight_control",
+        "inversion",
+        "overloaded",
+        "producer_handler",
+    ] {
+        let path = format!(
+            "{}/examples/models/{model}.aadl",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let report = std::env::temp_dir().join(format!("aadlsched_cli_tests/lazy_{model}.json"));
+        let out = aadlsched(&[&path, "--exhaustive", "--metrics", report.to_str().unwrap()]);
+        assert!(matches!(out.status.code(), Some(0 | 1)), "{model}: {out:?}");
+        let (counters, gauges) = zone_instruments(&report);
+        assert!(counters("zone.delay_steps") >= 1, "{model}: no delay edge");
+        assert_eq!(counters("zone.learned_runs"), 0, "{model}");
+        assert_eq!(gauges("zone.shape_cache"), 0, "{model}");
+    }
 }
 
 #[test]
 fn zone_cap_never_changes_the_verdict_and_removed_engine_flags_are_unknown() {
     let path = write_model("ok_zoneflags.aadl", OK_MODEL);
-    let base = aadlsched(&[path.to_str().unwrap(), "Top.impl", "--zones"]);
+    let base = aadlsched(&[path.to_str().unwrap(), "Top.impl"]);
     assert!(base.status.success(), "{base:?}");
-    let base_verdict = String::from_utf8_lossy(&base.stdout)
-        .lines()
-        .find(|l| l.contains("VERDICT"))
-        .unwrap()
-        .to_string();
-    for extra in [&["--zone-cap", "1"][..], &["--zone-cap", "3"][..]] {
-        let mut args = vec![path.to_str().unwrap(), "Top.impl", "--zones"];
-        args.extend_from_slice(extra);
-        let out = aadlsched(&args);
-        assert!(out.status.success(), "{extra:?}: {out:?}");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains(&base_verdict), "{extra:?}: {stdout}");
-    }
-    // Bad values are usage errors.
-    let bad = aadlsched(&[path.to_str().unwrap(), "Top.impl", "--zone-cap", "0"]);
-    assert_eq!(bad.status.code(), Some(2));
-    // The memo is always on, the shard count follows the worker count and
-    // zone mode always advances in closed form: the old knobs are gone.
+    // The per-quantum search behind `--dot` reaches the same verdict as the
+    // zone graph, whatever granularity the zone graph's edges have.
+    let dot = std::env::temp_dir().join("aadlsched_cli_tests/ok_zoneflags.dot");
+    let per_quantum = aadlsched(&[
+        path.to_str().unwrap(),
+        "Top.impl",
+        "--dot",
+        dot.to_str().unwrap(),
+    ]);
+    assert!(per_quantum.status.success(), "{per_quantum:?}");
+    let verdict = |out: &std::process::Output| {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .find(|l| l.contains("VERDICT"))
+            .unwrap()
+            .to_string()
+    };
+    assert_eq!(verdict(&base), verdict(&per_quantum));
+    // The memo is always on, the shard count follows the worker count, the
+    // zone engine always runs and always advances in closed form with one
+    // edge cap: the old knobs are gone.
     for removed in [
         &["--no-memo"][..],
         &["--shards", "4"][..],
         &["--zone-advance", "closed"][..],
+        &["--zones"][..],
+        &["--zone-cap", "3"][..],
     ] {
         let mut args = vec![path.to_str().unwrap(), "Top.impl"];
         args.extend_from_slice(removed);
@@ -477,36 +544,6 @@ fn zone_cap_never_changes_the_verdict_and_removed_engine_flags_are_unknown() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("unknown flag"), "{removed:?}: {stderr}");
     }
-}
-
-#[test]
-fn dot_with_zones_warns_that_zones_are_ignored() {
-    let path = write_model("ok_dot_zones.aadl", OK_MODEL);
-    let dot = std::env::temp_dir().join("aadlsched_cli_tests/ok_zones.dot");
-    let _ = std::fs::remove_file(&dot);
-    let out = aadlsched(&[
-        path.to_str().unwrap(),
-        "Top.impl",
-        "--zones",
-        "--dot",
-        dot.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--zones is ignored"),
-        "expected an explicit warning on stderr, got: {stderr}"
-    );
-    // The export still happens — on the concrete engine.
-    let contents = std::fs::read_to_string(&dot).unwrap();
-    assert!(contents.starts_with("digraph lts {"), "{contents}");
-    // Without --dot there is no warning.
-    let quiet = aadlsched(&[path.to_str().unwrap(), "Top.impl", "--zones"]);
-    assert!(quiet.status.success());
-    assert!(
-        !String::from_utf8_lossy(&quiet.stderr).contains("ignored"),
-        "no warning expected without --dot"
-    );
 }
 
 #[test]

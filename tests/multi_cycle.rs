@@ -64,10 +64,11 @@ fn the_state_space_is_a_closed_lasso() {
 #[test]
 fn very_long_walks_stay_within_the_explored_space() {
     // A 600-quantum walk (50 hyperperiods) never deadlocks and never leaves
-    // the set of states exploration found.
+    // the set of states the per-quantum exploration found (the zone graph
+    // of a verdict run keeps only branch points and run endpoints).
     let m = three_thread_model();
     let tm = translate(&m, &TranslateOptions::default()).unwrap();
-    let ex = explore(&tm.env, &tm.initial, &Options::default());
+    let ex = explore(&tm.env, &tm.initial, &Options::default().with_lts());
     for seed in [1u64, 17, 99] {
         let w = random_walk(&tm.env, &tm.initial, 2000, seed);
         assert!(!w.deadlocked, "seed {seed}");
@@ -82,12 +83,12 @@ fn very_long_walks_stay_within_the_explored_space() {
 
 #[test]
 fn hyperperiod_structure_shows_in_the_level_count() {
-    // BFS levels ≈ instantaneous layers + one per quantum of the transient +
-    // loop; it must comfortably exceed the hyperperiod (12 quanta) and stay
-    // finite.
+    // BFS levels of the per-quantum search ≈ instantaneous layers + one per
+    // quantum of the transient + loop; it must comfortably exceed the
+    // hyperperiod (12 quanta) and stay finite.
     let m = three_thread_model();
     let tm = translate(&m, &TranslateOptions::default()).unwrap();
-    let ex = explore(&tm.env, &tm.initial, &Options::default());
+    let ex = explore(&tm.env, &tm.initial, &Options::default().with_lts());
     assert!(ex.stats.levels > 12);
     assert!(ex.stats.levels < 200);
 }

@@ -175,11 +175,7 @@ det_prop! {
         let m = instantiate(&pkg, "Top.impl").unwrap();
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
         let reference = explore_reference(&tm.env, &tm.initial, &Options::default());
-        let closed = explore(
-            &tm.env,
-            &tm.initial,
-            &Options::default().with_zones(true),
-        );
+        let closed = explore(&tm.env, &tm.initial, &Options::default());
         assert_matches_reference(&tm.env, &reference, &closed, true, &format!("{ts:?}"));
     }
 
@@ -188,12 +184,12 @@ det_prop! {
         let pkg = taskset_to_package(&ts, "RMS");
         let m = instantiate(&pkg, "Top.impl").unwrap();
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
-        let base = explore(&tm.env, &tm.initial, &Options::default().with_zones(true));
+        let base = explore(&tm.env, &tm.initial, &Options::default());
         for cap in [1usize, 5, 33] {
             let capped = explore(
                 &tm.env,
                 &tm.initial,
-                &Options::default().with_zones(true).with_zone_cap(cap),
+                &Options::default().with_zone_cap(cap),
             );
             let ctx = format!("cap={cap} {ts:?}");
             assert_eq!(capped.deadlocks.len(), base.deadlocks.len(), "{ctx}");

@@ -48,7 +48,7 @@ det_prop! {
             let new = explore(
                 &tm.env,
                 &tm.initial,
-                &Options::default().with_threads(threads),
+                &Options::default().with_lts().with_threads(threads),
             );
             let ctx = format!("threads={threads} {ts:?}");
             assert_identical(&base, &new, &ctx);
@@ -70,7 +70,7 @@ det_prop! {
             let new = explore(
                 &tm.env,
                 &tm.initial,
-                &Options::verdict().with_threads(threads),
+                &Options::verdict().with_lts().with_threads(threads),
             );
             assert_identical(&base, &new, &format!("verdict threads={threads} {ts:?}"));
         }

@@ -47,7 +47,7 @@ det_prop! {
             let ex = explore(
                 &tm.env,
                 &tm.initial,
-                &Options::default().with_threads(threads),
+                &Options::default().with_lts().with_threads(threads),
             );
             assert_identical(&reference, &ex, &format!("threads={threads} {ts:?}"));
         }
@@ -65,7 +65,7 @@ det_prop! {
             let ex = explore(
                 &tm.env,
                 &tm.initial,
-                &Options::verdict().with_threads(threads),
+                &Options::verdict().with_lts().with_threads(threads),
             );
             assert_identical(&reference, &ex, &format!("verdict threads={threads} {ts:?}"));
         }

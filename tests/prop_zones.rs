@@ -1,7 +1,7 @@
 //! Property-based equivalence of delay-zone exploration and the per-quantum
 //! reference explorer: collapsing forced runs is a *traversal* change and
 //! must be invisible in every analysis result. For every generated task set
-//! the zone explorer ([`versa::explore`] with [`Options::with_zones`]) must
+//! the zone explorer (every [`versa::explore`] run without an LTS) must
 //! agree with [`versa::reference::explore_reference`] on the verdict, the
 //! set of deadlocked terms (exhaustive mode, by stable digest) and the
 //! length of the shortest counterexample trace — zone traces re-expand to
@@ -15,7 +15,9 @@
 //!
 //! The same checks run on hand-built terms for the zone engine's corner
 //! cases (branches, idle loops, events inside forced runs, relaxation, wide
-//! fans). Also here, because they share the generators:
+//! fans) and on forced runs either side of [`versa::LEARN_AFTER`], where a
+//! run stops being walked step by step and is handed to the closed-form
+//! runner. Also here, because they share the generators:
 //!
 //! * the `acsr::stable` digest property for the zone primitives —
 //!   [`acsr::step_delay`]`(d)` must reach exactly the term that `d` unit
@@ -32,7 +34,9 @@ use std::sync::Arc;
 use aadl::instance::instantiate;
 use aadl::properties::ConcurrencyControlProtocol;
 use aadl2acsr::{translate, TranslateOptions};
-use acsr::prelude::{act, choice, evt_send, invoke, nil, Env, Res, Symbol, P};
+use acsr::prelude::{
+    act, choice, evt_send, guard, invoke, nil, BExpr, Env, Expr, Proc, Res, Symbol, P,
+};
 use acsr::{delay_bound, stable_digest, step_delay, MemoConfig, StepSession, TermStore};
 use det::det_prop;
 use det::DetRng;
@@ -45,7 +49,7 @@ use versa::{explore, Options};
 
 #[path = "support/reference_checks.rs"]
 mod reference_checks;
-use reference_checks::{assert_matches_reference, assert_same_timeline};
+use reference_checks::{assert_matches_reference, assert_same_timeline, warmed};
 
 /// Bounded random specs: 2–4 tasks over a small period pool so the
 /// exhaustive exploration stays test-sized, utilizations spanning clearly
@@ -203,7 +207,7 @@ fn check_zones(env: &acsr::Env, initial: &acsr::P, opts: &Options, ctx: &str) {
     let zoned: Vec<_> = [1usize, 4]
         .into_iter()
         .map(|threads| {
-            let opts = opts.clone().with_zones(true).with_threads(threads);
+            let opts = opts.clone().with_threads(threads);
             let ex = explore(env, initial, &opts);
             let ctx = format!("threads={threads} {ctx}");
             assert_matches_reference(env, &reference, &ex, exhaustive, &ctx);
@@ -268,27 +272,165 @@ fn zones_match_the_reference_on_hand_built_terms() {
                 |ex: &versa::Exploration| ex.first_deadlock_trace().map(|t| t.elapsed_quanta());
             assert_eq!(
                 elapsed(&explore_reference(&env, p, &opts)),
-                elapsed(&explore(&env, p, &opts.clone().with_zones(true))),
+                elapsed(&explore(&env, p, &opts)),
                 "shortest-counterexample elapsed quanta: {ctx}"
             );
         }
     }
 }
 
+/// `Count(k)`: one forced quantum per step while `k < n`, then NIL — a forced
+/// run of `n` steps whose states all share one shape (only `k` moves), so a
+/// run long enough to be handed off is served in closed form.
+fn counter(env: &mut Env, n: i64) -> P {
+    let d = env.declare(&format!("Count{n}"), 1);
+    env.set_body(
+        d,
+        choice([
+            guard(
+                BExpr::lt(Expr::p(0), Expr::c(n)),
+                act(
+                    [(Res::new("cpu"), 1)],
+                    invoke(d, [Expr::p(0).add(Expr::c(1))]),
+                ),
+            ),
+            guard(BExpr::eq(Expr::p(0), Expr::c(n)), nil()),
+        ]),
+    );
+    invoke(d, [Expr::c(0)])
+}
+
+/// `Cycle(k)`: a forced idle loop of `n` quanta that returns to its entry.
+fn cycle(env: &mut Env, n: i64) -> P {
+    let d = env.declare(&format!("Cycle{n}"), 1);
+    env.set_body(
+        d,
+        choice([
+            guard(
+                BExpr::lt(Expr::p(0), Expr::c(n - 1)),
+                act(
+                    [(Res::new("cpu"), 1)],
+                    invoke(d, [Expr::p(0).add(Expr::c(1))]),
+                ),
+            ),
+            guard(
+                BExpr::eq(Expr::p(0), Expr::c(n - 1)),
+                act([(Res::new("cpu"), 1)], invoke(d, [Expr::c(0)])),
+            ),
+        ]),
+    );
+    invoke(d, [Expr::c(0)])
+}
+
+/// Forced runs one step short of, at, one step past and far past the
+/// handoff length, after a warm-up that switches learning on: the
+/// concretely walked prefix and the closed-form tail must join into
+/// timelines that pass the four reference checks, and only runs longer
+/// than [`versa::LEARN_AFTER`] may reach the closed-form runner
+/// (`zone.learned_runs`). A cycle that closes just after the handoff checks
+/// that the runner's cycle guard covers the walked prefix. Without the
+/// warm-up nothing is handed off, however long the run.
+#[test]
+fn forced_runs_either_side_of_the_handoff_match_the_reference() {
+    let t = versa::LEARN_AFTER as usize;
+    let mut env = Env::new();
+    // (name, term, runs handed off, whether a span must be served closed-form)
+    let mut cases: Vec<(String, P, u64, bool)> = Vec::new();
+    for n in [t - 1, t, t + 1, 50 * t] {
+        let learned = u64::from(n > t);
+        cases.push((format!("chain of {n}"), chain(n), learned, false));
+        let count = counter(&mut env, n as i64);
+        cases.push((format!("counter to {n}"), count, learned, false));
+        // Behind a branch: the run starts at a materialized branch target.
+        let branched = choice([act([(Res::new("bus"), 1)], chain(n)), chain(1)]);
+        cases.push((
+            format!("branch into a chain of {n}"),
+            branched,
+            learned,
+            false,
+        ));
+    }
+    // Two runs through one shape: the second is served in closed form off
+    // what the first one learned.
+    let long = counter(&mut env, 50 * t as i64);
+    let Proc::Invoke { def, .. } = &*long else {
+        unreachable!("counter() builds an invocation")
+    };
+    let twice = choice([
+        act([(Res::new("bus"), 1)], long.clone()),
+        act([(Res::new("cpu"), 1)], invoke(*def, [Expr::c(3)])),
+    ]);
+    cases.push(("two counters".into(), twice, 2, true));
+    let n = t as i64 + 3;
+    cases.push((format!("cycle of {n}"), cycle(&mut env, n), 1, false));
+    let mut cases: Vec<(String, P, u64, bool)> = cases
+        .into_iter()
+        .enumerate()
+        .map(|(i, (name, p, learned, closed))| {
+            let p = warmed(&mut env, &format!("Warm{i}"), p);
+            (format!("warmed {name}"), p, learned, closed)
+        })
+        .collect();
+    cases.push(("cold chain".into(), chain(50 * t), 0, false));
+    for (name, p, learned, closed) in &cases {
+        for opts in [Options::default(), Options::verdict()] {
+            let ctx = format!("{name}, stop_at_first={}", opts.stop_at_first_deadlock);
+            check_zones(&env, p, &opts, &ctx);
+            let rec = obs::Recorder::enabled();
+            explore(&env, p, &opts.clone().with_obs(rec.clone()));
+            let run = rec.finish();
+            let counter = |key: &str| {
+                run.counters
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .map_or(0, |(_, v)| *v)
+            };
+            assert_eq!(counter("zone.learned_runs"), *learned, "{ctx}");
+            if *learned == 0 {
+                // Nothing was handed off, so nothing was learned either.
+                assert_eq!(counter("zone.shapes_derived"), 0, "{ctx}");
+            }
+            if *closed {
+                assert!(counter("zone.closed_form_advances") >= 1, "{ctx}");
+            }
+        }
+    }
+}
+
 /// A branch into two instances of the *same* shape at different time
-/// vectors: the second chain is advanced closed-form off the first chain's
-/// learned derivative, so this exercises the span path end to end —
-/// including trace materialization from (delta, len) alone — and the
-/// re-expanded timeline must be the reference's, state for state.
+/// vectors, behind a warm-up: the second chain is advanced closed-form off
+/// the first chain's learned derivative, so this exercises the span path
+/// end to end — including trace materialization from (delta, len) alone —
+/// and the re-expanded timeline must be the reference's, state for state.
+/// The run reports the closed-form cache: one derivation, a closed-form
+/// advance, and a replay fallback at each chain end.
 #[test]
 fn closed_form_spans_replay_the_reference_timeline_step_for_step() {
-    let env = Env::new();
+    let mut env = Env::new();
     let p = choice([
         act([(Res::new("bus"), 1)], chain(30)),
         act([(Res::new("cpu"), 1)], chain(20)),
     ]);
+    let p = warmed(&mut env, "Warm", p);
     let reference = explore_reference(&env, &p, &Options::default());
-    let zoned = explore(&env, &p, &Options::default().with_zones(true));
+    let rec = obs::Recorder::enabled();
+    let zoned = explore(&env, &p, &Options::default().with_obs(rec.clone()));
+    let run = rec.finish();
+    let counter = |key: &str| {
+        run.counters
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(0, |(_, v)| *v)
+    };
+    assert!(counter("zone.closed_form_advances") >= 1);
+    assert!(counter("zone.replay_fallbacks") >= 1);
+    assert!(counter("zone.shapes_derived") >= 1);
+    let shape_cache = run
+        .gauges
+        .iter()
+        .find(|(k, _, _)| k == "zone.shape_cache")
+        .map_or(0, |(_, v, _)| *v);
+    assert!(shape_cache >= 1);
     let (tz, tr) = (
         zoned.first_deadlock_trace().unwrap(),
         reference.first_deadlock_trace().unwrap(),

@@ -4,8 +4,39 @@
 
 #![allow(dead_code)] // each suite uses its own subset
 
+use acsr::prelude::{act, choice, guard, invoke, BExpr, Expr, Res, P};
 use acsr::{prioritized_steps, stable_digest, Env};
 use versa::{Exploration, StateId, Trace};
+
+/// `p` behind a forced warm-up run of `versa::LEARN_AFTER_VOLUME` quanta
+/// and a branch, so the runs out of `p` are expanded with learning on.
+/// `name` keeps the warm-up definitions of several cases in one `env` apart.
+pub fn warmed(env: &mut Env, name: &str, p: P) -> P {
+    let idle = env.declare(&format!("{name}Idle"), 0);
+    env.set_body(idle, act([] as [(Res, i32); 0], invoke(idle, [])));
+    let warm = env.declare(name, 1);
+    let w = versa::LEARN_AFTER_VOLUME as i64;
+    env.set_body(
+        warm,
+        choice([
+            guard(
+                BExpr::lt(Expr::p(0), Expr::c(w)),
+                act(
+                    [(Res::new("warm"), 1)],
+                    invoke(warm, [Expr::p(0).add(Expr::c(1))]),
+                ),
+            ),
+            guard(
+                BExpr::eq(Expr::p(0), Expr::c(w)),
+                choice([
+                    act([(Res::new("go"), 1)], p),
+                    act([(Res::new("wait"), 1)], invoke(idle, [])),
+                ]),
+            ),
+        ]),
+    );
+    invoke(warm, [Expr::c(0)])
+}
 
 /// Byte-level identity of two explorations of the same model: the state
 /// table, the deadlock set, the transition and dedup counts and the full

@@ -17,11 +17,14 @@
 #      BENCH_exploration.json, which is committed — deliberately after the
 #      store stage, so the committed report's `cas` section reflects a
 #      fresh cold/warm A/B)
-#   5. the zone smoke: every bundled model analyzed with `--exhaustive` and
-#      with `--exhaustive --zones` — exit codes and verdict lines must be
-#      byte-identical (delay-zone exploration with its closed-form advance
-#      is a traversal change, never a verdict change), and the
-#      long-hyperperiod model must demonstrably collapse quanta
+#   5. the zone smoke: every small bundled model analyzed with
+#      `--exhaustive` (the delay-zone verdict engine) and with `--exhaustive
+#      --dot` (the per-quantum search that builds the LTS) — exit codes must
+#      be the pinned 0/0/1/1/0 on both, and everything but the
+#      `exploration:` statistics line must be byte-identical (verdicts and
+#      counterexample timelines: delay zones and their closed-form advance
+#      are a traversal change, never a verdict change); the long-hyperperiod
+#      model must exit 0 and demonstrably collapse quanta
 #      (`zone.quanta_collapsed` >= 1) and serve them closed-form
 #      (`zone.closed_form_advances` >= 1) in its `--metrics` report
 #   6. the daemon smoke: start `aadlschedd`, analyze all four bundled
@@ -101,36 +104,44 @@ cargo run --release -q -p bench --bin harness -- --smoke --threads 4 \
 diff -u target/ci/verdicts-t1.txt target/ci/verdicts-t4.txt
 echo "verdicts identical across worker counts"
 
-echo "== zone smoke: --zones verdicts must match the concrete engine =="
-# Every bundled model, concrete and closed-form zones. Exit codes and
-# verdict lines must be byte-identical (state counts intentionally differ
-# — zone mode materializes fewer, which the longperiod run below proves is
-# actually happening via the zone.quanta_collapsed counter; that the
-# closed-form path is actually serving, not silently falling back to
-# per-quantum steps, is proved the same way via
-# zone.closed_form_advances).
-for model in cruise_control flight_control inversion overloaded producer_handler longperiod; do
-  zone_flags="--exhaustive --zones"
-  if [ "$model" = longperiod ]; then
-    zone_flags="$zone_flags --metrics target/ci/zones-metrics.json"
-  fi
-  concrete_code=0
-  target/release/aadlsched "examples/models/$model.aadl" --exhaustive \
-    > target/ci/zone-concrete.txt || concrete_code=$?
+echo "== zone smoke: zone verdicts must match the per-quantum --dot search =="
+# Every small bundled model, on the zone engine and on the per-quantum
+# search behind --dot. Exit codes must be the pinned ones and the output
+# byte-identical apart from the statistics line (state counts intentionally
+# differ — the zone graph materializes fewer states, which the longperiod
+# run below proves via the zone.quanta_collapsed counter; that the
+# closed-form path is actually serving, not silently walking every quantum,
+# is proved the same way via zone.closed_form_advances).
+strip_stats() {
+  grep -vE '^(exploration:|LTS written to )'
+}
+for entry in cruise_control:0 flight_control:0 inversion:1 overloaded:1 producer_handler:0; do
+  model="${entry%%:*}"
+  expected="${entry##*:}"
   zones_code=0
-  target/release/aadlsched "examples/models/$model.aadl" $zone_flags \
+  target/release/aadlsched "examples/models/$model.aadl" --exhaustive \
     > target/ci/zone-zoned.txt || zones_code=$?
-  if [ "$concrete_code" -ne "$zones_code" ]; then
-    echo "zone smoke: $model: exit codes differ (concrete $concrete_code, zones $zones_code)"
+  dot_code=0
+  target/release/aadlsched "examples/models/$model.aadl" --exhaustive \
+    --dot "target/ci/$model.dot" > target/ci/zone-dot.txt || dot_code=$?
+  if [ "$zones_code" -ne "$expected" ] || [ "$dot_code" -ne "$expected" ]; then
+    echo "zone smoke: $model: exit codes zones $zones_code, --dot $dot_code, expected $expected"
     exit 1
   fi
-  if ! diff -u <(extract_verdicts < target/ci/zone-concrete.txt) \
-               <(extract_verdicts < target/ci/zone-zoned.txt); then
-    echo "zone smoke: $model: verdict lines differ (concrete vs zones)"
+  if ! diff -u <(strip_stats < target/ci/zone-dot.txt) \
+               <(strip_stats < target/ci/zone-zoned.txt); then
+    echo "zone smoke: $model: output differs (--dot vs zones)"
     exit 1
   fi
-  echo "zone smoke: $model: verdicts agree (exit $concrete_code)"
+  echo "zone smoke: $model: verdicts agree (exit $zones_code)"
 done
+longperiod_code=0
+target/release/aadlsched examples/models/longperiod.aadl --exhaustive \
+  --metrics target/ci/zones-metrics.json > /dev/null || longperiod_code=$?
+if [ "$longperiod_code" -ne 0 ]; then
+  echo "zone smoke: longperiod exited $longperiod_code, expected 0"
+  exit 1
+fi
 collapsed="$(grep -o '"zone.quanta_collapsed": [0-9]*' target/ci/zones-metrics.json \
   | grep -o '[0-9]*$')"
 if [ "${collapsed:-0}" -lt 1 ]; then
