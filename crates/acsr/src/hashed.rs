@@ -3,8 +3,8 @@
 //! The term store ([`crate::store`]) and the shape factorization
 //! ([`crate::skeleton`]) need structural digests that are reproducible run
 //! to run — no per-process random keys — so hash-derived decisions
-//! downstream (e.g. which shard of a sharded visited set a term lands in)
-//! never depend on the process. [`Fnv1a`] is that hasher.
+//! downstream (e.g. which term-store shard a term lands in) never depend
+//! on the process. [`Fnv1a`] is that hasher.
 
 use std::hash::Hasher;
 

@@ -17,8 +17,8 @@
 //! The store is sharded over [`Mutex`]es and safe to share across worker
 //! threads (`&TermStore` is `Sync`). Structural digests are deterministic
 //! (FNV-1a over node kind, local fields and child digests — no pointers, no
-//! random keys), so digest-derived decisions downstream (e.g. which shard of
-//! a sharded visited set a state lands in) are reproducible run to run.
+//! random keys), so digest-derived decisions downstream (e.g. which shard a
+//! term lands in) are reproducible run to run.
 //! [`TermId`] *values*, by contrast, depend on interning order and may differ
 //! between runs when workers race; they are stable within one store and must
 //! never leak into externally visible results.

@@ -283,14 +283,13 @@ fn run_counter(run: &obs::RunData, name: &str) -> u64 {
 }
 
 /// The parallel-scaling sweep behind `EXPERIMENTS.md` Q8 and the `scaling`
-/// section of `BENCH_exploration.json`: the per-quantum expand-and-intern
-/// pipeline behind LTS export (interned terms, a visited set split into
-/// `threads.next_power_of_two()` shards) swept over workers on each model.
+/// section of `BENCH_exploration.json`: the default exploration (what
+/// `--threads` changes for users) swept over workers on each model.
 ///
 /// Every configuration runs three times and reports the best wall clock —
 /// min-of-N is the standard way to strip scheduler noise from short runs.
 fn q8_thread_scaling(smoke: bool) -> obs::Json {
-    header("Q8 — parallel scaling: workers × visited-set shards");
+    header("Q8 — parallel scaling: workers");
     let mut models: Vec<(String, aadl::instance::InstanceModel)> = vec![
         ("cruise_control".into(), cruise_control_model()),
         ("flight_control".into(), flight_control_model()),
@@ -307,47 +306,26 @@ fn q8_thread_scaling(smoke: bool) -> obs::Json {
     for (name, m) in &models {
         let tm = translate(m, &TranslateOptions::default()).unwrap();
         println!("\n{name}:");
-        println!(
-            "{:>8} {:>8} {:>8} {:>13} {:>9} {:>11}",
-            "workers", "shards", "states", "best time", "out-lock", "shard-lock"
-        );
+        println!("{:>8} {:>8} {:>13}", "workers", "states", "best time");
         let mut rows: Vec<obs::Json> = Vec::new();
 
         for threads in [1usize, 2, 4, 8] {
-            type Best = (std::time::Duration, usize, u64, u64);
-            let mut best: Option<Best> = None;
+            let mut best: Option<(std::time::Duration, usize)> = None;
             for _ in 0..reps {
-                let rec = obs::Recorder::enabled();
-                let opts = versa::Options::default()
-                    .with_lts()
-                    .with_threads(threads)
-                .with_obs(rec.clone());
+                let opts = versa::Options::default().with_threads(threads);
                 let t0 = Instant::now();
                 let ex = versa::explore(&tm.env, &tm.initial, &opts);
                 let wall = t0.elapsed();
-                let run = rec.finish();
-                if best.as_ref().is_none_or(|(w, ..)| wall < *w) {
-                    best = Some((
-                        wall,
-                        ex.num_states(),
-                        run_counter(&run, "explore.lock_contention"),
-                        run_counter(&run, "explore.shard_contention"),
-                    ));
+                if best.as_ref().is_none_or(|(w, _)| wall < *w) {
+                    best = Some((wall, ex.num_states()));
                 }
             }
-            let (wall, states, out_lock, shard_lock) = best.unwrap();
-            let shards = threads.next_power_of_two();
-            println!(
-                "{:>8} {:>8} {:>8} {:>13?} {:>9} {:>11}",
-                threads, shards, states, wall, out_lock, shard_lock
-            );
+            let (wall, states) = best.unwrap();
+            println!("{:>8} {:>8} {:>13?}", threads, states, wall);
             rows.push(obs::Json::obj([
                 ("threads", obs::Json::from(threads)),
-                ("shards", obs::Json::from(shards)),
                 ("states", obs::Json::from(states)),
                 ("wall_ns", obs::Json::from(wall.as_nanos() as u64)),
-                ("lock_contention", obs::Json::from(out_lock)),
-                ("shard_contention", obs::Json::from(shard_lock)),
             ]));
         }
         sections.push(obs::Json::obj([
@@ -355,7 +333,6 @@ fn q8_thread_scaling(smoke: bool) -> obs::Json {
             ("rows", obs::Json::Arr(rows)),
         ]));
     }
-    println!("\n(out-lock / shard-lock = try_lock misses.)");
     obs::Json::obj([
         ("reps", obs::Json::from(reps as u64)),
         ("policy", obs::Json::from("min_wall_of_reps")),

@@ -122,8 +122,8 @@ impl Default for HistogramCell {
     }
 }
 
-/// A power-of-two-bucketed distribution (chunk sizes, per-worker work, term
-/// sizes). Lock-free: one relaxed add per bucket/aggregate.
+/// A power-of-two-bucketed distribution (term sizes, critical-section
+/// lengths, request latencies). Lock-free: one relaxed add per bucket/aggregate.
 ///
 /// # Examples
 ///
@@ -131,7 +131,7 @@ impl Default for HistogramCell {
 /// use obs::Recorder;
 ///
 /// let rec = Recorder::enabled();
-/// let h = rec.histogram("explore.worker_chunk");
+/// let h = rec.histogram("translate.skeleton_size");
 /// h.observe(0);
 /// h.observe(5);
 /// h.observe(5);

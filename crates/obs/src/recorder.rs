@@ -10,9 +10,8 @@
 //! Span and metric names are lowercase, dot-separated, rooted at the
 //! pipeline stage: `translate`, `explore`, `explore.level`, `analysis`,
 //! `diagnose.raise`; instruments extend the stage name
-//! (`explore.dedup_hits`, `explore.lock_contention`,
-//! `translate.skeleton_size`). Per-worker instruments interpose the worker
-//! index: `explore.worker.3.expanded`.
+//! (`explore.dedup_hits`, `zone.quanta_collapsed`,
+//! `translate.skeleton_size`).
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};

@@ -70,7 +70,18 @@ pub const SCHEMA: &str = "aadlsched-metrics";
 ///     section;
 ///   - the `zones` section of `BENCH_exploration.json` lost its `concrete`
 ///     row and gained `learned_runs` and `closed_form_advances`.
-pub const SCHEMA_VERSION: u64 = 8;
+/// * v9 — one exploration engine (LTS runs are the zone search at unit
+///   edges):
+///   - `--dot` runs now emit the `zone.*` counters and the
+///     `zone.shape_cache` gauge too, like every other run;
+///   - the parallel-only `explore.*` instruments are gone: the per-worker
+///     `expanded` counters, the lock and shard contention counters, the
+///     chunk-size and shard-occupancy histograms, and the `explore` span's
+///     `shards` field; `explore.level` spans no longer carry `deduped`;
+///   - the rows of the `scaling` section of `BENCH_exploration.json` keep
+///     only `threads`, `states` and `wall_ns` (they lost `shards` and the
+///     two contention counts), and sweep the default engine.
+pub const SCHEMA_VERSION: u64 = 9;
 
 /// Deterministic run identifier: FNV-1a (64-bit) over the given byte slices,
 /// rendered as 16 lowercase hex digits. Feed it the model source and the
@@ -111,7 +122,7 @@ pub fn run_id(parts: &[&[u8]]) -> String {
 /// r.set("model", Json::obj([("file", Json::from("m.aadl"))]));
 /// let text = r.to_json();
 /// assert!(text.starts_with("{\n  \"schema\": \"aadlsched-metrics\""));
-/// assert!(text.contains("\"version\": 8"));
+/// assert!(text.contains("\"version\": 9"));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Report {

@@ -181,7 +181,7 @@ mod tests {
         rec.event("verdict", [("schedulable", Json::Bool(false))]);
         rec.counter("explore.dedup_hits").add(5);
         rec.gauge("explore.states").set(12);
-        rec.histogram("explore.worker_chunk").observe(8);
+        rec.histogram("translate.skeleton_size").observe(8);
         rec.finish()
     }
 

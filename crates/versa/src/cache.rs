@@ -63,6 +63,7 @@ use std::time::Instant;
 use acsr::{Env, Interned, MemoConfig, StepSession, TermStore, P};
 
 use crate::explore::{Exploration, Options, StateId, Stats};
+use crate::trace::Trace;
 
 /// Version of the artifact payload layout. Bump on any change; older (and
 /// newer) payloads are treated as invalid, i.e. recomputed and overwritten.
@@ -104,40 +105,33 @@ pub(crate) struct Artifact {
     skeleton: Option<Vec<(u32, u64)>>,
 }
 
-/// Encode the finished exploration as an artifact payload. Returns `None`
-/// when a skeleton step can't be found in the memoized successor order
-/// (which would mean the engine and the session disagree — then nothing is
-/// deposited rather than depositing something unreplayable).
+/// Encode the finished exploration as an artifact payload: its stats, and
+/// the first deadlock's `(label, state)` chain out of `root` (`None` when
+/// the run found no deadlock). Returns `None` when a chain step can't be
+/// found in the memoized successor order (which would mean the engine and
+/// the session disagree — then nothing is deposited rather than depositing
+/// something unreplayable).
 pub(crate) fn encode(
     env: &Env,
     session: &StepSession<'_>,
-    states: &[Interned],
-    parents: &[Option<(StateId, acsr::Label)>],
-    deadlocks: &[StateId],
+    root: &Interned,
+    deadlock: Option<&Trace>,
     stats: &Stats,
     truncated: bool,
 ) -> Option<Vec<u8>> {
-    let skeleton = match deadlocks.first() {
+    let skeleton = match deadlock {
         None => None,
-        Some(&dead) => {
-            // Parent chain, root first.
-            let mut chain = vec![dead];
-            let mut cur = dead;
-            while let Some((p, _)) = &parents[cur.index()] {
-                chain.push(*p);
-                cur = *p;
-            }
-            chain.reverse();
-            let mut skel = Vec::with_capacity(chain.len().saturating_sub(1));
-            for pair in chain.windows(2) {
-                let (from, to) = (pair[0], pair[1]);
-                let label = &parents[to.index()].as_ref()?.1;
-                let succs = session.prioritized_steps(&states[from.index()]);
-                let idx = succs
+        Some(trace) => {
+            let mut skel = Vec::with_capacity(trace.len());
+            let mut cur = root.clone();
+            for (label, p) in trace.iter() {
+                let next = session.intern(p);
+                let idx = session
+                    .prioritized_steps(&cur)
                     .iter()
-                    .position(|(l, t)| t.id() == states[to.index()].id() && l == label)?;
-                let digest = acsr::stable_digest(env, states[to.index()].term());
-                skel.push((idx as u32, digest));
+                    .position(|(l, t)| t.id() == next.id() && l == label)?;
+                skel.push((idx as u32, acsr::stable_digest(env, p)));
+                cur = next;
             }
             Some(skel)
         }

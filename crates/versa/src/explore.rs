@@ -3,49 +3,43 @@
 //! States are ground ACSR terms, interned into dense [`StateId`]s. Every
 //! search finds the first deadlock along a *shortest* trace — the most
 //! readable failing scenario to raise back to the AADL level. [`explore`]
-//! has two engines behind one entry point:
+//! runs one engine, the zone search of the `zones` module, at one of two
+//! edge granularities:
 //!
-//! * verdict runs (no [`Options::collect_lts`]) go to the delay-zone engine
-//!   in the `zones` module, which collapses forced runs of quanta into
-//!   weighted delay edges and searches the resulting zone graph in
-//!   shortest-depth order;
-//! * LTS runs ([`Options::collect_lts`], the `--dot` export) need every
-//!   per-quantum transition, so they take the breadth-first engine in this
-//!   module, which materializes one state per quantum.
+//! * verdict runs (no [`Options::collect_lts`]) collapse forced runs of
+//!   quanta into weighted delay edges of up to [`Options::zone_cap`] steps
+//!   and search the resulting zone graph in shortest-depth order;
+//! * LTS runs ([`Options::collect_lts`], the `--dot` export) fix the edge
+//!   cap at 1, so every per-quantum step is its own unit edge: the search
+//!   is then a plain breadth-first search that materializes one state per
+//!   quantum and records every edge into the [`Lts`].
 //!
 //! Verdicts, deadlock counts and counterexample timelines agree between the
 //! two; only [`Stats`] differ (the zone graph is far smaller).
 //!
 //! States live in a hash-consed [`TermStore`]: every term is interned to a
-//! [`TermId`] whose equality *is* structural equality, and successor lists
-//! are memoized per subterm by an [`StepSession`] (see [`acsr::store`] and
+//! [`TermId`](acsr::TermId) whose equality *is* structural equality, and
+//! successor lists are memoized per subterm by an
+//! [`StepSession`](acsr::StepSession) (see [`acsr::store`] and
 //! [`acsr::step`]) — revisiting the skeleton states of a periodic task model
 //! costs a cache hit instead of a re-derivation.
 //!
-//! In the breadth-first engine, with [`Options::threads`] > 1 each level
-//! runs an *expand-and-intern
-//! pipeline*: worker threads compute prioritized successors **and** probe the
-//! visited set concurrently — the set is distributed over
-//! `threads.next_power_of_two()` [`Mutex`] shards keyed by bits of each
-//! term's deterministic structural
-//! digest, so workers dedup their own discoveries instead of funnelling
-//! every raw term through a single-threaded interner.
-//! Only the *id assignment* of genuinely new states happens on the
-//! coordinating thread, at a deterministic merge that walks the per-worker
-//! output buffers in frontier order. Ids therefore come out in exactly the
-//! order the sequential engine would produce, making parallel and sequential
-//! exploration results identical — state tables, deadlock sets, statistics
-//! and shortest-counterexample traces. ([`TermId`] *values* may differ
-//! between racing runs; they never appear in results.)
+//! With [`Options::threads`] > 1, wide frontiers fan out over scoped worker
+//! threads that only *expand* states (successor lists and forced runs, a
+//! pure function of the state). Deduplication and id assignment happen on
+//! the coordinating thread, at a deterministic merge that walks the
+//! expansions in frontier order, so ids come out exactly as a sequential
+//! run assigns them: state tables, deadlock sets, statistics and
+//! shortest-counterexample traces never depend on the worker count.
+//! ([`TermId`](acsr::TermId) *values* may differ between racing runs;
+//! they never appear in results.)
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, TryLockError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-use acsr::{Env, Interned, Label, MemoConfig, StepSession, TermId, TermStore, P};
+use acsr::{skeleton, Env, Label, MemoConfig, RunEnd, RunSeg, TermStore, P};
 
 use crate::lts::Lts;
 use crate::trace::Trace;
@@ -88,7 +82,7 @@ impl StateId {
 /// another on the controlling thread (a request handler, a deadline watchdog,
 /// a signal handler). [`CancelToken::cancel`] is sticky — there is no reset —
 /// and the explorer polls it at every frontier state, so even a single
-/// enormous BFS level reacts promptly. A cancelled run comes back with
+/// enormous frontier reacts promptly. A cancelled run comes back with
 /// [`Exploration::cancelled`] set and is never reported schedulable.
 ///
 /// # Examples
@@ -156,20 +150,26 @@ impl CancelToken {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Options {
-    /// Abort after interning this many states (the exploration is then marked
-    /// [`Exploration::truncated`]).
+    /// State budget: intern at most this many states. A run that needs one
+    /// more stops and is marked [`Exploration::truncated`] (verdict
+    /// "unknown"); a run that completes within the budget is not, even when
+    /// it interns exactly `max_states` states. Verdict runs count zone-graph
+    /// states, LTS runs count every per-quantum state.
     pub max_states: usize,
     /// Stop as soon as the first deadlock is found (its trace is still
     /// shortest: the search order guarantees no shorter deadlock exists).
     pub stop_at_first_deadlock: bool,
     /// Record the full labelled transition relation (needed for [`Lts`]
     /// export; costs memory proportional to the number of transitions).
-    /// Selects the per-quantum breadth-first engine: the zone graph's delay
-    /// edges are not the concrete transition relation. Such runs never
-    /// touch [`Options::cas`].
+    /// The search then runs with an edge cap of 1 instead of
+    /// [`Options::zone_cap`]: a delay edge is not a step of the concrete
+    /// transition relation, so every per-quantum step becomes its own unit
+    /// edge and state. Such runs never touch [`Options::cas`].
     pub collect_lts: bool,
     /// Worker threads for frontier expansion; `0` or `1` means sequential.
-    /// The visited set is split into `threads.next_power_of_two()` shards.
+    /// Workers only expand states; deduplication and id assignment happen
+    /// at the coordinating thread's deterministic merge, so the count never
+    /// changes results.
     pub threads: usize,
     /// Entry cap of the successor memo (see [`acsr::step::StepSession`];
     /// FIFO eviction past it). The memo is a pure cache — verdicts, state
@@ -188,8 +188,8 @@ pub struct Options {
     /// Observability recorder. Disabled by default — every instrument the
     /// exploration touches is then an inert handle, so the instrumented hot
     /// path costs nothing observable (see `crates/obs`). Enable it (and
-    /// optionally arm progress reporting) to get per-level spans, dedup and
-    /// lock-contention counters, and the peak state-store gauge.
+    /// optionally arm progress reporting) to get per-level spans, the dedup,
+    /// zone and memo counters, and the peak state-store gauge.
     pub obs: obs::Recorder,
     /// Persistent cross-run artifact store (see `crates/cas` and the
     /// `cache` module). `None` (the default) disables consulting and
@@ -208,8 +208,8 @@ pub struct Options {
     /// work between two cancellation polls and the size of any one edge's
     /// stored timeline, and doubles as the cycle horizon for closed idle
     /// loops. Any value changes only edge granularity, never verdicts,
-    /// deadlock sets or trace timelines. `0` is treated as `1`. Ignored by
-    /// LTS runs.
+    /// deadlock sets or trace timelines. `0` is treated as `1`. LTS runs
+    /// ([`Options::collect_lts`]) always use `1`.
     pub zone_cap: usize,
 }
 
@@ -247,7 +247,7 @@ impl Options {
     }
 
     /// Record the labelled transition relation ([`Options::collect_lts`]),
-    /// which selects the per-quantum engine.
+    /// which explores one state per quantum.
     ///
     /// # Examples
     ///
@@ -402,7 +402,7 @@ impl Options {
 /// let p = act([(Res::new("cpu"), 1)], act([(Res::new("cpu"), 1)], nil()));
 /// let stats = explore(&env, &p, &Options::default()).stats;
 /// assert_eq!((stats.states, stats.transitions, stats.levels), (2, 1, 2));
-/// // The per-quantum LTS engine materializes the middle state too.
+/// // An LTS run (edge cap 1) materializes the middle state too.
 /// let lts = Options { collect_lts: true, ..Options::default() };
 /// let stats = explore(&env, &p, &lts).stats;
 /// assert_eq!((stats.states, stats.transitions, stats.levels), (3, 2, 3));
@@ -415,9 +415,10 @@ pub struct Stats {
     pub transitions: usize,
     /// Number of deadlocked states found.
     pub deadlocks: usize,
-    /// Largest BFS frontier encountered.
+    /// Largest frontier (one depth's worth of unexpanded states) encountered.
     pub peak_frontier: usize,
-    /// Number of BFS levels expanded (the depth reached).
+    /// Number of frontiers expanded (distinct depths, in per-quantum steps,
+    /// at which states were settled).
     pub levels: usize,
     /// Transitions whose target state was already interned — cross- and
     /// back-edges merged by the visited set. `transitions - dedup_hits` is
@@ -536,57 +537,6 @@ impl Stats {
     }
 }
 
-/// The endpoint of a [`ZoneSeg`]: a materialized term, or a virtual
-/// `(template, vector)` pair rebuilt syntactically on demand (interior
-/// segment ends of closed-form runs are never interned by the engine).
-#[derive(Clone, Debug)]
-pub(crate) enum ZoneEnd {
-    Real(P),
-    Virt { template: P, values: Arc<Vec<i64>> },
-}
-
-impl ZoneEnd {
-    /// The endpoint as a term, rebuilding if virtual. Virtual ends were
-    /// produced by the closed-form engine inside a verified run, so the
-    /// rebuild is exactly the state a unit replay would have reached.
-    pub(crate) fn materialize(&self) -> P {
-        match self {
-            ZoneEnd::Real(p) => p.clone(),
-            ZoneEnd::Virt { template, values } => acsr::skeleton::rebuild(template, values)
-                .expect("virtual zone state must rebuild within its shape"),
-        }
-    }
-}
-
-/// One segment of a zone-graph delay edge (see [`Exploration::zone_edges`]).
-#[derive(Clone, Debug)]
-pub(crate) enum ZoneSeg {
-    /// A concretely replayed step.
-    Unit(Label, P),
-    /// A verified closed-form span: `len` forced timed steps, all labelled
-    /// `label`; the `k`-th interior state is the segment's source state
-    /// rebuilt at `vector + k·delta` (see [`acsr::skeleton`]).
-    Span {
-        label: Label,
-        delta: Arc<Vec<i64>>,
-        len: u64,
-        end: ZoneEnd,
-    },
-    /// A macro-served forced step (a release-boundary exit or cascade step
-    /// advanced in the vector domain; see [`acsr::runner`]).
-    Jump { label: Label, end: ZoneEnd },
-}
-
-impl ZoneSeg {
-    /// Concrete steps this segment stands for.
-    pub(crate) fn weight(&self) -> u64 {
-        match self {
-            ZoneSeg::Unit(..) | ZoneSeg::Jump { .. } => 1,
-            ZoneSeg::Span { len, .. } => *len,
-        }
-    }
-}
-
 /// The result of exploring a model.
 ///
 /// # Examples
@@ -607,14 +557,14 @@ pub struct Exploration {
     /// Predecessor of each state on its shortest trace (`None` for the
     /// initial state).
     pub(crate) parents: Vec<Option<(StateId, Label)>>,
-    /// Zone graphs only: the segments of the delay edge into each state,
-    /// parallel to `parents` (`None` for unit edges; the last segment's
-    /// target equals the materialized target). Replayed quanta are stored as
-    /// [`ZoneSeg::Unit`] steps; closed-form spans keep only their derivative
-    /// and length ([`ZoneSeg::Span`]) and re-materialize interior states
-    /// syntactically on demand. The LTS engine leaves this empty,
-    /// making every trace query below behave exactly as before.
-    pub(crate) zone_edges: Vec<Option<Vec<ZoneSeg>>>,
+    /// The segments of the delay edge into each state, parallel to
+    /// `parents` (`None` for unit edges, which the parent pointer alone
+    /// describes; the last segment ends in the materialized target).
+    /// Concretely walked quanta are [`RunSeg::Unit`] steps; closed-form
+    /// spans keep only their derivative and length ([`RunSeg::Span`]) and
+    /// re-materialize interior states syntactically on demand. LTS runs
+    /// have unit edges only, so every entry is `None`.
+    pub(crate) zone_edges: Vec<Option<Vec<RunSeg>>>,
     /// Deadlocked states (no outgoing prioritized transitions), in discovery
     /// order.
     pub deadlocks: Vec<StateId>,
@@ -726,75 +676,16 @@ impl Exploration {
         let mut states = self.states.clone();
         let mut steps: Vec<(Label, StateId)> = Vec::with_capacity(path.len());
         for to in path {
-            match self.zone_edges.get(to.index()).and_then(|e| e.as_ref()) {
-                Some(edge) => {
-                    let (parent, _) = self.parents[to.index()].as_ref().expect("on path");
-                    let mut cur: P = states[parent.index()].clone();
-                    let n = edge.len();
-                    for (i, seg) in edge.iter().enumerate() {
-                        let seg_last = i + 1 == n;
-                        match seg {
-                            ZoneSeg::Unit(label, p) => {
-                                if seg_last {
-                                    steps.push((label.clone(), to));
-                                } else {
-                                    states.push(p.clone());
-                                    steps.push((label.clone(), StateId((states.len() - 1) as u32)));
-                                    cur = p.clone();
-                                }
-                            }
-                            ZoneSeg::Span {
-                                label,
-                                delta,
-                                len,
-                                end,
-                            } => {
-                                // Interior states of a closed-form span are
-                                // rebuilt syntactically from the segment's
-                                // source: the span was verified against the
-                                // step relation when it was recorded, so the
-                                // rebuilds are exactly the states a unit
-                                // replay would have produced.
-                                let f = acsr::skeleton::factor(&cur);
-                                for k in 1..*len {
-                                    let v: Vec<i64> = f
-                                        .values
-                                        .iter()
-                                        .zip(delta.iter())
-                                        .map(|(a, d)| a + d * k as i64)
-                                        .collect();
-                                    let p = acsr::skeleton::rebuild(&cur, &v)
-                                        .expect("span vectors stay within the shape");
-                                    states.push(p.clone());
-                                    steps.push((label.clone(), StateId((states.len() - 1) as u32)));
-                                }
-                                if seg_last {
-                                    steps.push((label.clone(), to));
-                                } else {
-                                    let t = end.materialize();
-                                    states.push(t.clone());
-                                    steps.push((label.clone(), StateId((states.len() - 1) as u32)));
-                                    cur = t;
-                                }
-                            }
-                            ZoneSeg::Jump { label, end } => {
-                                if seg_last {
-                                    steps.push((label.clone(), to));
-                                } else {
-                                    let t = end.materialize();
-                                    states.push(t.clone());
-                                    steps.push((label.clone(), StateId((states.len() - 1) as u32)));
-                                    cur = t;
-                                }
-                            }
-                        }
-                    }
-                }
-                None => {
-                    let (_, label) = self.parents[to.index()].as_ref().expect("on path");
-                    steps.push((label.clone(), to));
+            let (parent, label) = self.parents[to.index()].as_ref().expect("on path");
+            if let Some(segs) = self.zone_edges.get(to.index()).and_then(|e| e.as_ref()) {
+                let mut edge = edge_steps(&states[parent.index()], segs);
+                edge.pop(); // the edge's own target, already `to`
+                for (label, p) in edge {
+                    states.push(p);
+                    steps.push((label, StateId((states.len() - 1) as u32)));
                 }
             }
+            steps.push((label.clone(), to));
         }
         Trace {
             initial: StateId(0),
@@ -817,33 +708,6 @@ impl Exploration {
     /// ```
     pub fn first_deadlock_trace(&self) -> Option<Trace> {
         self.deadlocks.first().map(|&d| self.trace_to(d))
-    }
-
-    /// All states whose term satisfies `pred`, in id (discovery) order.
-    /// Useful for reachability queries beyond deadlock detection — e.g. "is
-    /// any state with the queue at capacity reachable?". A zone graph holds
-    /// only branch points, deadlocks and run endpoints, so states strictly
-    /// inside a forced run are not searched: a query over every reachable
-    /// state needs an exploration run with [`Options::collect_lts`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use acsr::prelude::*;
-    /// use versa::{explore, Options};
-    ///
-    /// let env = Env::new();
-    /// let ex = explore(&env, &act([(Res::new("cpu"), 1)], nil()), &Options::default());
-    /// let nils = ex.find_states(|p| matches!(&**p, acsr::Proc::Nil));
-    /// assert_eq!(nils.len(), 1);
-    /// ```
-    pub fn find_states(&self, mut pred: impl FnMut(&P) -> bool) -> Vec<StateId> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| pred(p))
-            .map(|(i, _)| StateId(i as u32))
-            .collect()
     }
 
     /// Depth of a state: the number of per-quantum steps on its shortest
@@ -870,13 +734,46 @@ impl Exploration {
                 .zone_edges
                 .get(cur.index())
                 .and_then(|e| e.as_ref())
-                .map_or(1, |segs| {
-                    segs.iter().map(|s| s.weight() as usize).sum()
-                });
+                .map_or(1, |segs| segs.iter().map(|s| s.weight() as usize).sum());
             cur = *parent;
         }
         depth
     }
+}
+
+/// The per-quantum `(label, target)` steps of a delay edge out of `source`,
+/// the edge's own target last. Interior states of a closed-form span are
+/// rebuilt syntactically from the span's source: the span was verified
+/// against the step relation when it was recorded, so the rebuilds are
+/// exactly the states a unit replay would have produced.
+fn edge_steps(source: &P, segs: &[RunSeg]) -> Vec<(Label, P)> {
+    let mut out: Vec<(Label, P)> = Vec::new();
+    let mut cur = source.clone();
+    for seg in segs {
+        if let RunSeg::Span {
+            label, delta, len, ..
+        } = seg
+        {
+            let f = skeleton::factor(&cur);
+            for k in 1..*len {
+                let v: Vec<i64> = f
+                    .values
+                    .iter()
+                    .zip(delta.iter())
+                    .map(|(a, d)| a + d * k as i64)
+                    .collect();
+                let p = skeleton::rebuild(&cur, &v).expect("span vectors stay within the shape");
+                out.push((label.clone(), p));
+            }
+        }
+        cur = match seg.end() {
+            RunEnd::Real(t) => t.into_term(),
+            RunEnd::Virt { template, values } => skeleton::rebuild(template.term(), &values)
+                .expect("virtual zone state must rebuild within its shape"),
+        };
+        out.push((seg.label().clone(), cur.clone()));
+    }
+    out
 }
 
 /// Explore the prioritized transition system of `initial` under `env`.
@@ -887,8 +784,8 @@ impl Exploration {
 /// use acsr::prelude::*;
 /// use versa::{explore, Options};
 ///
-/// // A choice between a 1-step and a 2-step path to NIL: BFS finds the
-/// // shortest deadlock first.
+/// // A choice between a 1-step and a 2-step path to NIL: the search finds
+/// // the shortest deadlock first.
 /// let env = Env::new();
 /// let p = choice([
 ///     act([(Res::new("cpu"), 1)], nil()),
@@ -898,468 +795,13 @@ impl Exploration {
 /// assert_eq!(ex.first_deadlock_trace().unwrap().len(), 1);
 /// ```
 pub fn explore(env: &Env, initial: &P, opts: &Options) -> Exploration {
-    explore_with_id_limit(env, initial, opts, ID_LIMIT)
+    crate::zones::explore_zones(env, initial, opts, ID_LIMIT)
 }
 
 /// State ids are dense `u32`s; a run that would intern more states than this
 /// is truncated gracefully (never a panic — [`Exploration::truncated`] is
 /// set, which the CLI reports as verdict "unknown", exit code 3).
 const ID_LIMIT: usize = u32::MAX as usize;
-
-/// A visited-set entry.
-#[derive(Copy, Clone, Debug)]
-enum Slot {
-    /// Interned with its final id (a previous level, or already merged).
-    Final(StateId),
-    /// Claimed during the current level's expansion by `(worker, slot)`;
-    /// the id is assigned at the deterministic merge.
-    Pending { worker: u32, slot: u32 },
-}
-
-/// The concurrent visited set: `TermId → Slot` distributed over power-of-two
-/// `Mutex` shards selected by the low bits of each term's *deterministic
-/// structural digest* (never the id — ids depend on interning races, the
-/// digest does not, so the shard a state lands in is reproducible run to
-/// run). Keys are plain `u32` ids: probing is an integer hash, with no deep
-/// comparison anywhere — structural equality was already decided by the term
-/// store.
-struct Visited {
-    shards: Vec<Mutex<HashMap<TermId, Slot>>>,
-    mask: u64,
-}
-
-impl Visited {
-    fn new(shards: usize) -> Visited {
-        let n = shards.max(1).next_power_of_two();
-        Visited {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: (n - 1) as u64,
-        }
-    }
-
-    fn shard(&self, digest: u64) -> &Mutex<HashMap<TermId, Slot>> {
-        &self.shards[(digest & self.mask) as usize]
-    }
-
-    /// The worker-side intern probe: an existing entry is returned; a vacant
-    /// one is claimed as [`Slot::Pending`] for `(worker, slot)` and `None`
-    /// comes back. `contended` is a lock-wait proxy: one tick per `try_lock`
-    /// that would have blocked.
-    fn probe_or_pend(
-        &self,
-        t: &Interned,
-        worker: u32,
-        slot: u32,
-        contended: &obs::Counter,
-    ) -> Option<Slot> {
-        let shard = self.shard(t.digest());
-        let mut guard = match shard.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                contended.inc();
-                shard.lock().expect("visited shard poisoned")
-            }
-            Err(TryLockError::Poisoned(_)) => panic!("visited shard poisoned"),
-        };
-        match guard.entry(t.id()) {
-            Entry::Occupied(e) => Some(*e.get()),
-            Entry::Vacant(v) => {
-                v.insert(Slot::Pending { worker, slot });
-                None
-            }
-        }
-    }
-
-    /// The merge-side finalization: overwrite a [`Slot::Pending`] claim with
-    /// its deterministically assigned id. O(1): an integer-keyed map probe.
-    fn finalize(&self, t: &Interned, id: StateId) {
-        let mut guard = self
-            .shard(t.digest())
-            .lock()
-            .expect("visited shard poisoned");
-        *guard.get_mut(&t.id()).expect("pending entry present") = Slot::Final(id);
-    }
-
-    /// Per-shard entry counts (for the occupancy histogram).
-    fn occupancy(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("visited shard poisoned").len())
-            .collect()
-    }
-}
-
-/// A probed successor, as recorded by an expansion worker.
-#[derive(Copy, Clone, Debug)]
-enum Target {
-    /// Already interned before this level started.
-    Known(StateId),
-    /// First discovered during this level; the term lives in the claiming
-    /// worker's `fresh` buffer and gets its id at the merge.
-    New { worker: u32, slot: u32 },
-}
-
-/// One worker's share of an expand-and-intern level: successor lists aligned
-/// with its chunk of the frontier, every target already probed against the
-/// visited set, plus the terms this worker claimed first.
-struct WorkerOut {
-    succs: Vec<Vec<(Label, Target)>>,
-    fresh: Vec<Interned>,
-}
-
-/// Expand `ids` (a frontier chunk, in frontier order) and intern every
-/// successor against the sharded visited set. Successors come back from the
-/// [`StepSession`] already interned (and, on a memo hit, without any
-/// derivation at all). Runs on worker threads in parallel mode and inline
-/// (as worker 0) in sequential mode — one code path, so the engines cannot
-/// drift apart.
-fn expand_chunk(
-    session: &StepSession<'_>,
-    states: &[Interned],
-    ids: &[StateId],
-    visited: &Visited,
-    worker: u32,
-    shard_contended: &obs::Counter,
-    cancel: &CancelToken,
-) -> WorkerOut {
-    let mut fresh: Vec<Interned> = Vec::new();
-    let mut succs = Vec::with_capacity(ids.len());
-    for id in ids {
-        // Cooperative cancellation point: a fired token abandons the rest of
-        // the chunk. The partial output is safe because the caller discards
-        // the whole level (no merge) when the token is observed set.
-        if cancel.is_cancelled() {
-            break;
-        }
-        succs.push(
-            session
-                .prioritized_steps(&states[id.index()])
-                .into_iter()
-                .map(|(label, t)| {
-                    let slot = fresh.len() as u32;
-                    let target = match visited.probe_or_pend(&t, worker, slot, shard_contended) {
-                        Some(Slot::Final(sid)) => Target::Known(sid),
-                        Some(Slot::Pending { worker, slot }) => Target::New { worker, slot },
-                        None => {
-                            fresh.push(t);
-                            Target::New { worker, slot }
-                        }
-                    };
-                    (label, target)
-                })
-                .collect(),
-        );
-    }
-    WorkerOut { succs, fresh }
-}
-
-/// The engine behind [`explore`], with the id-space ceiling as a parameter
-/// so tests can exercise the graceful-truncation path without interning
-/// four billion states.
-fn explore_with_id_limit(env: &Env, initial: &P, opts: &Options, id_limit: usize) -> Exploration {
-    let id_limit = id_limit.clamp(1, ID_LIMIT);
-    if !opts.collect_lts {
-        return crate::zones::explore_zones(env, initial, opts, id_limit);
-    }
-    // The LTS path: one state per quantum, breadth-first. Its runs are never
-    // cached (an artifact carries no transition relation).
-    let start = Instant::now();
-
-    let run_span = opts.obs.span("explore");
-    let dedup_counter = opts.obs.counter("explore.dedup_hits");
-    let states_gauge = opts.obs.gauge("explore.states");
-    let threads = opts.threads.max(1);
-    let visited = Visited::new(threads);
-    let store = opts
-        .store
-        .clone()
-        .unwrap_or_else(|| Arc::new(TermStore::new()));
-    let memo_config = MemoConfig::with_capacity(opts.memo_capacity);
-    let session = StepSession::new(env, store.clone(), memo_config);
-
-    // Parallel-only instruments, registered once per run (not once per
-    // level): the contention counters are inherently racy, so sequential
-    // runs never carry them and stay byte-deterministic.
-    let inert = obs::Counter::default();
-    let (worker_expanded, out_contended, shard_contended, chunk_hist) = if threads > 1 {
-        (
-            (0..threads)
-                .map(|ci| opts.obs.counter(&format!("explore.worker.{ci}.expanded")))
-                .collect::<Vec<_>>(),
-            opts.obs.counter("explore.lock_contention"),
-            opts.obs.counter("explore.shard_contention"),
-            opts.obs.histogram("explore.worker_chunk"),
-        )
-    } else {
-        (
-            Vec::new(),
-            obs::Counter::default(),
-            obs::Counter::default(),
-            obs::Histogram::default(),
-        )
-    };
-
-    let mut states: Vec<Interned> = Vec::new();
-    let mut parents: Vec<Option<(StateId, Label)>> = Vec::new();
-    let mut deadlocks: Vec<StateId> = Vec::new();
-    let mut lts_transitions: Vec<Vec<(Label, StateId)>> = Vec::new();
-    let mut stats = Stats::default();
-    let mut truncated = false;
-    let mut cancelled = false;
-
-    let root = StateId(0);
-    let root_t = session.intern(initial);
-    visited
-        .shard(root_t.digest())
-        .lock()
-        .expect("visited shard poisoned")
-        .insert(root_t.id(), Slot::Final(root));
-    states.push(root_t);
-    parents.push(None);
-
-    let mut frontier: Vec<StateId> = vec![root];
-    while !frontier.is_empty() {
-        if opts.cancel.is_cancelled() {
-            cancelled = true;
-            break;
-        }
-        stats.levels += 1;
-        stats.peak_frontier = stats.peak_frontier.max(frontier.len());
-        let level_span = run_span.child("explore.level");
-        let mut level_discovered = 0usize;
-        let mut level_deduped = 0usize;
-        let mut level_transitions = 0usize;
-        let mut stop = false;
-
-        // Phase 1 — expand-and-intern. Workers compute prioritized
-        // successors and probe/claim the sharded visited set concurrently;
-        // only wide frontiers pay for spawning (narrow levels, including the
-        // startup ramp, run inline through the same chunk code).
-        let outs: Vec<WorkerOut> = if threads > 1 && frontier.len() >= 4 * threads {
-            let chunk = frontier.len().div_ceil(threads);
-            let collected: Mutex<Vec<(usize, WorkerOut)>> = Mutex::new(Vec::with_capacity(threads));
-            std::thread::scope(|s| {
-                for (ci, ids) in frontier.chunks(chunk).enumerate() {
-                    let collected = &collected;
-                    let visited = &visited;
-                    let states = &states[..];
-                    let session = &session;
-                    let out_contended = &out_contended;
-                    let shard_contended = &shard_contended;
-                    let expanded = worker_expanded[ci].clone();
-                    chunk_hist.observe(ids.len() as u64);
-                    let cancel = &opts.cancel;
-                    s.spawn(move || {
-                        let out = expand_chunk(
-                            session,
-                            states,
-                            ids,
-                            visited,
-                            ci as u32,
-                            shard_contended,
-                            cancel,
-                        );
-                        expanded.add(out.succs.len() as u64);
-                        let mut guard = match collected.try_lock() {
-                            Ok(guard) => guard,
-                            Err(TryLockError::WouldBlock) => {
-                                out_contended.inc();
-                                collected.lock().expect("expansion lock poisoned")
-                            }
-                            Err(TryLockError::Poisoned(_)) => panic!("expansion lock poisoned"),
-                        };
-                        guard.push((ci, out));
-                    });
-                }
-            });
-            let mut chunks = collected.into_inner().expect("expansion lock poisoned");
-            chunks.sort_unstable_by_key(|(ci, _)| *ci);
-            chunks.into_iter().map(|(_, out)| out).collect()
-        } else {
-            vec![expand_chunk(
-                &session,
-                &states,
-                &frontier,
-                &visited,
-                0,
-                &inert,
-                &opts.cancel,
-            )]
-        };
-
-        // A token that fired mid-expansion leaves partial worker output
-        // (chunks cut short, pending visited-set claims never finalized);
-        // discard the level wholesale rather than merge an inconsistent view.
-        if opts.cancel.is_cancelled() {
-            cancelled = true;
-            level_span.end();
-            break;
-        }
-
-        // Phase 2 — deterministic merge, in frontier order across the chunk
-        // boundaries. Fresh states get their ids *here*, in exactly the
-        // order the sequential engine would assign them; which worker won
-        // the concurrent claim is invisible in the result.
-        let mut remap: Vec<Vec<Option<StateId>>> =
-            outs.iter().map(|out| vec![None; out.fresh.len()]).collect();
-        let mut next: Vec<StateId> = Vec::new();
-        let mut fi = 0usize;
-        'level: for out in &outs {
-            for succs in &out.succs {
-                let id = frontier[fi];
-                fi += 1;
-                if succs.is_empty() {
-                    deadlocks.push(id);
-                    stats.deadlocks += 1;
-                    if opts.stop_at_first_deadlock {
-                        stop = true;
-                        break 'level;
-                    }
-                }
-                if lts_transitions.len() <= id.index() {
-                    lts_transitions.resize(id.index() + 1, Vec::new());
-                }
-                for (label, target) in succs {
-                    stats.transitions += 1;
-                    level_transitions += 1;
-                    let (sid, fresh) = match *target {
-                        Target::Known(sid) => (sid, false),
-                        Target::New { worker, slot } => {
-                            let (w, sl) = (worker as usize, slot as usize);
-                            match remap[w][sl] {
-                                Some(sid) => (sid, false),
-                                None => {
-                                    if states.len() >= id_limit {
-                                        // Id space exhausted: stop interning
-                                        // and report a truncated (verdict
-                                        // "unknown") run instead of dying.
-                                        truncated = true;
-                                        stop = true;
-                                        break 'level;
-                                    }
-                                    let sid = StateId(states.len() as u32);
-                                    remap[w][sl] = Some(sid);
-                                    let t = &outs[w].fresh[sl];
-                                    visited.finalize(t, sid);
-                                    states.push(t.clone());
-                                    parents.push(Some((id, label.clone())));
-                                    next.push(sid);
-                                    (sid, true)
-                                }
-                            }
-                        }
-                    };
-                    lts_transitions[id.index()].push((label.clone(), sid));
-                    if fresh {
-                        level_discovered += 1;
-                    } else {
-                        stats.dedup_hits += 1;
-                        level_deduped += 1;
-                    }
-                }
-                if states.len() >= opts.max_states {
-                    truncated = true;
-                    stop = true;
-                    break 'level;
-                }
-            }
-        }
-
-        level_span.set("level", stats.levels as i64);
-        level_span.set("frontier", frontier.len() as i64);
-        level_span.set("discovered", level_discovered as i64);
-        level_span.set("deduped", level_deduped as i64);
-        level_span.set("transitions", level_transitions as i64);
-        level_span.set("states_total", states.len() as i64);
-        level_span.end();
-        dedup_counter.add(level_deduped as u64);
-        states_gauge.set(states.len() as i64);
-        opts.obs.progress(
-            states.len() as u64,
-            stats.levels as u64,
-            frontier.len() as u64,
-        );
-        if stop {
-            break;
-        }
-        frontier = next;
-    }
-
-    stats.states = states.len();
-    let memo = session.memo_stats();
-    stats.memo_hits = memo.hits;
-    stats.memo_misses = memo.misses;
-    stats.memo_evictions = memo.evictions;
-    stats.unique_subterms = store.len();
-    stats.duration = start.elapsed();
-    run_span.set("states", stats.states as i64);
-    run_span.set("transitions", stats.transitions as i64);
-    run_span.set("levels", stats.levels as i64);
-    run_span.set("peak_frontier", stats.peak_frontier as i64);
-    run_span.set("deadlocks", stats.deadlocks as i64);
-    run_span.set("truncated", i64::from(truncated));
-    if cancelled {
-        // Only stamped when set, so uncancelled runs (the entire pre-daemon
-        // corpus, including the golden timelines) keep their byte-identical
-        // reports.
-        run_span.set("cancelled", 1);
-    }
-    run_span.set("shards", visited.shards.len() as i64);
-    opts.obs.counter("step.memo_hits").add(stats.memo_hits);
-    opts.obs.counter("step.memo_misses").add(stats.memo_misses);
-    opts.obs
-        .counter("step.memo_evictions")
-        .add(stats.memo_evictions);
-    opts.obs
-        .gauge("term.unique_subterms")
-        .set(stats.unique_subterms as i64);
-    if opts.obs.is_enabled() {
-        let occupancy = opts.obs.histogram("explore.shard_occupancy");
-        for entries in visited.occupancy() {
-            occupancy.observe(entries as u64);
-        }
-    }
-    run_span.end();
-
-    lts_transitions.resize(states.len(), Vec::new());
-    let lts = Some(Lts {
-        initial: root,
-        transitions: lts_transitions,
-    });
-    Exploration {
-        states: states.into_iter().map(Interned::into_term).collect(),
-        parents,
-        zone_edges: Vec::new(),
-        deadlocks,
-        lts,
-        stats,
-        truncated,
-        cancelled,
-    }
-}
-
-/// Convenience: explore and return whether the model is deadlock-free
-/// together with the exploration (used by the schedulability front end).
-///
-/// # Examples
-///
-/// ```
-/// use acsr::prelude::*;
-/// use versa::{explore, Options};
-///
-/// let env = Env::new();
-/// let (free, ex) = versa::explore::deadlock_free(&env, &nil(), &Options::default());
-/// assert!(!free);
-/// assert_eq!(ex.deadlocks.len(), 1);
-/// ```
-pub fn deadlock_free(env: &Env, initial: &P, opts: &Options) -> (bool, Exploration) {
-    let ex = explore(env, initial, opts);
-    (ex.deadlock_free(), ex)
-}
-
-/// Keep `Arc` in the public signature out of rustdoc's way.
-#[doc(hidden)]
-pub type State = Arc<acsr::Proc>;
 
 #[cfg(test)]
 mod tests {
@@ -1508,45 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn find_states_and_depth() {
-        let env = Env::new();
-        let p = act(
-            [(cpu(), 1)],
-            act([(cpu(), 2)], act([(cpu(), 3)], nil())),
-        );
-        let ex = explore(&env, &p, &Options::default());
-        let nils = ex.find_states(|st| matches!(&**st, acsr::Proc::Nil));
-        assert_eq!(nils.len(), 1);
-        assert_eq!(ex.depth_of(nils[0]), 3);
-        assert_eq!(ex.depth_of(ex.initial()), 0);
-        let all = ex.find_states(|_| true);
-        assert_eq!(all.len(), ex.num_states());
-    }
-
-    #[test]
-    fn find_states_matches_manual_scan_and_preserves_bfs_order() {
-        let env = Env::new();
-        // A diamond: the initial choice reaches NIL via a 1-step and a 2-step
-        // path, so several states satisfy non-trivial predicates.
-        let p = choice([
-            act([(cpu(), 1)], nil()),
-            act([(Res::new("bus"), 1)], act([(cpu(), 2)], nil())),
-        ]);
-        let ex = explore(&env, &p, &Options::default());
-        // Ids come back sorted (BFS order) and match a manual filter.
-        let timed_roots = ex.find_states(|st| !matches!(&**st, acsr::Proc::Nil));
-        assert!(timed_roots.windows(2).all(|w| w[0] < w[1]));
-        for id in &timed_roots {
-            assert!(!matches!(&**ex.state(*id), acsr::Proc::Nil));
-        }
-        // The two partitions cover the state table exactly.
-        let nils = ex.find_states(|st| matches!(&**st, acsr::Proc::Nil));
-        assert_eq!(nils.len() + timed_roots.len(), ex.num_states());
-        // An unsatisfiable predicate finds nothing.
-        assert!(ex.find_states(|_| false).is_empty());
-    }
-
-    #[test]
     fn depth_of_equals_shortest_trace_length_for_every_state() {
         let mut env = Env::new();
         let c1 = env.declare("D", 1);
@@ -1659,7 +1062,8 @@ mod tests {
             assert_eq!(lvl.parent, Some(roots[0].id));
             assert!(lvl.fields.contains(&("level".to_string(), i as i64 + 1)));
         }
-        // Straight-line process: no state is ever rediscovered. Counters
+        // Straight-line process: no state is ever rediscovered, and at unit
+        // edges each of its two forced steps is a singleton step. Counters
         // come back sorted by name.
         assert_eq!(
             run.counters,
@@ -1668,6 +1072,13 @@ mod tests {
                 ("step.memo_evictions".to_string(), 0),
                 ("step.memo_hits".to_string(), ex.stats.memo_hits),
                 ("step.memo_misses".to_string(), ex.stats.memo_misses),
+                ("zone.closed_form_advances".to_string(), 0),
+                ("zone.delay_steps".to_string(), 0),
+                ("zone.learned_runs".to_string(), 0),
+                ("zone.quanta_collapsed".to_string(), 0),
+                ("zone.replay_fallbacks".to_string(), 0),
+                ("zone.shapes_derived".to_string(), 0),
+                ("zone.singleton_steps".to_string(), 2),
             ]
         );
         assert_eq!(ex.stats.dedup_hits, 0);
@@ -1742,7 +1153,7 @@ mod tests {
         let p = invoke(d, [Expr::c(0)]);
         // Shrink the id space to 3 (instead of u32::MAX) so the overflow
         // path runs in a test-sized exploration.
-        let ex = explore_with_id_limit(&env, &p, &Options::default().with_lts(), 3);
+        let ex = crate::zones::explore_zones(&env, &p, &Options::default().with_lts(), 3);
         assert!(ex.truncated);
         assert_eq!(ex.num_states(), 3);
         assert!(!ex.deadlock_free()); // truncated ⇒ unknown, never "free"

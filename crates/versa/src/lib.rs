@@ -14,17 +14,19 @@
 //! once, and records a parent pointer per state so that any deadlock can be
 //! turned into a shortest counterexample [`Trace`]. States are hash-consed
 //! through an [`acsr::TermStore`] and successors are memoized per subterm
-//! (see [`acsr::StepSession`]). Verdict runs search a *zone graph*: forced
-//! runs of quanta collapse into weighted delay edges, walked in closed form
-//! once they grow long, so a long hyperperiod costs little more than its
-//! branch points (this addresses the paper's future-work note on
-//! "improving the state-space exploration efficiency of VERSA", §7). An LTS
-//! export ([`Options::collect_lts`]) takes a per-quantum breadth-first
-//! search instead, with level-synchronous parallel frontier expansion over
-//! scoped `std::thread` workers whose results are bit-for-bit identical to
-//! the sequential run. A deliberately plain sequential explorer over the
-//! bare step relation, [`reference::explore_reference`], is the executable
-//! specification the differential test suites hold both engines to.
+//! (see [`acsr::StepSession`]). One engine does every search, over a *zone
+//! graph*: forced runs of quanta collapse into weighted delay edges, walked
+//! in closed form once they grow long, so a long hyperperiod costs little
+//! more than its branch points (this addresses the paper's future-work note
+//! on "improving the state-space exploration efficiency of VERSA", §7). An
+//! LTS export ([`Options::collect_lts`]) runs the same search with every
+//! edge one quantum long, which makes it a per-quantum breadth-first search
+//! that records each edge. Wide frontiers fan out over scoped `std::thread`
+//! workers that only expand states; a deterministic merge deduplicates and
+//! assigns ids, so results are bit-for-bit identical to the sequential run.
+//! A deliberately plain sequential explorer over the bare step relation,
+//! [`reference::explore_reference`], is the executable specification the
+//! differential test suites hold the engine to.
 //!
 //! ```
 //! use acsr::prelude::*;

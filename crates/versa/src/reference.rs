@@ -6,20 +6,21 @@
 //! the plain [`acsr::prioritized_steps`] relation with a `HashMap<P,
 //! StateId>` visited set. It has no term store, no successor memo, no
 //! worker threads, no artifact store and no observability, and it honours
-//! only [`Options::max_states`] and [`Options::stop_at_first_deadlock`].
+//! only [`Options::max_states`] (intern at most that many states; truncated
+//! only when one more was needed) and [`Options::stop_at_first_deadlock`].
 //!
-//! It assigns ids exactly as the per-quantum engine does — frontier order,
-//! then successor order — so the differential suites hold both engines of
-//! [`explore`] to it:
+//! It assigns ids exactly as [`explore`] does at unit edges — frontier
+//! order, then successor order — so the differential suites hold both
+//! granularities of the one engine to it:
 //!
-//! * the per-quantum LTS engine ([`Options::collect_lts`]) at any thread
-//!   count must reproduce its state table, deadlock set, transition and
-//!   dedup counts and shortest trace byte for byte
-//!   (`tests/prop_interning.rs`, `tests/prop_parallel.rs`);
-//! * the zone engine that answers every verdict run must agree with it on
-//!   the verdict, the deadlocked terms, the shortest counterexample length,
-//!   and must only ever take steps of the relation it walks
-//!   (`tests/prop_zones.rs`, `tests/prop_advance.rs`).
+//! * LTS runs ([`Options::collect_lts`], every edge one quantum) at any
+//!   thread count and any state budget must reproduce its state table,
+//!   deadlock set, transition and dedup counts, `truncated` flag and
+//!   shortest trace byte for byte (`tests/prop_interning.rs`);
+//! * verdict runs, which collapse forced runs into delay edges, must agree
+//!   with it on the verdict, the deadlocked terms, the shortest
+//!   counterexample length, and must only ever take steps of the relation
+//!   they walk (`tests/prop_zones.rs`, `tests/prop_advance.rs`).
 //!
 //! [`explore`]: crate::explore::explore
 
@@ -89,6 +90,10 @@ pub fn explore_reference(env: &Env, initial: &P, opts: &Options) -> Exploration 
                 match visited.entry(p) {
                     Entry::Occupied(_) => stats.dedup_hits += 1,
                     Entry::Vacant(v) => {
+                        if states.len() >= opts.max_states {
+                            truncated = true;
+                            break 'search;
+                        }
                         let sid = StateId(states.len() as u32);
                         states.push(v.key().clone());
                         v.insert(sid);
@@ -96,10 +101,6 @@ pub fn explore_reference(env: &Env, initial: &P, opts: &Options) -> Exploration 
                         next.push(sid);
                     }
                 }
-            }
-            if states.len() >= opts.max_states {
-                truncated = true;
-                break 'search;
             }
         }
         frontier = next;
@@ -180,5 +181,28 @@ mod tests {
         assert!(spec.truncated);
         assert!(!spec.deadlock_free());
         assert_eq!(spec.num_states(), explore(&env, &p, &opts).num_states());
+    }
+
+    #[test]
+    fn a_budget_of_exactly_the_state_count_completes() {
+        // Four states: three forced quanta, then the NIL deadlock.
+        let cpu = || Res::new("cpu");
+        let p = act([(cpu(), 1)], act([(cpu(), 1)], act([(cpu(), 1)], nil())));
+        let env = Env::new();
+        for (budget, states, truncated) in [(4, 4, false), (3, 3, true), (1, 1, true)] {
+            let opts = Options::default().with_max_states(budget);
+            for ex in [
+                explore_reference(&env, &p, &opts),
+                explore(&env, &p, &opts.clone().with_lts()),
+            ] {
+                assert_eq!(ex.num_states(), states, "budget {budget}");
+                assert_eq!(ex.truncated, truncated, "budget {budget}");
+                assert_eq!(
+                    ex.deadlocks.len(),
+                    usize::from(!truncated),
+                    "budget {budget}"
+                );
+            }
+        }
     }
 }

@@ -1,16 +1,16 @@
-//! Delay-abstracted (zone-based) exploration: the verdict engine.
+//! Delay-abstracted (zone-based) exploration: the one exploration engine.
 //!
 //! A per-quantum explorer materializes one state per scheduling quantum, so
 //! the explored-state count of a periodic task model scales with the
 //! hyperperiod — the source paper's own scalability wall (§7). This module
-//! is the frontier strategy behind every [`crate::explore::explore`] call
-//! that does not ask for an LTS: whenever a state has exactly one
-//! prioritized successor, the whole *forced* chain — up to the next branch,
-//! deadlock, cycle or the edge cap — becomes a single weighted *delay edge*
-//! of the zone graph. Only branch points, deadlocks and run endpoints are
-//! materialized as states; everything strictly inside a run has out-degree
-//! exactly one, so it can neither deadlock nor offer behaviour the endpoint
-//! doesn't already dominate (DESIGN.md §17 spells the argument out).
+//! is the search behind every [`crate::explore::explore`] call: whenever a
+//! state has exactly one prioritized successor, the whole *forced* chain —
+//! up to the next branch, deadlock, cycle or the edge cap — becomes a
+//! single weighted *delay edge* of the zone graph. Only branch points,
+//! deadlocks and run endpoints are materialized as states; everything
+//! strictly inside a run has out-degree exactly one, so it can neither
+//! deadlock nor offer behaviour the endpoint doesn't already dominate
+//! (DESIGN.md §17 spells the argument out).
 //!
 //! # Learning lazily
 //!
@@ -31,6 +31,15 @@
 //! A delay edge stores a list of *segments*: concretely walked unit steps,
 //! and closed-form spans that keep only their derivative and length and
 //! re-materialize interior states syntactically on demand.
+//!
+//! # LTS runs: the same search at unit edges
+//!
+//! An LTS export ([`Options::collect_lts`]) needs the concrete transition
+//! relation, which delay edges are not. Such runs fix the edge cap at 1:
+//! every forced step is then its own unit edge, every reachable state is
+//! materialized, and the weighted search degenerates to a plain
+//! breadth-first search (no relaxation can fire when every edge weighs 1).
+//! The merge records each edge's `(label, target)` into the [`Lts`].
 //!
 //! # Shortest traces under weighted edges
 //!
@@ -65,15 +74,16 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use acsr::{
-    forced_run, forced_run_closed, skeleton, AdvanceCache, Env, Interned, Label, MemoConfig,
-    RunEnd, RunOutcome, RunSeg, StepSession, TermId, TermStore, P,
+    forced_run, forced_run_closed, AdvanceCache, Env, Interned, Label, MemoConfig, RunOutcome,
+    RunSeg, StepSession, TermId, TermStore, P,
 };
 
-use crate::explore::{CancelToken, Exploration, Options, StateId, Stats, ZoneEnd, ZoneSeg};
+use crate::explore::{CancelToken, Exploration, Options, StateId, Stats};
+use crate::lts::Lts;
 
 /// Forced steps walked concretely before a run is handed to the closed-form
 /// runner. Shorter runs never factor a state into its shape; longer runs
@@ -166,19 +176,6 @@ fn expand_state(
     }
 }
 
-/// Convert an engine-side segment end into the term-level representation
-/// stored on the final [`Exploration`] (virtual ends stay virtual — they
-/// rebuild on demand during trace reconstruction).
-fn zone_end(end: RunEnd) -> ZoneEnd {
-    match end {
-        RunEnd::Real(t) => ZoneEnd::Real(t.into_term()),
-        RunEnd::Virt { template, values } => ZoneEnd::Virt {
-            template: template.into_term(),
-            values,
-        },
-    }
-}
-
 /// One worker's chunk of a bucket, expanded in frontier order.
 fn expand_chunk(
     session: &StepSession<'_>,
@@ -221,6 +218,8 @@ struct ZoneGraph {
     queue: BTreeMap<u64, Vec<StateId>>,
     /// State budget: the id ceiling or `max_states`, whichever is lower.
     limit: usize,
+    /// LTS runs only: every recorded edge, by source state.
+    lts: Option<Vec<Vec<(Label, StateId)>>>,
 }
 
 enum EdgeOutcome {
@@ -229,7 +228,7 @@ enum EdgeOutcome {
 }
 
 impl ZoneGraph {
-    fn new(root: Interned, limit: usize) -> ZoneGraph {
+    fn new(root: Interned, limit: usize, collect_lts: bool) -> ZoneGraph {
         let mut visited = HashMap::new();
         visited.insert(root.id(), StateId(0));
         ZoneGraph {
@@ -241,12 +240,14 @@ impl ZoneGraph {
             visited,
             queue: BTreeMap::from([(0, vec![StateId(0)])]),
             limit,
+            lts: collect_lts.then(|| vec![Vec::new()]),
         }
     }
 
     /// Record one edge into `target` (a delay edge when `timeline` holds its
     /// segments, an ordinary unit edge otherwise) out of `from`, relaxing
-    /// the target's depth Dijkstra-style.
+    /// the target's depth Dijkstra-style, and into the LTS when one is
+    /// collected. A fresh target past the state budget is not interned.
     fn record_edge(
         &mut self,
         from: StateId,
@@ -258,7 +259,8 @@ impl ZoneGraph {
     ) -> EdgeOutcome {
         let depth = self.depths[from.index()] + weight;
         stats.transitions += 1;
-        match self.visited.entry(target.id()) {
+        let lts_label = self.lts.is_some().then(|| label.clone());
+        let sid = match self.visited.entry(target.id()) {
             Entry::Occupied(e) => {
                 let sid = *e.get();
                 stats.dedup_hits += 1;
@@ -272,7 +274,7 @@ impl ZoneGraph {
                     self.edges[sid.index()] = timeline;
                     self.queue.entry(depth).or_default().push(sid);
                 }
-                EdgeOutcome::Recorded
+                sid
             }
             Entry::Vacant(v) => {
                 if self.states.len() >= self.limit {
@@ -286,14 +288,22 @@ impl ZoneGraph {
                 self.parents.push(Some((from, label)));
                 self.edges.push(timeline);
                 self.queue.entry(depth).or_default().push(sid);
-                EdgeOutcome::Recorded
+                if let Some(lts) = &mut self.lts {
+                    lts.push(Vec::new());
+                }
+                sid
             }
+        };
+        if let (Some(lts), Some(label)) = (&mut self.lts, lts_label) {
+            lts[from.index()].push((label, sid));
         }
+        EdgeOutcome::Recorded
     }
 }
 
-/// The engine behind [`crate::explore::explore`] whenever no LTS is
-/// requested.
+/// The engine behind [`crate::explore::explore`], for an id ceiling of
+/// `id_limit` (≥ 1) states; tests pass a small ceiling to exercise the
+/// graceful-truncation path without interning four billion states.
 pub(crate) fn explore_zones(
     env: &Env,
     initial: &P,
@@ -301,12 +311,16 @@ pub(crate) fn explore_zones(
     id_limit: usize,
 ) -> Exploration {
     let start = Instant::now();
-    let id_limit = id_limit.max(1);
     // Per-edge step cap: bounds the work between two cancellation polls and
     // the size of any one edge's stored timeline, and doubles as the cycle
     // horizon for closed idle loops. Longer forced runs simply become
-    // several chained edges, so the value never changes verdicts.
-    let cap = opts.zone_cap.max(1) as u64;
+    // several chained edges, so the value never changes verdicts. LTS runs
+    // need every quantum as its own state, hence unit edges.
+    let cap = if opts.collect_lts {
+        1
+    } else {
+        opts.zone_cap.max(1) as u64
+    };
 
     // Cross-run artifact store: consult before exploring. A hit replays the
     // recorded verdict (and trace skeleton) instead of searching; anything
@@ -355,7 +369,12 @@ pub(crate) fn explore_zones(
     // Steps of long runs merged so far: the volume that switches learning on.
     let mut long_run_steps = 0u64;
 
-    let mut g = ZoneGraph::new(session.intern(initial), id_limit.min(opts.max_states));
+    let root = session.intern(initial);
+    let mut g = ZoneGraph::new(
+        root.clone(),
+        id_limit.min(opts.max_states),
+        opts.collect_lts,
+    );
 
     'search: while let Some((depth, bucket)) = g.queue.pop_first() {
         if opts.cancel.is_cancelled() {
@@ -397,14 +416,10 @@ pub(crate) fn explore_zones(
                     let cancel = &opts.cancel;
                     s.spawn(move || {
                         let out = expand_chunk(session, cache, states, ids, cap, learn, cancel);
-                        let mut guard = match collected.try_lock() {
-                            Ok(guard) => guard,
-                            Err(TryLockError::WouldBlock) => {
-                                collected.lock().expect("expansion lock poisoned")
-                            }
-                            Err(TryLockError::Poisoned(_)) => panic!("expansion lock poisoned"),
-                        };
-                        guard.push((ci, out));
+                        collected
+                            .lock()
+                            .expect("expansion lock poisoned")
+                            .push((ci, out));
                     });
                 }
             });
@@ -557,94 +572,29 @@ pub(crate) fn explore_zones(
         .set(stats.unique_subterms as i64);
     run_span.end();
 
+    let ex = Exploration {
+        states: g.states.into_iter().map(Interned::into_term).collect(),
+        parents: g.parents,
+        zone_edges: g.edges,
+        deadlocks,
+        lts: g.lts.map(|transitions| Lts {
+            initial: StateId(0),
+            transitions,
+        }),
+        stats,
+        truncated,
+        cancelled,
+    };
+
     // Deposit for the next process. Cancelled runs are partial (no verdict)
     // and deposit nothing; a failed encode or write degrades to "no cache",
-    // never to an error. The artifact records a *per-quantum* deadlock
-    // skeleton, so the first-deadlock zone path is re-expanded into its
-    // concrete chain here (`cache::encode` indexes each step in
-    // prioritized-successor order — a notion that only exists quantum by
-    // quantum). Closed-form spans are materialized syntactically, the same
-    // way `trace_to` does it.
+    // never to an error. The artifact records the first deadlock's
+    // per-quantum chain, which `trace_to` re-expands from the zone path.
     if let (Some(key), Some(artifacts)) = (&cas_key, &opts.cas) {
         if !cancelled {
-            let (chain_states, chain_parents, chain_deadlocks) = match deadlocks.first() {
-                None => (vec![g.states[0].clone()], vec![None], Vec::new()),
-                Some(&dead) => {
-                    let mut path: Vec<StateId> = Vec::new();
-                    let mut cur = dead;
-                    while let Some((p, _)) = &g.parents[cur.index()] {
-                        path.push(cur);
-                        cur = *p;
-                    }
-                    path.reverse();
-                    let mut cs: Vec<Interned> = vec![g.states[0].clone()];
-                    let mut cp: Vec<Option<(StateId, Label)>> = vec![None];
-                    for to in path {
-                        match &g.edges[to.index()] {
-                            Some(segs) => {
-                                for seg in segs {
-                                    match seg {
-                                        RunSeg::Unit(label, t) => {
-                                            let prev = StateId((cs.len() - 1) as u32);
-                                            cp.push(Some((prev, label.clone())));
-                                            cs.push(t.clone());
-                                        }
-                                        RunSeg::Span {
-                                            label,
-                                            delta,
-                                            len,
-                                            end,
-                                        } => {
-                                            let source =
-                                                cs.last().expect("chain starts rooted").clone();
-                                            let f = skeleton::factor(source.term());
-                                            for k in 1..*len {
-                                                let v: Vec<i64> = f
-                                                    .values
-                                                    .iter()
-                                                    .zip(delta.iter())
-                                                    .map(|(a, d)| a + d * k as i64)
-                                                    .collect();
-                                                let p = skeleton::rebuild(source.term(), &v)
-                                                    .expect("span vectors stay within the shape");
-                                                let prev = StateId((cs.len() - 1) as u32);
-                                                cp.push(Some((prev, label.clone())));
-                                                cs.push(session.intern(&p));
-                                            }
-                                            let prev = StateId((cs.len() - 1) as u32);
-                                            cp.push(Some((prev, label.clone())));
-                                            cs.push(end.materialize(&session));
-                                        }
-                                        RunSeg::Jump { label, end } => {
-                                            let prev = StateId((cs.len() - 1) as u32);
-                                            cp.push(Some((prev, label.clone())));
-                                            cs.push(end.materialize(&session));
-                                        }
-                                    }
-                                }
-                            }
-                            None => {
-                                let label =
-                                    g.parents[to.index()].as_ref().expect("on path").1.clone();
-                                let prev = StateId((cs.len() - 1) as u32);
-                                cp.push(Some((prev, label)));
-                                cs.push(g.states[to.index()].clone());
-                            }
-                        }
-                    }
-                    let d = StateId((cs.len() - 1) as u32);
-                    (cs, cp, vec![d])
-                }
-            };
-            let payload = crate::cache::encode(
-                env,
-                &session,
-                &chain_states,
-                &chain_parents,
-                &chain_deadlocks,
-                &stats,
-                truncated,
-            );
+            let trace = ex.first_deadlock_trace();
+            let payload =
+                crate::cache::encode(env, &session, &root, trace.as_ref(), &ex.stats, truncated);
             if let Some(payload) = payload {
                 if matches!(artifacts.put(key, &payload), Ok(true)) {
                     opts.obs.counter("cas.writes").inc();
@@ -652,44 +602,7 @@ pub(crate) fn explore_zones(
             }
         }
     }
-
-    Exploration {
-        states: g.states.into_iter().map(Interned::into_term).collect(),
-        parents: g.parents,
-        zone_edges: g
-            .edges
-            .into_iter()
-            .map(|e| {
-                e.map(|segs| {
-                    segs.into_iter()
-                        .map(|s| match s {
-                            RunSeg::Unit(l, t) => ZoneSeg::Unit(l, t.into_term()),
-                            RunSeg::Span {
-                                label,
-                                delta,
-                                len,
-                                end,
-                            } => ZoneSeg::Span {
-                                label,
-                                delta,
-                                len,
-                                end: zone_end(end),
-                            },
-                            RunSeg::Jump { label, end } => ZoneSeg::Jump {
-                                label,
-                                end: zone_end(end),
-                            },
-                        })
-                        .collect()
-                })
-            })
-            .collect(),
-        deadlocks,
-        lts: None,
-        stats,
-        truncated,
-        cancelled,
-    }
+    ex
 }
 
 #[cfg(test)]
@@ -882,14 +795,19 @@ mod tests {
     }
 
     #[test]
-    fn collect_lts_runs_the_per_quantum_engine() {
+    fn collect_lts_runs_the_search_at_unit_edges() {
         let env = Env::new();
         let p = chain(10);
-        let ex = explore(&env, &p, &Options::default().with_lts());
-        // The per-quantum engine ran: all 11 states materialized, LTS present.
+        // Whatever the configured cap, an LTS run takes every quantum as its
+        // own edge: all 11 states materialized, one LTS edge each but the
+        // deadlock, and no delay edge to re-expand.
+        let ex = explore(&env, &p, &Options::default().with_zone_cap(7).with_lts());
         assert_eq!(ex.num_states(), 11);
         let lts = ex.lts.as_ref().unwrap();
         assert_eq!(lts.transitions.len(), 11);
+        assert_eq!(lts.num_transitions(), 10);
+        assert!(ex.zone_edges.iter().all(Option::is_none));
+        assert_eq!(ex.depth_of(ex.deadlocks[0]), 10);
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //!                     or `off` (the default — no store is touched)
 //!   --tree            print the instance tree with bindings and timing
 //!   --acsr            print the generated ACSR process definitions
-//!   --dot <file>      write the explored LTS as Graphviz dot (the verdict
-//!                     then comes from the per-quantum search that builds
-//!                     it, not from the delay-zone graph)
+//!   --dot <file>      write the explored LTS as Graphviz dot (the search
+//!                     then runs at unit edges, one state per quantum, and
+//!                     the verdict comes from that same search)
 //!   --metrics <file>  write a schema-versioned JSON run report
 //!   --trace-events <file>  write the span/event stream as JSON lines
 //!   --progress        emit rate-limited exploration progress on stderr
@@ -309,8 +309,8 @@ fn main() -> ExitCode {
     if let Some(max) = args.max_states {
         aopts.explore.max_states = max;
     }
-    // The dot export needs the per-quantum LTS, so `--dot` runs take the
-    // per-quantum search for the verdict as well.
+    // The dot export needs the per-quantum LTS, so `--dot` runs search at
+    // unit edges for the verdict as well.
     aopts.explore.collect_lts = args.dot.is_some();
     aopts.explore.obs = rec.clone();
     // The persistent artifact store. Off by default, so every store-less

@@ -289,7 +289,7 @@ fn metrics_flag_writes_a_schema_versioned_report() {
     let report = std::fs::read_to_string(&report_path).unwrap();
     for key in [
         "\"schema\": \"aadlsched-metrics\"",
-        "\"version\": 8",
+        "\"version\": 9",
         "\"run_id\"",
         "\"tool\": \"aadlsched\"",
         "\"model\"",
@@ -509,7 +509,7 @@ fn zone_cap_never_changes_the_verdict_and_removed_engine_flags_are_unknown() {
     let path = write_model("ok_zoneflags.aadl", OK_MODEL);
     let base = aadlsched(&[path.to_str().unwrap(), "Top.impl"]);
     assert!(base.status.success(), "{base:?}");
-    // The per-quantum search behind `--dot` reaches the same verdict as the
+    // The unit-edge search behind `--dot` reaches the same verdict as the
     // zone graph, whatever granularity the zone graph's edges have.
     let dot = std::env::temp_dir().join("aadlsched_cli_tests/ok_zoneflags.dot");
     let per_quantum = aadlsched(&[
@@ -527,7 +527,7 @@ fn zone_cap_never_changes_the_verdict_and_removed_engine_flags_are_unknown() {
             .to_string()
     };
     assert_eq!(verdict(&base), verdict(&per_quantum));
-    // The memo is always on, the shard count follows the worker count, the
+    // The memo is always on, the visited set is one map at the merge, the
     // zone engine always runs and always advances in closed form with one
     // edge cap: the old knobs are gone.
     for removed in [

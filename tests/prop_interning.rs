@@ -1,12 +1,16 @@
-//! Property-based equivalence of the interned engine and the reference
-//! explorer: hash-consing, successor memoization and parallel expansion are
-//! *representation* changes and must be invisible in results. For every
-//! generated task set the shipped engine ([`versa::explore`], TermId-keyed
-//! visited set, memoized [`acsr::StepSession`]) must agree **byte for byte**
-//! with [`versa::reference::explore_reference`] (a plain BFS over
+//! Property-based equivalence of the exploration engine and the reference
+//! explorer. Hash-consing, successor memoization, the weighted zone search
+//! and parallel expansion are *representation* changes and must be
+//! invisible in results. For every generated task set, an LTS run of the
+//! shipped engine ([`versa::explore`] with `collect_lts`, so every edge is
+//! one quantum: TermId-keyed visited set, memoized [`acsr::StepSession`],
+//! worker threads that only expand, deterministic merge) must agree **byte
+//! for byte** with [`versa::reference::explore_reference`] (a plain BFS over
 //! [`acsr::prioritized_steps`]) on the state table, the deadlock set, the
-//! transition/dedup counts, and the full shortest-deadlock trace — at 1, 2
-//! and 8 workers.
+//! transition/dedup counts, the `truncated` flag and the full
+//! shortest-deadlock trace — at 1, 2 and 8 workers, in exhaustive mode, in
+//! verdict mode, and under state budgets on either side of the exhaustive
+//! state count.
 //!
 //! Randomized task sets come from the workspace's vendored [`det`] harness
 //! (`det_prop!` runs 64 seeded cases per property by default; failures print
@@ -73,6 +77,31 @@ det_prop! {
                 &Options::verdict().with_lts().with_threads(threads),
             );
             assert_identical(&base, &new, &format!("verdict threads={threads} {ts:?}"));
+        }
+    }
+
+    fn state_budgets_truncate_like_the_reference(spec in arb_spec) {
+        // One budget rule for engine and spec: intern at most `max_states`
+        // states, truncated only when one more was needed. Budgets on
+        // either side of the exhaustive count n pin both halves of it.
+        let ts = uunifast(&spec);
+        let pkg = taskset_to_package(&ts, "RMS");
+        let m = instantiate(&pkg, "Top.impl").unwrap();
+        let tm = translate(&m, &TranslateOptions::default()).unwrap();
+        let n = explore_reference(&tm.env, &tm.initial, &Options::default()).num_states();
+        for budget in [1, n / 2, n - 1, n, n + 1] {
+            let opts = Options::default().with_max_states(budget);
+            let base = explore_reference(&tm.env, &tm.initial, &opts);
+            assert_eq!(base.truncated, n > budget.max(1), "budget={budget} n={n} {ts:?}");
+            for threads in [1usize, 2, 8] {
+                let new = explore(
+                    &tm.env,
+                    &tm.initial,
+                    &opts.clone().with_lts().with_threads(threads),
+                );
+                let ctx = format!("budget={budget} n={n} threads={threads} {ts:?}");
+                assert_identical(&base, &new, &ctx);
+            }
         }
     }
 }

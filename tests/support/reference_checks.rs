@@ -39,10 +39,11 @@ pub fn warmed(env: &mut Env, name: &str, p: P) -> P {
 }
 
 /// Byte-level identity of two explorations of the same model: the state
-/// table, the deadlock set, the transition and dedup counts and the full
-/// shortest-deadlock trace.
+/// table, the deadlock set, the transition and dedup counts, the
+/// `truncated` flag and the full shortest-deadlock trace.
 pub fn assert_identical(reference: &Exploration, ex: &Exploration, ctx: &str) {
     assert_eq!(reference.num_states(), ex.num_states(), "num_states: {ctx}");
+    assert_eq!(reference.truncated, ex.truncated, "truncated: {ctx}");
     assert_eq!(reference.deadlocks, ex.deadlocks, "deadlocks: {ctx}");
     assert_eq!(
         reference.stats.transitions, ex.stats.transitions,

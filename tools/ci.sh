@@ -13,13 +13,14 @@
 #   4. the bench harness in smoke mode, twice — at 1 and at 4 exploration
 #      workers — with a diff over the verdict lines: the engine is
 #      deterministic in the thread count, so any difference is a regression
-#      in the parallel dedup path (the last run also refreshes
+#      in parallel expansion or the deterministic merge (the last run also
+#      refreshes
 #      BENCH_exploration.json, which is committed — deliberately after the
 #      store stage, so the committed report's `cas` section reflects a
 #      fresh cold/warm A/B)
 #   5. the zone smoke: every small bundled model analyzed with
-#      `--exhaustive` (the delay-zone verdict engine) and with `--exhaustive
-#      --dot` (the per-quantum search that builds the LTS) — exit codes must
+#      `--exhaustive` (the delay-zone graph) and with `--exhaustive --dot`
+#      (the same search at unit edges, which builds the LTS) — exit codes must
 #      be the pinned 0/0/1/1/0 on both, and everything but the
 #      `exploration:` statistics line must be byte-identical (verdicts and
 #      counterexample timelines: delay zones and their closed-form advance
