@@ -124,10 +124,6 @@ pub struct TranslateOptions {
     /// are then checked against the override and surface as
     /// [`TranslateError::Unsupported`].
     pub protocol_override: Option<aadl::ConcurrencyControlProtocol>,
-    /// Canonicalize the composed term through this shared, long-lived store
-    /// (e.g. the daemon's warm store, reused across requests so structurally
-    /// identical subterms intern once) instead of a fresh private one.
-    pub store: Option<Arc<TermStore>>,
     /// Observability recorder; defaults to disabled (no-op). May be a
     /// request-scoped clone ([`obs::Recorder::scoped`]) — the `translate`
     /// span then parents under the caller's anchor span and carries the
@@ -140,9 +136,8 @@ impl TranslateOptions {
     /// model* (the term and environment), in a fixed field order. Two option
     /// values with equal fingerprints translate any given instance model to
     /// semantically identical ACSR; anything that could change a verdict
-    /// changes the string. The `store` and `obs` handles are deliberately
-    /// excluded — they change where subterms intern and what gets recorded,
-    /// never what is generated.
+    /// changes the string. The `obs` handle is deliberately excluded — it
+    /// changes what gets recorded, never what is generated.
     ///
     /// The analysis layer mixes this string into `cas` store keys (see
     /// `versa::Options::cas_context`), which is why stability of the format
@@ -193,9 +188,10 @@ pub struct TranslatedModel {
     pub env: Env,
     /// The composed, restricted initial term, canonicalized through `store`.
     pub initial: P,
-    /// The hash-consed term store seeded with the initial term. Analysis
-    /// passes it to the explorer so subterms shared between the initial term
-    /// and reachable states intern to the same [`acsr::TermId`]s.
+    /// The hash-consed term store seeded with the initial term, fresh for
+    /// every translation. Analysis passes it to the explorer so subterms
+    /// shared between the initial term and reachable states intern to the
+    /// same [`acsr::TermId`]s.
     pub store: Arc<TermStore>,
     /// The AADL ↔ ACSR name map for diagnostics.
     pub names: NameMap,
@@ -608,10 +604,7 @@ pub fn translate(
 
     // Canonicalize the composed term so the explorer starts from a store
     // already holding every subterm of the initial state.
-    let store = opts
-        .store
-        .clone()
-        .unwrap_or_else(|| Arc::new(TermStore::new()));
+    let store = Arc::new(TermStore::new());
     let initial = store.intern(&initial).into_term();
 
     if opts.obs.is_enabled() {

@@ -59,6 +59,8 @@ pub struct RunData {
     /// Spans discarded because the span log hit its cap (see
     /// [`Recorder::with_span_cap`]); `0` when uncapped.
     pub spans_dropped: u64,
+    /// Events discarded because the event log hit the same cap.
+    pub events_dropped: u64,
     /// `(name, value)` for every counter, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// `(name, current, peak)` for every gauge, sorted by name.
@@ -88,11 +90,13 @@ struct Inner {
     spans: Mutex<Vec<SpanRecord>>,
     events: Mutex<Vec<EventRecord>>,
     progress: Option<Mutex<ProgressState>>,
-    /// Hard cap on the span log; spans opened past it are silently dropped
-    /// (counted in `spans_dropped`) so a long-lived process cannot grow the
-    /// log without bound. Metrics are fixed-size and keep recording.
+    /// Hard cap on the span log and, separately, on the event log; entries
+    /// past it are silently dropped (counted in `spans_dropped` and
+    /// `events_dropped`) so a long-lived process cannot grow either log
+    /// without bound. Metrics are fixed-size and keep recording.
     span_cap: usize,
     spans_dropped: std::sync::atomic::AtomicU64,
+    events_dropped: std::sync::atomic::AtomicU64,
 }
 
 /// A request scope a recorder handle can carry (see [`Recorder::scoped`]):
@@ -156,18 +160,20 @@ impl Recorder {
                 progress: None,
                 span_cap: usize::MAX,
                 spans_dropped: std::sync::atomic::AtomicU64::new(0),
+                events_dropped: std::sync::atomic::AtomicU64::new(0),
             })),
             scope: None,
         }
     }
 
-    /// Cap the span log at `cap` entries. Spans opened past the cap are
-    /// dropped (their handles are inert) and counted in
-    /// [`RunData::spans_dropped`]; counters, gauges and histograms — all
-    /// fixed-size — keep recording. Long-lived processes (the serving
-    /// daemon) use this so per-request tracing cannot grow memory without
-    /// bound. Call before handing out clones, like
-    /// [`Recorder::with_progress`].
+    /// Cap the span log and the event log at `cap` entries each. Spans
+    /// opened past the cap are dropped (their handles are inert) and
+    /// counted in [`RunData::spans_dropped`]; events emitted past it are
+    /// dropped and counted in [`RunData::events_dropped`]. Counters, gauges
+    /// and histograms — all fixed-size — keep recording. Long-lived
+    /// processes (the serving daemon) use this so per-request tracing
+    /// cannot grow memory without bound. Call before handing out clones,
+    /// like [`Recorder::with_progress`].
     pub fn with_span_cap(mut self, cap: usize) -> Recorder {
         if let Some(inner) = self.inner.take() {
             let inner = Arc::try_unwrap(inner).unwrap_or_else(rebuild_inner);
@@ -331,19 +337,25 @@ impl Recorder {
         }
     }
 
-    /// Emit an instantaneous structured event.
+    /// Emit an instantaneous structured event. Past the log cap (see
+    /// [`Recorder::with_span_cap`]) the event is dropped and counted.
     pub fn event(&self, name: &str, fields: impl IntoIterator<Item = (&'static str, Json)>) {
         if let Some(inner) = &self.inner {
             let ts_ns = inner.clock.now_ns();
-            let rec = EventRecord {
+            let mut events = inner.events.lock().expect("event log");
+            if events.len() >= inner.span_cap {
+                drop(events);
+                inner.events_dropped.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            events.push(EventRecord {
                 ts_ns,
                 name: name.to_string(),
                 fields: fields
                     .into_iter()
                     .map(|(k, v)| (k.to_string(), v))
                     .collect(),
-            };
-            inner.events.lock().expect("event log").push(rec);
+            });
         }
     }
 
@@ -381,6 +393,7 @@ impl Recorder {
                 start_ns: inner.start_ns,
                 end_ns: inner.start_ns,
                 spans_dropped: inner.spans_dropped.load(Ordering::Relaxed),
+                events_dropped: inner.events_dropped.load(Ordering::Relaxed),
                 counters: inner
                     .counters
                     .lock()
@@ -423,6 +436,7 @@ impl Recorder {
                 start_ns: inner.start_ns,
                 end_ns: inner.clock.now_ns(),
                 spans_dropped: inner.spans_dropped.load(Ordering::Relaxed),
+                events_dropped: inner.events_dropped.load(Ordering::Relaxed),
                 counters: inner
                     .counters
                     .lock()
@@ -473,6 +487,9 @@ fn rebuild_inner(arc: Arc<Inner>) -> Inner {
         span_cap: arc.span_cap,
         spans_dropped: std::sync::atomic::AtomicU64::new(
             arc.spans_dropped.load(Ordering::Relaxed),
+        ),
+        events_dropped: std::sync::atomic::AtomicU64::new(
+            arc.events_dropped.load(Ordering::Relaxed),
         ),
     }
 }
@@ -697,6 +714,21 @@ mod tests {
         let run = rec.finish();
         assert_eq!(run.spans.len(), 2);
         assert_eq!(run.spans_dropped, 1);
+        assert_eq!(run.counters[0], ("still.counting".to_string(), 1));
+    }
+
+    #[test]
+    fn event_cap_drops_events_but_keeps_metrics() {
+        let rec = Recorder::with_clock(Box::new(FakeClock::new(1))).with_span_cap(2);
+        for depth in 0..3 {
+            rec.event("verdict", [("deadlock_depth", Json::Int(depth))]);
+        }
+        rec.counter("still.counting").inc();
+        let run = rec.finish();
+        assert_eq!(run.events.len(), 2);
+        assert_eq!(run.events[1].fields[0].1, Json::Int(1));
+        assert_eq!(run.events_dropped, 1);
+        assert_eq!(run.spans_dropped, 0);
         assert_eq!(run.counters[0], ("still.counting".to_string(), 1));
     }
 

@@ -81,7 +81,12 @@ pub const SCHEMA: &str = "aadlsched-metrics";
 ///   - the rows of the `scaling` section of `BENCH_exploration.json` keep
 ///     only `threads`, `states` and `wall_ns` (they lost `shards` and the
 ///     two contention counts), and sweep the default engine.
-pub const SCHEMA_VERSION: u64 = 9;
+/// * v10 — the span-log cap also caps the event log: reports may carry a
+///   top-level `events_dropped` count, next to `spans_dropped` and, like
+///   it, only when non-zero. The daemon's `term.unique_subterms` gauge now
+///   reports the last request's own store rather than one store shared by
+///   every request.
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// Deterministic run identifier: FNV-1a (64-bit) over the given byte slices,
 /// rendered as 16 lowercase hex digits. Feed it the model source and the
@@ -122,7 +127,7 @@ pub fn run_id(parts: &[&[u8]]) -> String {
 /// r.set("model", Json::obj([("file", Json::from("m.aadl"))]));
 /// let text = r.to_json();
 /// assert!(text.starts_with("{\n  \"schema\": \"aadlsched-metrics\""));
-/// assert!(text.contains("\"version\": 9"));
+/// assert!(text.contains("\"version\": 10"));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Report {
@@ -158,6 +163,9 @@ impl Report {
         self.set("duration_ns", Json::UInt(run.end_ns.saturating_sub(run.start_ns)));
         if run.spans_dropped > 0 {
             self.set("spans_dropped", Json::UInt(run.spans_dropped));
+        }
+        if run.events_dropped > 0 {
+            self.set("events_dropped", Json::UInt(run.events_dropped));
         }
         self.set(
             "spans",

@@ -36,7 +36,7 @@ fn record() -> Recorder {
 
 const EXPECTED_REPORT: &str = r#"{
   "schema": "aadlsched-metrics",
-  "version": 9,
+  "version": 10,
   "run_id": "e0721772aeb595b6",
   "tool": "snapshot-test",
   "duration_ns": 10000,
@@ -144,4 +144,26 @@ fn two_identical_runs_render_identically() {
         out
     };
     assert_eq!(jsonl(record()), jsonl(record()));
+}
+
+#[test]
+fn drop_counts_follow_the_duration_and_only_when_non_zero() {
+    let render = |cap: usize| {
+        let rec = Recorder::with_clock(Box::new(FakeClock::new(1_000))).with_span_cap(cap);
+        for _ in 0..2 {
+            rec.span("served.request").end();
+            rec.event("verdict", [("schedulable", Json::Bool(true))]);
+        }
+        let mut report = Report::new("fixed", "snapshot-test");
+        report.attach_run(&rec.finish());
+        report.to_json()
+    };
+    assert!(
+        render(1).contains(
+            "  \"duration_ns\": 6000,\n  \"spans_dropped\": 1,\n  \"events_dropped\": 1,\n  \"spans\": ["
+        ),
+        "{}",
+        render(1)
+    );
+    assert!(!render(2).contains("_dropped"), "{}", render(2));
 }

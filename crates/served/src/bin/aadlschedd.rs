@@ -21,8 +21,8 @@
 //!                             recorder and per-stage histograms (the
 //!                             engine then runs on a disabled recorder)
 //!   --flight-capacity <n>     flight-recorder window size (default 64)
-//!   --span-cap <n>            span-log cap; excess spans are dropped and
-//!                             counted (default 65536)
+//!   --span-cap <n>            span- and event-log cap; excess entries are
+//!                             dropped and counted (default 65536)
 //!   --store <dir>             cross-run artifact store: explorations
 //!                             consult/deposit verdict artifacts there, the
 //!                             result cache is boot-warmed from it, and a

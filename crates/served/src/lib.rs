@@ -2,12 +2,13 @@
 //!
 //! The paper's workflow (§5) is interactive: a designer iterates on a model
 //! and re-checks schedulability after every edit. A cold `aadlsched` process
-//! re-interns the whole term universe on each run; this crate keeps the
-//! analysis engine resident instead. `aadlschedd` is a long-running TCP
-//! daemon speaking a line-delimited JSON protocol (`PROTOCOL.md`), with:
+//! pays process start-up on each run; this crate keeps the analysis engine
+//! resident instead. `aadlschedd` is a long-running TCP daemon speaking a
+//! line-delimited JSON protocol (`PROTOCOL.md`), with:
 //!
-//! * a **warm term store** shared across requests, so repeat analyses of
-//!   structurally similar models skip re-interning;
+//! * **request-owned memory**: each request interns into the term store its
+//!   own translation creates, and that store is freed once the reply has
+//!   gone out, so memory does not grow with the number of models served;
 //! * **duplicate coalescing** — identical (model, options) requests join the
 //!   in-flight exploration instead of duplicating it — and a bounded
 //!   **result cache** behind the same digest;

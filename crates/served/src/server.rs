@@ -8,8 +8,8 @@
 //! * **The bounded queue** carries job *digests* only; the payload lives in
 //!   the job table. A full queue rejects instead of blocking.
 //! * **Workers** pop digests, run the translate→explore→diagnose pipeline
-//!   with the daemon's warm term store and the job's cancellation token,
-//!   and fan the result out to every waiter.
+//!   with the job's cancellation token, fan the result out to every waiter,
+//!   and only then free the term store the request interned into.
 //! * **The reaper** fires cancellation tokens of jobs past their wall-clock
 //!   deadline.
 //!
@@ -41,8 +41,8 @@ use aadl::parser::parse_package;
 use aadl::properties::{ConcurrencyControlProtocol, TimeVal};
 use aadl2acsr::{
     analyze_translated, translate, AnalysisOptions, TranslateError, TranslateOptions,
+    TranslatedModel,
 };
-use acsr::TermStore;
 use obs::Json;
 
 use crate::jobs::{JobPayload, JobTable, Submit};
@@ -85,9 +85,9 @@ pub struct Config {
     pub trace: bool,
     /// Flight-recorder window: the last N request events kept in memory.
     pub flight_capacity: usize,
-    /// Span-log cap; spans past it are dropped (counted in the report's
-    /// `spans_dropped`) so a long-lived daemon cannot grow memory without
-    /// bound. Metrics keep recording regardless.
+    /// Cap on the span log and on the event log; entries past it are dropped
+    /// (counted in the report's `spans_dropped`/`events_dropped`) so a
+    /// long-lived daemon cannot grow memory without bound.
     pub span_cap: usize,
     /// Cross-run artifact store directory (`--store`). When set, every
     /// exploration consults/deposits artifacts there, the result cache is
@@ -218,8 +218,8 @@ impl Instruments {
     }
 }
 
-/// Shared daemon state: the job table, the request queue, the limiter, the
-/// warm term store, and the fleet instruments.
+/// Shared daemon state: the job table, the request queue, the limiter, and
+/// the fleet instruments. No term store: each request brings its own.
 pub struct Daemon {
     cfg: Config,
     jobs: JobTable<Waiter>,
@@ -227,11 +227,6 @@ pub struct Daemon {
     limiter: RateLimiter,
     rec: obs::Recorder,
     clock: Arc<dyn obs::Clock>,
-    /// The warm term store: shared across every request of the daemon's
-    /// lifetime, so structurally identical subterms (and whole models)
-    /// intern once, and repeat requests skip the re-hashing a cold CLI
-    /// process pays on every start.
-    store: Arc<TermStore>,
     /// The cross-run artifact store (`--store`), consulted and fed by every
     /// exploration and by the boot-warm/drain-persist of the result cache.
     /// `None` = caching stays in-process only.
@@ -262,8 +257,12 @@ impl Daemon {
 
     /// Dump the flight window to stderr — called on panic-retry, timeout
     /// and queue-full, so the evidence survives even if the daemon dies
-    /// before a `flight` command or the shutdown report.
+    /// before a `flight` command or the shutdown report. A no-op with
+    /// `--no-trace`, whose flight window stays empty.
     fn dump_flight(&self, why: &str) {
+        if !self.cfg.trace {
+            return;
+        }
         eprintln!(
             "aadlschedd flight recorder ({why}): {}",
             self.flight.to_json().to_compact()
@@ -355,7 +354,6 @@ pub fn run(cfg: Config) -> Result<(), String> {
         m: Instruments::new(&rec),
         rec,
         clock,
-        store: Arc::new(TermStore::new()),
         cas: artifacts,
         draining: AtomicBool::new(false),
         flight: obs::FlightRecorder::new(cfg.flight_capacity),
@@ -819,9 +817,7 @@ fn handle_analyze(
                 // Our own trace came back through `abort` and is finished;
                 // drop the local copy.
                 trace = None;
-                if d.cfg.trace {
-                    d.dump_flight("queue full");
-                }
+                d.dump_flight("queue full");
             }
         },
     }
@@ -843,6 +839,36 @@ fn handle_analyze(
     }
 }
 
+/// Run `attempt` under `catch_unwind`, retrying a panic up to `retries`
+/// times (each counted in `served.retries`, then `on_retry` runs), then
+/// give up with the error result, counted in `served.errors`. Sound because
+/// each attempt translates into its own term store: a panicked attempt's
+/// half-updated interner dies in the unwind.
+fn retry_panics<T>(
+    retries: u32,
+    m: &Instruments,
+    on_retry: impl Fn(),
+    mut attempt: impl FnMut() -> T,
+) -> Result<T, JobResult> {
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        match std::panic::catch_unwind(AssertUnwindSafe(&mut attempt)) {
+            Ok(out) => return Ok(out),
+            Err(_) if attempts <= retries => {
+                m.retries.inc();
+                on_retry();
+            }
+            Err(_) => {
+                m.errors.inc();
+                return Err(JobResult::input_error(
+                    "analysis panicked; giving up after retries",
+                ));
+            }
+        }
+    }
+}
+
 /// Execute one job end to end: deadline and cancellation checks, the
 /// translate→explore→diagnose pipeline with bounded retries on panics, and
 /// the fan-out of the result to every waiter.
@@ -858,20 +884,22 @@ fn run_job(d: &Arc<Daemon>, digest: &str) {
     let mut exec_span: Option<u64> = None;
     let mut executed = false;
     let mut panicked = false;
-    let result = if cancel.is_cancelled() {
+    // `translated` owns the request's term store. Freeing a large one is
+    // slow, so it is dropped only after the result has reached every waiter.
+    let (result, translated) = if cancel.is_cancelled() {
         // Cancelled (or reaped) while still queued.
         if d.jobs.timed_out(digest) {
             d.m.timeouts.inc();
-            JobResult::unknown("timeout")
+            (JobResult::unknown("timeout"), None)
         } else {
-            JobResult::unknown("cancelled")
+            (JobResult::unknown("cancelled"), None)
         }
     } else if deadline_ns.is_some_and(|dl| started >= dl) {
         // Deterministic immediate timeout (`timeout_ms: 0`), or a job that
         // sat in the queue past its whole deadline.
         d.jobs.mark_timed_out(digest);
         d.m.timeouts.inc();
-        JobResult::unknown("timeout")
+        (JobResult::unknown("timeout"), None)
     } else {
         executed = true;
         // The `served.exec` span anchors the engine's own spans: a scoped
@@ -892,39 +920,25 @@ fn run_job(d: &Arc<Daemon>, digest: &str) {
             },
             _ => obs::Recorder::disabled(),
         };
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                analyze_source(d, &payload, &cancel, &engine_rec)
-            })) {
-                Ok(mut result) => {
-                    // The explorer reports `cancelled`; the daemon knows
-                    // whether the token was fired by a deadline.
-                    if result.reason.as_deref() == Some("cancelled")
-                        && d.jobs.timed_out(digest)
-                    {
-                        result.reason = Some("timeout".into());
-                        d.m.timeouts.inc();
-                    }
-                    break result;
+        // A pipeline panic is transient. The flight window at that moment
+        // is the evidence trail: dump it before each retry.
+        let dump = || d.dump_flight("panic retry");
+        match retry_panics(d.cfg.retries, &d.m, dump, || {
+            analyze_source(d, &payload, &cancel, &engine_rec)
+        }) {
+            Ok(Ok((mut result, tm))) => {
+                // The explorer reports `cancelled`; the daemon knows
+                // whether the token was fired by a deadline.
+                if result.reason.as_deref() == Some("cancelled") && d.jobs.timed_out(digest) {
+                    result.reason = Some("timeout".into());
+                    d.m.timeouts.inc();
                 }
-                Err(_) if attempts <= d.cfg.retries => {
-                    // Transient failure (a panic in the pipeline): bounded
-                    // retry, then give up with an error result. The flight
-                    // window at this moment is the evidence trail — dump it
-                    // before state moves on.
-                    d.m.retries.inc();
-                    if meta.is_some() {
-                        d.dump_flight("panic retry");
-                    }
-                    continue;
-                }
-                Err(_) => {
-                    d.m.errors.inc();
-                    panicked = true;
-                    break JobResult::input_error("analysis panicked; giving up after retries");
-                }
+                (result, Some(tm))
+            }
+            Ok(Err(input_error)) => (input_error, None),
+            Err(gave_up) => {
+                panicked = true;
+                (gave_up, None)
             }
         }
     };
@@ -981,63 +995,52 @@ fn run_job(d: &Arc<Daemon>, digest: &str) {
         finish_trace(d, &wt, &id, digest, &outcome, result.code, t1);
         write_raw(&writer, line);
     }
-    if meta.is_some() && (outcome == "timeout" || panicked) {
+    if outcome == "timeout" || panicked {
         d.dump_flight(if panicked { "analysis panicked" } else { "timeout" });
     }
+    drop(translated);
 }
 
-/// The translate→explore→diagnose pipeline for one request, sharing the
-/// daemon's warm store — the same stages as the `aadlsched` CLI, returning
-/// the wire-level result instead of exiting. `rec` is the request-scoped
-/// recorder (engine spans parent under the request's `served.exec`), or a
-/// disabled one with `--no-trace`.
+/// The translate→explore→diagnose pipeline for one request — the same
+/// stages as the `aadlsched` CLI — returning the wire-level result with the
+/// translated model that owns the request's term store, or the input error.
+/// `rec` is the request-scoped recorder (engine spans parent under the
+/// request's `served.exec`), or a disabled one with `--no-trace`.
 fn analyze_source(
-    d: &Arc<Daemon>,
+    d: &Daemon,
     payload: &JobPayload,
     cancel: &versa::CancelToken,
     rec: &obs::Recorder,
-) -> JobResult {
+) -> Result<(JobResult, TranslatedModel), JobResult> {
     let o = &payload.options;
-    let pkg = match parse_package(&payload.source) {
-        Ok(pkg) => pkg,
-        Err(e) => return JobResult::input_error(format!("parse error: {e}")),
-    };
+    let pkg = parse_package(&payload.source)
+        .map_err(|e| JobResult::input_error(format!("parse error: {e}")))?;
     let root = match &o.root {
         Some(root) => root.clone(),
-        None => match pkg.default_root() {
-            Ok(root) => root,
-            Err(e) => return JobResult::input_error(e),
-        },
+        None => pkg.default_root().map_err(JobResult::input_error)?,
     };
-    let model = match instantiate(&pkg, &root) {
-        Ok(m) => m,
-        Err(e) => return JobResult::input_error(format!("instantiation error: {e}")),
-    };
+    let model = instantiate(&pkg, &root)
+        .map_err(|e| JobResult::input_error(format!("instantiation error: {e}")))?;
     let protocol = match &o.protocol {
         None => None,
-        Some(p) => match ConcurrencyControlProtocol::parse(p) {
-            Some(p) => Some(p),
-            None => {
-                return JobResult::input_error(format!("unknown protocol `{p}` (none | pip | pcp)"))
-            }
-        },
+        Some(p) => Some(ConcurrencyControlProtocol::parse(p).ok_or_else(|| {
+            JobResult::input_error(format!("unknown protocol `{p}` (none | pip | pcp)"))
+        })?),
     };
     let topts = TranslateOptions {
         compact: o.compact,
         quantum: o.quantum_ms.map(TimeVal::ms),
         protocol_override: protocol,
-        store: Some(d.store.clone()),
         obs: rec.clone(),
         ..Default::default()
     };
-    let tm = match translate(&model, &topts) {
-        Ok(tm) => tm,
-        Err(TranslateError::Validation(errs)) => {
+    let tm = translate(&model, &topts).map_err(|e| match e {
+        TranslateError::Validation(errs) => {
             let msgs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
-            return JobResult::input_error(format!("translation error: {}", msgs.join("; ")));
+            JobResult::input_error(format!("translation error: {}", msgs.join("; ")))
         }
-        Err(e) => return JobResult::input_error(format!("translation error: {e}")),
-    };
+        e => JobResult::input_error(format!("translation error: {e}")),
+    })?;
     let mut aopts = if o.exhaustive {
         AnalysisOptions::exhaustive()
     } else {
@@ -1049,7 +1052,7 @@ fn analyze_source(
     aopts.explore.obs = rec.clone();
     aopts.explore.cas = d.cas.clone();
     let outcome = analyze_translated(&model, &tm, &aopts);
-    JobResult::from_outcome(&outcome)
+    Ok((JobResult::from_outcome(&outcome), tm))
 }
 
 /// The `metrics` response: every fleet counter and gauge in a fixed order.
@@ -1193,4 +1196,48 @@ fn flight_response(d: &Daemon, id: &str) -> Json {
         pairs.extend(fields);
     }
     Json::Obj(pairs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+
+    #[test]
+    fn a_panicked_attempt_is_retried_and_the_retry_answers() {
+        let m = Instruments::new(&obs::Recorder::enabled());
+        let (calls, dumps) = (Cell::new(0), Cell::new(0));
+        let out = retry_panics(
+            1,
+            &m,
+            || dumps.set(dumps.get() + 1),
+            || {
+                calls.set(calls.get() + 1);
+                if calls.get() == 1 {
+                    panic!("transient failure");
+                }
+                calls.get()
+            },
+        );
+        assert_eq!(out.ok(), Some(2), "the second attempt's result is returned");
+        assert_eq!((m.retries.get(), m.errors.get(), dumps.get()), (1, 0, 1));
+    }
+
+    #[test]
+    fn an_attempt_that_always_panics_gives_up_after_the_retries() {
+        let m = Instruments::new(&obs::Recorder::enabled());
+        let calls = Cell::new(0);
+        let out = retry_panics(2, &m, || {}, || {
+            calls.set(calls.get() + 1);
+            panic!("persistent failure")
+        });
+        let gave_up: JobResult = out.err().expect("every attempt panicked");
+        assert_eq!(gave_up.code, 2);
+        assert_eq!(
+            gave_up.reason.as_deref(),
+            Some("analysis panicked; giving up after retries")
+        );
+        assert_eq!(calls.get(), 3, "retries + 1 attempts");
+        assert_eq!((m.retries.get(), m.errors.get()), (2, 1));
+    }
 }

@@ -1,7 +1,8 @@
 //! End-to-end tests of `aadlschedd`: a real daemon process on an ephemeral
 //! port, driven by raw line-protocol clients — concurrent connections,
 //! duplicate coalescing, cancellation, deterministic timeouts, cache hits,
-//! fleet metrics, and byte-stable responses under the fake clock.
+//! fleet metrics, byte-stable responses under the fake clock, and flat
+//! memory over a thousand distinct models.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -737,4 +738,159 @@ fn artifact_store_boot_warms_the_cache_across_restarts() {
     assert_eq!(field(&fresh, "cached"), "false");
     d4.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The soak corpus: every set of 2–3 periodic threads on one RMS processor
+/// with distinct periods from {4, 5, 6, 8, 10, 12, 15, 20} ms, fixed
+/// execution times of 1..=period/2 ms enumerated in order, and utilization
+/// at most 1 — 4 523 distinct sets, about 15 % of them unschedulable. No
+/// PRNG: the enumeration order is the corpus.
+#[cfg(target_os = "linux")]
+fn soak_task_sets() -> Vec<Vec<(u64, u64)>> {
+    const PERIODS: [u64; 8] = [4, 5, 6, 8, 10, 12, 15, 20];
+    // 120 ms is the least common multiple of every period above, so the
+    // utilization test is exact in integers.
+    const HYPER: u64 = 120;
+    fn extend(sets: &mut Vec<Vec<(u64, u64)>>, set: &mut Vec<(u64, u64)>, from: usize, n: usize) {
+        if set.len() == n {
+            if set.iter().map(|&(p, c)| c * (HYPER / p)).sum::<u64>() <= HYPER {
+                sets.push(set.clone());
+            }
+            return;
+        }
+        for (i, &period) in PERIODS.iter().enumerate().skip(from) {
+            for exec in 1..=period / 2 {
+                set.push((period, exec));
+                extend(sets, set, i + 1, n);
+                set.pop();
+            }
+        }
+    }
+    let mut sets = Vec::new();
+    for n in [2, 3] {
+        extend(&mut sets, &mut Vec::new(), 0, n);
+    }
+    sets
+}
+
+/// One task set as an AADL package: threads `t<i>` bound to one RMS
+/// processor, each with its period as its deadline.
+#[cfg(target_os = "linux")]
+fn task_set_source(set: &[(u64, u64)]) -> String {
+    let mut threads = String::new();
+    let mut subcomponents = String::new();
+    let mut bindings = String::new();
+    for (i, (period, exec)) in set.iter().enumerate() {
+        threads.push_str(&format!(
+            "  thread T{i}\n    properties\n      Dispatch_Protocol => Periodic;\n      \
+             Period => {period} ms;\n      Compute_Execution_Time => {exec} ms .. {exec} ms;\n      \
+             Compute_Deadline => {period} ms;\n  end T{i};\n"
+        ));
+        subcomponents.push_str(&format!("      t{i}: thread T{i};\n"));
+        bindings.push_str(&format!(
+            "      Actual_Processor_Binding => reference (cpu0) applies to p.t{i};\n"
+        ));
+    }
+    format!(
+        "package Soak\npublic\n  processor cpu\n    properties\n      Scheduling_Protocol => RMS;\n  \
+         end cpu;\n{threads}  process proc\n  end proc;\n  process implementation proc.impl\n    \
+         subcomponents\n{subcomponents}  end proc.impl;\n  system top\n  end top;\n  \
+         system implementation top.impl\n    subcomponents\n      p: process proc.impl;\n      \
+         cpu0: processor cpu;\n    properties\n{bindings}  end top.impl;\nend Soak;\n"
+    )
+}
+
+/// The verdict and `stats` the in-process `aadl2acsr` pipeline gives for
+/// `source` under the daemon's default options.
+#[cfg(target_os = "linux")]
+fn in_process(source: &str) -> (String, Vec<(&'static str, u64)>) {
+    let pkg = aadl::parser::parse_package(source).expect("parse");
+    let root = pkg.default_root().expect("root");
+    let model = aadl::instance::instantiate(&pkg, &root).expect("instantiate");
+    let tm = aadl2acsr::translate(&model, &aadl2acsr::TranslateOptions::default())
+        .expect("translate");
+    let outcome =
+        aadl2acsr::analyze_translated(&model, &tm, &aadl2acsr::AnalysisOptions::default());
+    let s = outcome.stats();
+    let stats = [
+        ("states", s.states),
+        ("transitions", s.transitions),
+        ("levels", s.levels),
+        ("peak_frontier", s.peak_frontier),
+        ("dedup_hits", s.dedup_hits),
+        ("deadlocks", s.deadlocks),
+    ];
+    (
+        outcome.verdict_str().to_string(),
+        stats.iter().map(|&(k, v)| (k, v as u64)).collect(),
+    )
+}
+
+/// Resident set size of a process in KiB, from `/proc/<pid>/status`.
+#[cfg(target_os = "linux")]
+fn vm_rss_kib(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("VmRSS:"))
+        .expect("VmRSS line");
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+/// A long-lived daemon must hand each request's memory back: after a
+/// warm-up of 200 requests, 800 more distinct models may not grow its
+/// resident set by more than 4 MiB. Every verdict and its stats must match
+/// the in-process pipeline run on the same text.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_thousand_distinct_models_keep_daemon_memory_flat() {
+    const REQUESTS: usize = 1_000;
+    const WARM_UP: usize = 200;
+    let corpus = soak_task_sets();
+    let sources: Vec<String> = (0..REQUESTS)
+        .map(|i| task_set_source(&corpus[i * corpus.len() / REQUESTS]))
+        .collect();
+    let daemon = Daemon::start(&["--span-cap", "256"], None);
+    let mut conns = [daemon.connect(), daemon.connect()];
+    let mut unschedulable = 0;
+    let mut rss_after_warm_up = 0;
+    for (pair, chunk) in sources.chunks(2).enumerate() {
+        for (k, source) in chunk.iter().enumerate() {
+            let req = obs::Json::obj([
+                ("type", obs::Json::from("analyze")),
+                ("id", obs::Json::from(format!("s{}", 2 * pair + k))),
+                ("model", obs::Json::from(source.as_str())),
+            ]);
+            conns[k].send(&req.to_compact());
+        }
+        // The daemon's two workers run the pair while this thread derives
+        // the expected answers.
+        let expected: Vec<_> = chunk.iter().map(|s| in_process(s)).collect();
+        for (k, (verdict, stats)) in expected.iter().enumerate() {
+            let id = format!("s{}", 2 * pair + k);
+            assert_eq!(field(&conns[k].recv(), "type"), "accepted", "{id}");
+            let line = conns[k].recv();
+            let result = parse_json(&line);
+            assert_eq!(field(&line, "id"), id);
+            assert_eq!(field(&line, "verdict"), *verdict, "{id}: {line}");
+            for (key, want) in stats {
+                assert_eq!(uint_at(&result, &["stats", key]), *want, "{id} {key}: {line}");
+            }
+            unschedulable += usize::from(verdict == "unschedulable");
+        }
+        if 2 * (pair + 1) == WARM_UP {
+            rss_after_warm_up = vm_rss_kib(daemon.child.id());
+        }
+    }
+    let rss_at_end = vm_rss_kib(daemon.child.id());
+    assert!(
+        (100..300).contains(&unschedulable),
+        "the corpus should mix verdicts: {unschedulable} unschedulable"
+    );
+    assert!(
+        rss_at_end <= rss_after_warm_up + 4 * 1024,
+        "daemon VmRSS grew from {rss_after_warm_up} KiB after request {WARM_UP} \
+         to {rss_at_end} KiB after request {REQUESTS}"
+    );
+    daemon.shutdown();
 }

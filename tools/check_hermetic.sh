@@ -127,7 +127,6 @@ crates/bench/Cargo.toml dependencies versa
 crates/core/Cargo.toml dependencies aadl
 crates/served/Cargo.toml dependencies aadl
 crates/served/Cargo.toml dependencies aadl2acsr
-crates/served/Cargo.toml dependencies acsr
 crates/served/Cargo.toml dependencies cas
 crates/served/Cargo.toml dependencies obs
 crates/served/Cargo.toml dependencies versa

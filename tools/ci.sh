@@ -28,9 +28,11 @@
 #      model must exit 0 and demonstrably collapse quanta
 #      (`zone.quanta_collapsed` >= 1) and serve them closed-form
 #      (`zone.closed_form_advances` >= 1) in its `--metrics` report
-#   6. the daemon smoke: start `aadlschedd`, analyze all four bundled
-#      models through `aadlschedc` and diff the exit codes against the
-#      `aadlsched` CLI (the two front ends must agree verdict-for-verdict),
+#   6. the daemon smoke: start `aadlschedd`, analyze four small bundled
+#      models and the long-hyperperiod one through `aadlschedc` and diff
+#      the exit codes against the `aadlsched` CLI (the two front ends must
+#      agree verdict-for-verdict; longperiod's large per-request term store
+#      is freed after its reply, so that path runs on every pass),
 #      check that a duplicate request is served from the result cache,
 #      assert the live `stats` snapshot parses with monotone request_wall
 #      quantiles, then drain gracefully (daemon must exit 0 and write a
@@ -176,7 +178,7 @@ if [ -z "$addr" ]; then
   echo "daemon smoke: aadlschedd did not print its readiness line"
   exit 1
 fi
-for model in cruise_control flight_control inversion overloaded; do
+for model in cruise_control flight_control inversion overloaded longperiod; do
   cli_code=0
   target/release/aadlsched "examples/models/$model.aadl" --exhaustive \
     > /dev/null || cli_code=$?
@@ -190,7 +192,7 @@ for model in cruise_control flight_control inversion overloaded; do
   fi
   echo "daemon smoke: $model: verdicts agree (exit $cli_code)"
 done
-# The four analyses above populated the result cache; a duplicate request
+# The analyses above populated the result cache; a duplicate request
 # must be answered from it, and the fleet counter must show the hit.
 if ! target/release/aadlschedc --addr "$addr" \
     analyze examples/models/cruise_control.aadl --exhaustive \
@@ -232,7 +234,7 @@ if [ ! -s target/ci/fleet.json ]; then
   exit 1
 fi
 # The drain must carry the flight-recorder window into the fleet report:
-# the five analyze requests above each left an event with an outcome.
+# the six analyze requests above each left an event with an outcome.
 if ! grep -q '"flight"' target/ci/fleet.json \
     || ! grep -q '"outcome"' target/ci/fleet.json; then
   echo "daemon smoke: flight recorder window missing from the fleet report"
