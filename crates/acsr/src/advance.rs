@@ -129,7 +129,7 @@ pub(crate) enum ShapeEntry {
 pub(crate) type ShapeKey = (u64, u32);
 
 /// The cross-state cache of per-shape delay derivatives. Shareable across
-/// worker threads (`&AdvanceCache` is `Sync`); all mutation happens under
+/// threads (`&AdvanceCache` is `Sync`); all mutation happens under
 /// one mutex in short critical sections, and the learned content converges
 /// to the same values regardless of interleaving (every derivation replays
 /// the same deterministic step relation).

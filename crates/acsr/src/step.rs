@@ -374,9 +374,6 @@ fn scope_steps(
 // Interned, memoized successor generation
 // ---------------------------------------------------------------------------
 
-/// Number of memo shards (power of two); mirrors the term store's sharding.
-const MEMO_SHARDS: usize = 16;
-
 /// Configuration of the successor memo of a [`StepSession`].
 ///
 /// # Examples
@@ -395,9 +392,9 @@ pub struct MemoConfig {
     /// interning only (the memo-free baseline the acsr-level tests compare
     /// the memoized relation against).
     pub enabled: bool,
-    /// Maximum number of cached successor lists across all shards. Bounded so
-    /// arbitrarily long runs cannot grow memory without limit; the cache
-    /// evicts in FIFO order past the cap.
+    /// Maximum number of cached successor lists. Bounded so arbitrarily long
+    /// runs cannot grow memory without limit; the cache evicts in FIFO order
+    /// past the cap.
     pub capacity: usize,
 }
 
@@ -428,10 +425,10 @@ impl MemoConfig {
     }
 }
 
-/// One shard of the successor memo: the cache map plus FIFO insertion order
-/// for bounded eviction.
+/// The successor memo's table: the cache map plus FIFO insertion order for
+/// bounded eviction.
 #[derive(Default)]
-struct MemoShard {
+struct MemoTable {
     map: HashMap<(TermId, u64), Arc<Vec<(Label, Interned)>>>,
     order: VecDeque<(TermId, u64)>,
 }
@@ -440,53 +437,46 @@ struct MemoShard {
 /// Values carry the successors' canonical `Arc`s alongside their ids so a
 /// hit requires no store lookup.
 struct Memo {
-    shards: Vec<Mutex<MemoShard>>,
-    /// Per-shard entry cap (total capacity divided over the shards, at
-    /// least 1).
-    per_shard_cap: usize,
+    table: Mutex<MemoTable>,
+    /// Entry cap (at least 1).
+    capacity: usize,
     evictions: AtomicU64,
 }
 
 impl Memo {
     fn new(capacity: usize) -> Memo {
         Memo {
-            shards: (0..MEMO_SHARDS).map(|_| Mutex::new(MemoShard::default())).collect(),
-            per_shard_cap: (capacity / MEMO_SHARDS).max(1),
+            table: Mutex::default(),
+            capacity: capacity.max(1),
             evictions: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, id: TermId) -> &Mutex<MemoShard> {
-        // The low id bits are the store's digest-derived shard index —
-        // uniform enough to spread the memo as well.
-        &self.shards[(id.raw() as usize) & (MEMO_SHARDS - 1)]
-    }
-
     fn get(&self, key: (TermId, u64)) -> Option<Arc<Vec<(Label, Interned)>>> {
-        self.shard(key.0)
+        self.table
             .lock()
-            .expect("memo shard poisoned")
+            .expect("memo table poisoned")
             .map
             .get(&key)
             .cloned()
     }
 
     fn insert(&self, key: (TermId, u64), value: Arc<Vec<(Label, Interned)>>) {
-        let mut shard = self.shard(key.0).lock().expect("memo shard poisoned");
-        if shard.map.contains_key(&key) {
-            // A concurrent worker computed the same entry first; keep the
-            // existing value (both are equal) and do not double-count it in
-            // the FIFO order.
+        let mut table = self.table.lock().expect("memo table poisoned");
+        if table.map.contains_key(&key) {
+            // Another thread sharing the session computed the same entry
+            // first; keep the existing value (both are equal) and do not
+            // double-count it in the FIFO order.
             return;
         }
-        while shard.map.len() >= self.per_shard_cap {
-            let Some(old) = shard.order.pop_front() else { break };
-            if shard.map.remove(&old).is_some() {
+        while table.map.len() >= self.capacity {
+            let Some(old) = table.order.pop_front() else { break };
+            if table.map.remove(&old).is_some() {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shard.map.insert(key, value);
-        shard.order.push_back(key);
+        table.map.insert(key, value);
+        table.order.push_back(key);
     }
 }
 
@@ -514,8 +504,8 @@ pub struct MemoStats {
 /// The memo is a pure cache: hits, misses and evictions never change the
 /// transition relation, only how often it is re-derived.
 ///
-/// Sessions are `Sync` — exploration workers share one session through a
-/// reference.
+/// Sessions are `Sync`: the memo is one [`Mutex`]-guarded table, so threads
+/// may share a session through a reference.
 ///
 /// # Examples
 ///
@@ -1370,8 +1360,8 @@ mod tests {
             d,
             act([(cpu(), 1)], invoke(d, [Expr::p(0).add(Expr::c(1))])),
         );
-        // A chain of distinct states overflows a capacity-16 cache (one slot
-        // per shard) many times over.
+        // A chain of distinct states overflows a capacity-16 cache many times
+        // over.
         let tiny = session_over(&env, MemoConfig::with_capacity(16));
         let full = session_over(&env, MemoConfig::default());
         let mut t = tiny.intern(&invoke(d, [Expr::c(0)]));

@@ -14,14 +14,13 @@
 //! * interning a freshly built successor walks only its *new spine*: shared
 //!   children are canonical `Arc`s and resolve through the pointer fast path.
 //!
-//! The store is sharded over [`Mutex`]es and safe to share across worker
-//! threads (`&TermStore` is `Sync`). Structural digests are deterministic
-//! (FNV-1a over node kind, local fields and child digests — no pointers, no
-//! random keys), so digest-derived decisions downstream (e.g. which shard a
-//! term lands in) are reproducible run to run.
-//! [`TermId`] *values*, by contrast, depend on interning order and may differ
-//! between runs when workers race; they are stable within one store and must
-//! never leak into externally visible results.
+//! The store keeps one [`Mutex`]-guarded table per map (entries, canonical
+//! pointers, shapes), so `&TermStore` is `Sync` and may be shared across
+//! threads. Structural digests are deterministic (FNV-1a over node kind,
+//! local fields and child digests — no pointers, no random keys). A
+//! [`TermId`] is the term's interning index: the exploration interns in one
+//! order, so ids are reproducible run to run, but they are only meaningful
+//! within the store that produced them and never appear in results.
 //!
 //! # The canonical-children invariant
 //!
@@ -34,7 +33,6 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::env::TagId;
@@ -43,14 +41,6 @@ use crate::hashed::Fnv1a;
 use crate::skeleton::{self, Factored};
 use crate::symbol::{Res, Symbol};
 use crate::term::{ActionT, EventT, Proc, TimeBound, P};
-
-/// Number of entry shards (power of two). Sixteen keeps worker contention
-/// low at the thread counts the engine supports without bloating tiny runs.
-const SHARDS: usize = 16;
-const SHARD_BITS: u32 = 4;
-/// Highest slot index representable inside one shard (u32 id space minus the
-/// shard bits).
-const MAX_SLOT: u32 = (1 << (32 - SHARD_BITS)) - 1;
 
 /// Identifier of a structurally-unique term within one [`TermStore`].
 ///
@@ -74,22 +64,13 @@ const MAX_SLOT: u32 = (1 << (32 - SHARD_BITS)) - 1;
 pub struct TermId(u32);
 
 impl TermId {
-    /// The raw 32-bit value (shard index in the low bits, slot in the rest).
+    /// The raw 32-bit value: the term's index in interning order.
     pub fn raw(self) -> u32 {
         self.0
     }
 
-    fn encode(shard: usize, slot: u32) -> TermId {
-        assert!(slot <= MAX_SLOT, "term store shard overflow");
-        TermId((slot << SHARD_BITS) | shard as u32)
-    }
-
-    fn shard(self) -> usize {
-        (self.0 & (SHARDS as u32 - 1)) as usize
-    }
-
-    fn slot(self) -> usize {
-        (self.0 >> SHARD_BITS) as usize
+    fn index(self) -> usize {
+        self.0 as usize
     }
 }
 
@@ -138,14 +119,14 @@ impl Interned {
     }
 }
 
-/// One digest-indexed shard of the store: slot-addressed canonical entries
-/// plus the digest buckets that resolve collisions by shallow comparison.
+/// The store's entry table: id-addressed canonical entries plus the digest
+/// buckets that resolve collisions by shallow comparison.
 #[derive(Default, Debug)]
-struct EntryShard {
-    /// `(canonical term, digest)`, indexed by slot.
+struct EntryTable {
+    /// `(canonical term, digest)`, indexed by [`TermId`].
     entries: Vec<(P, u64)>,
-    /// digest → slots holding that digest (usually exactly one).
-    buckets: HashMap<u64, Vec<u32>>,
+    /// digest → ids holding that digest (usually exactly one).
+    buckets: HashMap<u64, Vec<TermId>>,
 }
 
 /// A thread-safe hash-consing interner for [`Proc`] terms.
@@ -173,15 +154,14 @@ struct EntryShard {
 /// ```
 #[derive(Debug)]
 pub struct TermStore {
-    entry_shards: Vec<Mutex<EntryShard>>,
+    entries: Mutex<EntryTable>,
     /// Canonical `Arc` address → `(id, digest)`. Only canonical pointers are
-    /// ever inserted, and the entry shards keep every canonical `Arc` alive,
+    /// ever inserted, and the entry table keeps every canonical `Arc` alive,
     /// so an address can never be recycled while it is a key.
-    ptr_shards: Vec<Mutex<HashMap<usize, (TermId, u64)>>>,
-    /// `TermId::raw` → factored shape, memoized on first demand. Shapes live
+    ptrs: Mutex<HashMap<usize, (TermId, u64)>>,
+    /// [`TermId`] → factored shape, memoized on first demand. Shapes live
     /// with the store so their lifetime matches the ids that key them.
-    shape_shards: Vec<Mutex<HashMap<u32, Arc<Factored>>>>,
-    count: AtomicUsize,
+    shapes: Mutex<HashMap<TermId, Arc<Factored>>>,
     digest_mask: u64,
 }
 
@@ -217,10 +197,9 @@ impl TermStore {
     /// ```
     pub fn with_digest_mask(mask: u64) -> TermStore {
         TermStore {
-            entry_shards: (0..SHARDS).map(|_| Mutex::new(EntryShard::default())).collect(),
-            ptr_shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            shape_shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            count: AtomicUsize::new(0),
+            entries: Mutex::default(),
+            ptrs: Mutex::default(),
+            shapes: Mutex::default(),
             digest_mask: mask,
         }
     }
@@ -242,12 +221,11 @@ impl TermStore {
     /// assert!(std::sync::Arc::ptr_eq(&f, &store.shape_of(&t))); // memoized
     /// ```
     pub fn shape_of(&self, t: &Interned) -> Arc<Factored> {
-        let raw = t.id().raw();
-        let shard = &self.shape_shards[(raw as usize) & (SHARDS - 1)];
-        if let Some(f) = shard
+        if let Some(f) = self
+            .shapes
             .lock()
-            .expect("term store shape shard poisoned")
-            .get(&raw)
+            .expect("term store shape table poisoned")
+            .get(&t.id())
         {
             return f.clone();
         }
@@ -261,18 +239,20 @@ impl TermStore {
     /// walk on the next [`TermStore::shape_of`]. A racing insert wins
     /// harmlessly: both sides computed the same factorization.
     pub fn note_shape(&self, t: &Interned, f: Arc<Factored>) {
-        let raw = t.id().raw();
-        let shard = &self.shape_shards[(raw as usize) & (SHARDS - 1)];
-        shard
+        self.shapes
             .lock()
-            .expect("term store shape shard poisoned")
-            .entry(raw)
+            .expect("term store shape table poisoned")
+            .entry(t.id())
             .or_insert(f);
     }
 
     /// Number of structurally-unique subterms interned so far.
     pub fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
+        self.entries
+            .lock()
+            .expect("term store entry table poisoned")
+            .entries
+            .len()
     }
 
     /// True when nothing has been interned.
@@ -299,10 +279,8 @@ impl TermStore {
     ///
     /// Panics when `id` did not come from this store.
     pub fn resolve(&self, id: TermId) -> Interned {
-        let guard = self.entry_shards[id.shard()]
-            .lock()
-            .expect("term store shard poisoned");
-        let (term, digest) = &guard.entries[id.slot()];
+        let guard = self.entries.lock().expect("term store entry table poisoned");
+        let (term, digest) = &guard.entries[id.index()];
         Interned {
             id,
             digest: *digest,
@@ -310,27 +288,22 @@ impl TermStore {
         }
     }
 
-    fn ptr_shard(&self, p: &P) -> (&Mutex<HashMap<usize, (TermId, u64)>>, usize) {
-        let addr = Arc::as_ptr(p) as usize;
-        // Arc payloads are word-aligned; shift the dead low bits away before
-        // selecting a shard.
-        (&self.ptr_shards[(addr >> 4) & (SHARDS - 1)], addr)
-    }
-
     fn ptr_lookup(&self, p: &P) -> Option<Interned> {
-        let (shard, addr) = self.ptr_shard(p);
-        let guard = shard.lock().expect("term store pointer shard poisoned");
-        guard.get(&addr).map(|&(id, digest)| Interned {
-            id,
-            digest,
-            term: p.clone(),
-        })
+        let guard = self.ptrs.lock().expect("term store pointer table poisoned");
+        guard
+            .get(&(Arc::as_ptr(p) as usize))
+            .map(|&(id, digest)| Interned {
+                id,
+                digest,
+                term: p.clone(),
+            })
     }
 
     fn register_ptr(&self, i: &Interned) {
-        let (shard, addr) = self.ptr_shard(&i.term);
-        let mut guard = shard.lock().expect("term store pointer shard poisoned");
-        guard.entry(addr).or_insert((i.id, i.digest));
+        let mut guard = self.ptrs.lock().expect("term store pointer table poisoned");
+        guard
+            .entry(Arc::as_ptr(&i.term) as usize)
+            .or_insert((i.id, i.digest));
     }
 
     /// Canonicalize `p`'s children, digest the node, and insert (or find) it.
@@ -542,30 +515,25 @@ impl TermStore {
     /// structural comparison (children by pointer — sound because both sides
     /// are canonical).
     fn insert(&self, canon: P, digest: u64) -> Interned {
-        let shard_idx = (digest as usize) & (SHARDS - 1);
-        let mut guard = self.entry_shards[shard_idx]
-            .lock()
-            .expect("term store shard poisoned");
-        if let Some(slots) = guard.buckets.get(&digest) {
-            for &slot in slots {
-                let existing = &guard.entries[slot as usize].0;
+        let mut guard = self.entries.lock().expect("term store entry table poisoned");
+        if let Some(ids) = guard.buckets.get(&digest) {
+            for &id in ids {
+                let existing = &guard.entries[id.index()].0;
                 if shallow_eq(existing, &canon) {
                     // The canonical Arc's address was registered when the
                     // entry was created, so no pointer-map work is needed.
                     return Interned {
-                        id: TermId::encode(shard_idx, slot),
+                        id,
                         digest,
                         term: existing.clone(),
                     };
                 }
             }
         }
-        let slot = u32::try_from(guard.entries.len()).expect("term store shard overflow");
-        let id = TermId::encode(shard_idx, slot);
+        let id = TermId(u32::try_from(guard.entries.len()).expect("term store overflow"));
         guard.entries.push((canon.clone(), digest));
-        guard.buckets.entry(digest).or_default().push(slot);
+        guard.buckets.entry(digest).or_default().push(id);
         drop(guard);
-        self.count.fetch_add(1, Ordering::Relaxed);
         let out = Interned {
             id,
             digest,

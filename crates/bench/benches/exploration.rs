@@ -52,20 +52,6 @@ fn bench_product_spaces(r: &mut Runner) {
     }
 }
 
-fn bench_parallel_workers(r: &mut Runner) {
-    let mut env = Env::new();
-    let p = counters(&mut env, &[13, 11, 7]);
-    for threads in [1usize, 2, 4] {
-        r.bench_with_param("explore_workers", threads, || {
-            explore(
-                &env,
-                &p,
-                &Options::default().with_lts().with_threads(threads),
-            )
-        });
-    }
-}
-
 fn bench_deadlock_trace(r: &mut Runner) {
     // A long corridor to a deadlock: measures parent-pointer reconstruction.
     let mut env = Env::new();
@@ -92,6 +78,5 @@ fn bench_deadlock_trace(r: &mut Runner) {
 fn main() {
     let mut r = Runner::from_args();
     bench_product_spaces(&mut r);
-    bench_parallel_workers(&mut r);
     bench_deadlock_trace(&mut r);
 }

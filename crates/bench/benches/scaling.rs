@@ -1,10 +1,9 @@
 //! Experiment Q3 bench — exploration scaling with model size (threads in the
-//! AADL model) and with engine worker count (the §7 efficiency direction).
+//! AADL model).
 
-use aadl2acsr::{analyze, translate, AnalysisOptions, TranslateOptions};
+use aadl2acsr::{analyze, AnalysisOptions, TranslateOptions};
 use bench::harmonic_system;
 use bench::timing::Runner;
-use versa::{explore, Options};
 
 fn bench_model_size(r: &mut Runner) {
     for n in [2usize, 3, 4, 5] {
@@ -20,22 +19,7 @@ fn bench_model_size(r: &mut Runner) {
     }
 }
 
-fn bench_engine_workers(r: &mut Runner) {
-    let m = harmonic_system(5, 4, 0.15);
-    let tm = translate(&m, &TranslateOptions::default()).unwrap();
-    for threads in [1usize, 2, 4] {
-        r.bench_with_param("scaling_engine_workers", threads, || {
-            explore(
-                &tm.env,
-                &tm.initial,
-                &Options::default().with_threads(threads),
-            )
-        });
-    }
-}
-
 fn main() {
     let mut r = Runner::from_args();
     bench_model_size(&mut r);
-    bench_engine_workers(&mut r);
 }

@@ -5,19 +5,14 @@
 //! ```
 //!
 //! `--smoke` runs the cheap subset — the cruise-control inventory (F1), the
-//! parallel-scaling sweep (Q8, on a smaller model), the instrumented
-//! exploration report (Q6, which refreshes `BENCH_exploration.json`) and the
-//! concurrency-control verdicts (Q7) — so CI can exercise the harness
-//! end-to-end without the full sweeps. The store A/B (Q12) and the
-//! long-hyperperiod zone run (Q13) run in every mode: both feed committed
-//! sections of `BENCH_exploration.json`, which must not depend on how the
-//! harness was invoked. Q13 dominates the smoke wall clock (best-of-3
-//! exhaustive explorations of the long-hyperperiod model).
-//!
-//! `--threads <n>` sets the exploration worker count for every analysis the
-//! harness runs (the Q8 sweep ignores it — it sweeps its own grid). The
-//! engine is deterministic in the thread count, so CI runs the smoke subset
-//! at 1 and 4 workers and diffs the verdict lines.
+//! instrumented exploration report (Q6, which refreshes
+//! `BENCH_exploration.json`) and the concurrency-control verdicts (Q7) — so
+//! CI can exercise the harness end-to-end without the full sweeps. The
+//! store A/B (Q12) and the long-hyperperiod zone run (Q13) run in every
+//! mode: both feed committed sections of `BENCH_exploration.json`, which
+//! must not depend on how the harness was invoked. Q13 dominates the smoke
+//! wall clock (best-of-3 exhaustive explorations of the long-hyperperiod
+//! model).
 //!
 //! `--store <dir>` points the Q12 warm-vs-cold sweep at a persistent
 //! artifact-store directory instead of the default `target/bench-cas`
@@ -28,12 +23,12 @@
 
 use std::time::Instant;
 
-use aadl::examples::{cruise_control_model, cruise_control_overloaded, flight_control_model};
+use aadl::examples::{cruise_control_model, cruise_control_overloaded};
 use aadl::instance::instantiate;
 use aadl::parser::parse_package;
 use aadl::properties::{ConcurrencyControlProtocol, TimeVal};
 use aadl2acsr::{analyze, translate, AnalysisOptions, TranslateOptions};
-use bench::{harmonic_system, overrun_system, wide_system};
+use bench::{harmonic_system, overrun_system};
 use sched_baselines::edf_demand::edf_schedulable;
 use sched_baselines::rta::rm_schedulable;
 use sched_baselines::taskset::{taskset_to_package, uunifast, TaskSetSpec};
@@ -41,16 +36,11 @@ use sched_baselines::taskset::{taskset_to_package, uunifast, TaskSetSpec};
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let threads = args
-        .windows(2)
-        .find(|w| w[0] == "--threads")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(1usize);
     let store_dir = args
         .windows(2)
         .find(|w| w[0] == "--store")
         .map(|w| w[1].clone());
-    f1_cruise_control(threads);
+    f1_cruise_control();
     if !smoke {
         q1_quantum_tradeoff();
         q2_verdict_agreement();
@@ -58,11 +48,10 @@ fn main() {
         q3_scaling();
         q5_queue_overflow();
     }
-    let scaling = q8_thread_scaling(smoke);
     let cas_section = q12_store_warm_sweep(store_dir.as_deref());
-    let zones_section = q13_zones(threads);
-    q6_exploration_report(threads, scaling, cas_section, zones_section);
-    q7_locking_protocols(threads);
+    let zones_section = q13_zones();
+    q6_exploration_report(cas_section, zones_section);
+    q7_locking_protocols();
     if smoke {
         println!("\nharness: smoke mode (skipped Q1/Q2/Q2b/Q3/Q5 sweeps)");
     }
@@ -74,7 +63,7 @@ fn header(title: &str) {
     println!("================================================================");
 }
 
-fn f1_cruise_control(threads: usize) {
+fn f1_cruise_control() {
     header("F1 — cruise control (Fig. 1): inventory and verdicts");
     let m = cruise_control_model();
     let tm = translate(&m, &TranslateOptions::default()).unwrap();
@@ -82,17 +71,13 @@ fn f1_cruise_control(threads: usize) {
         "inventory: {} thread processes, {} dispatchers, {} queues (paper §4.1: 6/6/0)",
         tm.inventory.threads, tm.inventory.dispatchers, tm.inventory.queues
     );
-    let mut exhaustive = AnalysisOptions::exhaustive();
-    exhaustive.explore.threads = threads;
-    let v = analyze(&m, &TranslateOptions::default(), &exhaustive).unwrap();
+    let v = analyze(&m, &TranslateOptions::default(), &AnalysisOptions::exhaustive()).unwrap();
     println!(
         "nominal:    schedulable={} states={} transitions={} time={:?}",
         v.schedulable(), v.stats().states, v.stats().transitions, v.stats().duration
     );
     let m = instantiate(&cruise_control_overloaded(), "CruiseControl.impl").unwrap();
-    let mut default = AnalysisOptions::default();
-    default.explore.threads = threads;
-    let v = analyze(&m, &TranslateOptions::default(), &default).unwrap();
+    let v = analyze(&m, &TranslateOptions::default(), &AnalysisOptions::default()).unwrap();
     println!(
         "overloaded: schedulable={} first deadlock at quantum {} ({} states)",
         v.schedulable(),
@@ -217,7 +202,7 @@ fn q2b_acceptance_by_utilization() {
 }
 
 fn q3_scaling() {
-    header("Q3 — exploration scaling: model size and engine workers");
+    header("Q3 — exploration scaling: model size");
     println!("{:>8} {:>10} {:>13} {:>12}", "threads", "states", "transitions", "time");
     for n in [2usize, 3, 4, 5, 6] {
         let m = harmonic_system(n, 4, 0.12);
@@ -231,27 +216,6 @@ fn q3_scaling() {
             t0.elapsed()
         );
         assert!(v.schedulable());
-    }
-    let m = harmonic_system(6, 4, 0.12);
-    let tm = translate(&m, &TranslateOptions::default()).unwrap();
-    println!("\nengine workers on the (narrow-frontier) 6-thread harmonic model:");
-    println!("{:>8} {:>12}", "workers", "time");
-    for w in [1usize, 2, 4, 8] {
-        let t0 = Instant::now();
-        let ex = versa::explore(&tm.env, &tm.initial, &versa::Options::default().with_threads(w));
-        println!("{:>8} {:>12?}   ({} states)", w, t0.elapsed(), ex.num_states());
-    }
-
-    // Wide-frontier variant: independent execution-time choices on separate
-    // processors make the BFS frontier wide enough for workers to pay off.
-    let m = wide_system(5, 4);
-    let tm = translate(&m, &TranslateOptions::default()).unwrap();
-    println!("\nengine workers on the wide-frontier model (5 cpus, exec 1..4):");
-    println!("{:>8} {:>12}", "workers", "time");
-    for w in [1usize, 2, 4, 8] {
-        let t0 = Instant::now();
-        let ex = versa::explore(&tm.env, &tm.initial, &versa::Options::default().with_threads(w));
-        println!("{:>8} {:>12?}   ({} states)", w, t0.elapsed(), ex.num_states());
     }
 }
 
@@ -282,67 +246,6 @@ fn run_counter(run: &obs::RunData, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// The parallel-scaling sweep behind `EXPERIMENTS.md` Q8 and the `scaling`
-/// section of `BENCH_exploration.json`: the default exploration (what
-/// `--threads` changes for users) swept over workers on each model.
-///
-/// Every configuration runs three times and reports the best wall clock —
-/// min-of-N is the standard way to strip scheduler noise from short runs.
-fn q8_thread_scaling(smoke: bool) -> obs::Json {
-    header("Q8 — parallel scaling: workers");
-    let mut models: Vec<(String, aadl::instance::InstanceModel)> = vec![
-        ("cruise_control".into(), cruise_control_model()),
-        ("flight_control".into(), flight_control_model()),
-        (
-            "overloaded".into(),
-            instantiate(&cruise_control_overloaded(), "CruiseControl.impl").unwrap(),
-        ),
-    ];
-    let (cpus, spread) = if smoke { (5, 4) } else { (6, 4) };
-    models.push((format!("wide_system({cpus},{spread})"), wide_system(cpus, spread)));
-    let reps = 3u32;
-
-    let mut sections: Vec<obs::Json> = Vec::new();
-    for (name, m) in &models {
-        let tm = translate(m, &TranslateOptions::default()).unwrap();
-        println!("\n{name}:");
-        println!("{:>8} {:>8} {:>13}", "workers", "states", "best time");
-        let mut rows: Vec<obs::Json> = Vec::new();
-
-        for threads in [1usize, 2, 4, 8] {
-            let mut best: Option<(std::time::Duration, usize)> = None;
-            for _ in 0..reps {
-                let opts = versa::Options::default().with_threads(threads);
-                let t0 = Instant::now();
-                let ex = versa::explore(&tm.env, &tm.initial, &opts);
-                let wall = t0.elapsed();
-                if best.as_ref().is_none_or(|(w, _)| wall < *w) {
-                    best = Some((wall, ex.num_states()));
-                }
-            }
-            let (wall, states) = best.unwrap();
-            println!("{:>8} {:>8} {:>13?}", threads, states, wall);
-            rows.push(obs::Json::obj([
-                ("threads", obs::Json::from(threads)),
-                ("states", obs::Json::from(states)),
-                ("wall_ns", obs::Json::from(wall.as_nanos() as u64)),
-            ]));
-        }
-        sections.push(obs::Json::obj([
-            ("model", obs::Json::from(name.as_str())),
-            ("rows", obs::Json::Arr(rows)),
-        ]));
-    }
-    obs::Json::obj([
-        ("reps", obs::Json::from(reps as u64)),
-        ("policy", obs::Json::from("min_wall_of_reps")),
-        ("models", obs::Json::Arr(sections)),
-    ])
-}
-
-/// Instrumented exhaustive run of the cruise-control model, written as
-/// `BENCH_exploration.json` — the same `aadlsched-metrics` schema the CLI
-/// emits with `--metrics`, so the two are diffable with the same tooling.
 /// Q12 — the cross-run artifact store: the identical 10-point quantum sweep
 /// twice, cold then warm (EXPERIMENTS.md Q12). The `.aadl` source is parsed
 /// once; every point re-translates at its own quantum, so each point keys a
@@ -444,8 +347,8 @@ const LONGPERIOD_PER_QUANTUM_STATES: usize = 306_015;
 /// state space, and served in closed form — the harness aborts otherwise,
 /// so the committed report can never carry a regressed ratio. The state
 /// counts are deterministic; only the wall clocks are subject to noise
-/// (hence min-of-reps, same policy as Q8).
-fn q13_zones(threads: usize) -> obs::Json {
+/// (hence min-of-reps).
+fn q13_zones() -> obs::Json {
     header("Q13 — delay zones on the long-hyperperiod model");
     let path = model_file("longperiod.aadl");
     let source = std::fs::read_to_string(&path)
@@ -466,9 +369,7 @@ fn q13_zones(threads: usize) -> obs::Json {
     let mut best: Option<Best> = None;
     for _ in 0..reps {
         let rec = obs::Recorder::enabled();
-        let opts = versa::Options::default()
-            .with_threads(threads)
-            .with_obs(rec.clone());
+        let opts = versa::Options::default().with_obs(rec.clone());
         let t0 = Instant::now();
         let ex = versa::explore(&tm.env, &tm.initial, &opts);
         let wall = t0.elapsed();
@@ -516,12 +417,10 @@ fn q13_zones(threads: usize) -> obs::Json {
     ])
 }
 
-fn q6_exploration_report(
-    threads: usize,
-    scaling: obs::Json,
-    cas_section: obs::Json,
-    zones_section: obs::Json,
-) {
+/// Instrumented exhaustive run of the cruise-control model, written as
+/// `BENCH_exploration.json` — the same `aadlsched-metrics` schema the CLI
+/// emits with `--metrics`, so the two are diffable with the same tooling.
+fn q6_exploration_report(cas_section: obs::Json, zones_section: obs::Json) {
     header("Q6 — instrumented exploration report (BENCH_exploration.json)");
     let rec = obs::Recorder::enabled();
     let m = cruise_control_model();
@@ -530,13 +429,11 @@ fn q6_exploration_report(
         ..Default::default()
     };
     let mut aopts = AnalysisOptions::exhaustive();
-    aopts.explore.threads = threads;
     aopts.explore.obs = rec.clone();
     let tm = translate(&m, &topts).unwrap();
     let v = aadl2acsr::analyze_translated(&m, &tm, &aopts);
 
-    let canon = format!("exhaustive;threads={threads}");
-    let run_id = obs::run_id(&[b"cruise_control", canon.as_bytes()]);
+    let run_id = obs::run_id(&[b"cruise_control".as_slice(), b"exhaustive"]);
     let mut report = obs::Report::new(&run_id, "bench-harness");
     report.set(
         "model",
@@ -578,7 +475,6 @@ fn q6_exploration_report(
             ("truncated", obs::Json::Bool(v.truncated())),
         ]),
     );
-    report.set("scaling", scaling);
     report.set("cas", cas_section);
     report.set("zones", zones_section);
     report.attach_run(&rec.finish());
@@ -591,7 +487,7 @@ fn q6_exploration_report(
 
 /// The three concurrency-control protocols on the bundled priority-inversion
 /// model (§7 extension): verdict, miss quantum and state count per protocol.
-fn q7_locking_protocols(threads: usize) {
+fn q7_locking_protocols() {
     header("Q7 — concurrency control on the inversion model (§7 ext.)");
     let source = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -606,15 +502,13 @@ fn q7_locking_protocols(threads: usize) {
         ("Priority_Ceiling", Some(ConcurrencyControlProtocol::PriorityCeiling)),
         ("Priority_Inheritance", Some(ConcurrencyControlProtocol::PriorityInheritance)),
     ] {
-        let mut aopts = AnalysisOptions::exhaustive();
-        aopts.explore.threads = threads;
         let v = analyze(
             &m,
             &TranslateOptions {
                 protocol_override: protocol,
                 ..Default::default()
             },
-            &aopts,
+            &AnalysisOptions::exhaustive(),
         )
         .unwrap();
         println!(

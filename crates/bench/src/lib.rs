@@ -57,56 +57,6 @@ pub fn harmonic_system(n: usize, base_q: i64, u_each: f64) -> InstanceModel {
     instantiate(&pkg, "Top.impl").unwrap()
 }
 
-/// A wide-frontier system for the engine-worker experiment (Q3): `n`
-/// processors, each with one thread whose execution time ranges over
-/// `[1, spread]` quanta — every thread's duration choice is independent, so
-/// the BFS frontier grows like `spread^n` and parallel expansion has real
-/// work per level.
-pub fn wide_system(n: usize, spread: i64) -> InstanceModel {
-    let mut b = PackageBuilder::new("Wide")
-        .processor("cpu_t", |p| p.prop_enum(names::SCHEDULING_PROTOCOL, "RMS"));
-    for i in 0..n {
-        let name = format!("W{i}");
-        b = b.thread(&name, move |t| {
-            t.prop_enum(names::DISPATCH_PROTOCOL, "Periodic")
-                .prop(
-                    names::PERIOD,
-                    PropertyValue::Time(TimeVal::ms(2 * spread)),
-                )
-                .prop(
-                    names::COMPUTE_EXECUTION_TIME,
-                    PropertyValue::TimeRange(TimeVal::ms(1), TimeVal::ms(spread)),
-                )
-                .prop(
-                    names::COMPUTE_DEADLINE,
-                    PropertyValue::Time(TimeVal::ms(2 * spread)),
-                )
-        });
-    }
-    b = b.system("Top", |s| s);
-    let pkg = b
-        .implementation("Top.impl", Category::System, |mut i| {
-            for t in 0..n {
-                let cpu = format!("cpu{t}");
-                i = i.sub(&cpu, Category::Processor, "cpu_t");
-            }
-            for t in 0..n {
-                let sub = format!("w{t}");
-                let ty = format!("W{t}");
-                let cpu = format!("cpu{t}");
-                i = i
-                    .sub(&sub, Category::Thread, &ty)
-                    .bind_processor(&sub, &cpu);
-            }
-            i.prop(
-                names::SCHEDULING_QUANTUM,
-                PropertyValue::Time(TimeVal::ms(1)),
-            )
-        })
-        .build();
-    instantiate(&pkg, "Top.impl").unwrap()
-}
-
 /// The overrun producer/handler model of experiment Q5, parameterized by
 /// queue size and overflow protocol.
 pub fn overrun_system(queue_size: i64, overflow: &str) -> InstanceModel {

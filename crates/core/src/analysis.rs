@@ -40,12 +40,6 @@ impl AnalysisOptions {
         }
     }
 
-    /// Parallel exploration with `threads` workers.
-    pub fn with_threads(mut self, threads: usize) -> AnalysisOptions {
-        self.explore.threads = threads;
-        self
-    }
-
     /// Install a shared cancellation token (see [`versa::CancelToken`]); the
     /// explorer polls it at every frontier state, so a long analysis can be
     /// stopped from another thread (a request handler, a deadline watchdog).

@@ -86,6 +86,27 @@ impl Gauge {
         }
     }
 
+    /// Move the current level by `delta`, updating the peak (no-op when
+    /// disabled). One atomic add, so concurrent updates never lose one
+    /// another the way a `set(get() + 1)` can.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let g = obs::Recorder::enabled().gauge("served.connections");
+    /// g.add(1);
+    /// g.add(1);
+    /// g.add(-1);
+    /// assert_eq!((g.get(), g.peak()), (1, 2));
+    /// ```
+    #[inline]
+    pub fn add(&self, delta: i64) {
+        if let Some(g) = &self.0 {
+            let now = g.value.fetch_add(delta, Ordering::Relaxed) + delta;
+            g.peak.fetch_max(now, Ordering::Relaxed);
+        }
+    }
+
     /// Current level (0 when disabled).
     pub fn get(&self) -> i64 {
         self.0.as_ref().map_or(0, |g| g.value.load(Ordering::Relaxed))
@@ -343,5 +364,23 @@ mod tests {
             }
         });
         assert_eq!(c2.get(), 4000);
+    }
+
+    #[test]
+    fn concurrent_gauge_adds_never_lose_an_update() {
+        let g = Gauge(Some(Arc::new(GaugeCell::default())));
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                let g = g.clone();
+                s.spawn(move || {
+                    for _ in 0..10_000 {
+                        g.add(1);
+                        g.add(-1);
+                    }
+                });
+            }
+        });
+        assert_eq!(g.get(), 0);
+        assert!((1..=8).contains(&g.peak()), "peak {}", g.peak());
     }
 }

@@ -86,7 +86,15 @@ pub const SCHEMA: &str = "aadlsched-metrics";
 ///   it, only when non-zero. The daemon's `term.unique_subterms` gauge now
 ///   reports the last request's own store rather than one store shared by
 ///   every request.
-pub const SCHEMA_VERSION: u64 = 10;
+/// * v11 — one sequential engine (no exploration workers):
+///   - `threads` left the CLI's canonical option string (hashed into the
+///     run id) and the daemon's job digest, so run ids and job digests of
+///     otherwise identical runs change;
+///   - the `scaling` section left `BENCH_exploration.json`;
+///   - a run that stops at its first deadlock no longer expands the rest of
+///     that bucket, so its `step.memo_*` counters and `term.unique_subterms`
+///     gauge can be lower than before; every other instrument is unchanged.
+pub const SCHEMA_VERSION: u64 = 11;
 
 /// Deterministic run identifier: FNV-1a (64-bit) over the given byte slices,
 /// rendered as 16 lowercase hex digits. Feed it the model source and the
@@ -100,7 +108,7 @@ pub const SCHEMA_VERSION: u64 = 10;
 /// let b = obs::run_id(&[b"model source", b"--exhaustive"]);
 /// assert_eq!(a, b);
 /// assert_eq!(a.len(), 16);
-/// assert_ne!(a, obs::run_id(&[b"model source", b"--threads 4"]));
+/// assert_ne!(a, obs::run_id(&[b"model source", b"--max-states 4"]));
 /// ```
 pub fn run_id(parts: &[&[u8]]) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -127,7 +135,7 @@ pub fn run_id(parts: &[&[u8]]) -> String {
 /// r.set("model", Json::obj([("file", Json::from("m.aadl"))]));
 /// let text = r.to_json();
 /// assert!(text.starts_with("{\n  \"schema\": \"aadlsched-metrics\""));
-/// assert!(text.contains("\"version\": 10"));
+/// assert!(text.contains("\"version\": 11"));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Report {

@@ -5,8 +5,7 @@
 //!
 //! commands:
 //!   analyze <model.aadl> [--root <r>] [--quantum <ms>] [--protocol <p>]
-//!           [--compact] [--exhaustive] [--threads <n>] [--max-states <n>]
-//!           [--timeout-ms <n>]
+//!           [--compact] [--exhaustive] [--max-states <n>] [--timeout-ms <n>]
 //!       read the model, send it inline, wait for the result; the process
 //!       exit code mirrors the wire `code` (0 schedulable, 1 not, 2 input
 //!       error, 3 unknown)
@@ -161,14 +160,6 @@ fn analyze_request(mut raw: std::env::Args) -> Result<String, String> {
             "--protocol" => opts.push(("protocol".into(), Json::from(val("--protocol")?))),
             "--compact" => opts.push(("compact".into(), Json::Bool(true))),
             "--exhaustive" => opts.push(("exhaustive".into(), Json::Bool(true))),
-            "--threads" => opts.push((
-                "threads".into(),
-                Json::UInt(
-                    val("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                ),
-            )),
             "--max-states" => opts.push((
                 "max_states".into(),
                 Json::UInt(

@@ -551,7 +551,7 @@ fn handle_conn(d: Arc<Daemon>, stream: TcpStream, local_addr: &str) {
         return;
     };
     let writer = Arc::new(Mutex::new(write_half));
-    d.m.connections.set(d.m.connections.get() + 1);
+    d.m.connections.add(1);
     let mut reader = BufReader::new(stream);
     loop {
         let line = match read_request_line(&mut reader) {
@@ -650,7 +650,7 @@ fn handle_conn(d: Arc<Daemon>, stream: TcpStream, local_addr: &str) {
             }
         }
     }
-    d.m.connections.set(d.m.connections.get() - 1);
+    d.m.connections.add(-1);
 }
 
 /// Retroactively record one stage as a child span of the root (explicit
@@ -1046,7 +1046,6 @@ fn analyze_source(
     } else {
         AnalysisOptions::default()
     };
-    aopts.explore.threads = o.threads.max(1);
     aopts.explore.max_states = o.max_states.unwrap_or(usize::MAX).min(d.cfg.max_states);
     aopts.explore.cancel = cancel.clone();
     aopts.explore.obs = rec.clone();

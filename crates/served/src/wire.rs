@@ -36,8 +36,6 @@ pub struct AnalyzeOptions {
     /// Explore the full state space instead of stopping at the first
     /// deadlock.
     pub exhaustive: bool,
-    /// Parallel frontier expansion with this many workers.
-    pub threads: usize,
     /// Per-request state budget (always clamped to the daemon's own budget).
     pub max_states: Option<usize>,
     /// Per-request wall-clock timeout in milliseconds (`None` = the daemon's
@@ -54,7 +52,6 @@ impl Default for AnalyzeOptions {
             protocol: None,
             compact: false,
             exhaustive: false,
-            threads: 1,
             max_states: None,
             timeout_ms: None,
         }
@@ -68,14 +65,13 @@ impl AnalyzeOptions {
     /// deadline policy.
     pub fn canonical(&self) -> String {
         format!(
-            "root={:?};quantum_ms={:?};protocol={:?};compact={};exhaustive={};threads={};\
+            "root={:?};quantum_ms={:?};protocol={:?};compact={};exhaustive={};\
              max_states={:?};timeout_ms={:?}",
             self.root,
             self.quantum_ms,
             self.protocol,
             self.compact,
             self.exhaustive,
-            self.threads,
             self.max_states,
             self.timeout_ms,
         )
@@ -241,9 +237,6 @@ fn parse_options(v: Option<&Json>) -> Result<AnalyzeOptions, String> {
             "protocol" => o.protocol = Some(str_field(val, "options.protocol")?),
             "compact" => o.compact = bool_field(val, "options.compact")?,
             "exhaustive" => o.exhaustive = bool_field(val, "options.exhaustive")?,
-            "threads" => {
-                o.threads = val.as_u64().ok_or("options.threads must be an integer")? as usize
-            }
             "max_states" => {
                 o.max_states =
                     Some(val.as_u64().ok_or("options.max_states must be an integer")? as usize)
@@ -442,7 +435,7 @@ mod tests {
 
     #[test]
     fn analyze_request_round_trips() {
-        let line = r#"{"type":"analyze","id":"r1","model":"package P end P;","options":{"exhaustive":true,"threads":2,"timeout_ms":5000}}"#;
+        let line = r#"{"type":"analyze","id":"r1","model":"package P end P;","options":{"exhaustive":true,"max_states":2,"timeout_ms":5000}}"#;
         let req = parse_request(line).unwrap();
         match req {
             Request::Analyze {
@@ -453,7 +446,7 @@ mod tests {
                 assert_eq!(id, "r1");
                 assert_eq!(source, ModelSource::Inline("package P end P;".into()));
                 assert!(options.exhaustive);
-                assert_eq!(options.threads, 2);
+                assert_eq!(options.max_states, Some(2));
                 assert_eq!(options.timeout_ms, Some(5000));
             }
             other => panic!("wrong request: {other:?}"),
@@ -509,14 +502,15 @@ mod tests {
 
     #[test]
     fn removed_engine_options_are_unknown() {
-        // The memo is always on and every verdict comes from the delay-zone
-        // engine with one edge cap, advancing in closed form, so none of
-        // these knobs exists on the wire any more.
+        // The memo is always on and every verdict comes from one sequential
+        // delay-zone search with one edge cap, advancing in closed form, so
+        // none of these knobs exists on the wire any more.
         for (opt, val) in [
             ("memo", "false"),
             ("zone_advance", r#""replay""#),
             ("zones", "true"),
             ("zone_cap", "64"),
+            ("threads", "2"),
         ] {
             let line = format!(
                 r#"{{"type":"analyze","id":"x","model":"m","options":{{"{opt}":{val}}}}}"#

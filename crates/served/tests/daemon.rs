@@ -502,6 +502,40 @@ fn introspection_is_live_and_stats_snapshots_are_byte_identical() {
 }
 
 #[test]
+fn connection_churn_leaves_the_connections_gauge_exact() {
+    let daemon = Daemon::start(&["--workers", "1"], None);
+    // 16 clients × 300 connect/close: every connection thread moves the
+    // gauge up and back down, overlapping with the others.
+    std::thread::scope(|s| {
+        for _ in 0..16 {
+            let addr = daemon.addr.as_str();
+            s.spawn(move || {
+                for _ in 0..300 {
+                    drop(TcpStream::connect(addr).expect("connect"));
+                }
+            });
+        }
+    });
+    let mut conn = daemon.connect();
+    // Closed clients' connection threads finish on their own time: poll
+    // until only this connection is counted.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let health = parse_json(&introspect(&mut conn, "health", "h"));
+        let open = health.get("connections").and_then(obs::Json::as_i64);
+        if open == Some(1) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "`connections` is {open:?} after 5 s with one open connection"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    daemon.shutdown();
+}
+
+#[test]
 fn timed_out_requests_land_in_the_flight_recorder() {
     let daemon = Daemon::start(&["--workers", "1"], Some("1000"));
     let mut conn = daemon.connect();

@@ -24,15 +24,11 @@
 //! [`acsr::step`]) — revisiting the skeleton states of a periodic task model
 //! costs a cache hit instead of a re-derivation.
 //!
-//! With [`Options::threads`] > 1, wide frontiers fan out over scoped worker
-//! threads that only *expand* states (successor lists and forced runs, a
-//! pure function of the state). Deduplication and id assignment happen on
-//! the coordinating thread, at a deterministic merge that walks the
-//! expansions in frontier order, so ids come out exactly as a sequential
-//! run assigns them: state tables, deadlock sets, statistics and
-//! shortest-counterexample traces never depend on the worker count.
-//! ([`TermId`](acsr::TermId) *values* may differ between racing runs;
-//! they never appear in results.)
+//! The search runs on the calling thread: each frontier state is expanded
+//! and merged into the visited set before the next, in frontier order, so
+//! state ids, deadlock sets, statistics and shortest-counterexample traces
+//! come out in one order. ([`TermId`](acsr::TermId) values are reproducible
+//! run to run too, but they never appear in results.)
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -143,8 +139,7 @@ impl CancelToken {
 /// ```
 /// use versa::Options;
 ///
-/// let opts = Options::default().with_threads(4).with_max_states(10_000);
-/// assert_eq!(opts.threads, 4);
+/// let opts = Options::default().with_max_states(10_000);
 /// assert_eq!(opts.max_states, 10_000);
 /// assert!(!opts.stop_at_first_deadlock);
 /// ```
@@ -166,11 +161,6 @@ pub struct Options {
     /// transition relation, so every per-quantum step becomes its own unit
     /// edge and state. Such runs never touch [`Options::cas`].
     pub collect_lts: bool,
-    /// Worker threads for frontier expansion; `0` or `1` means sequential.
-    /// Workers only expand states; deduplication and id assignment happen
-    /// at the coordinating thread's deterministic merge, so the count never
-    /// changes results.
-    pub threads: usize,
     /// Entry cap of the successor memo (see [`acsr::step::StepSession`];
     /// FIFO eviction past it). The memo is a pure cache — verdicts, state
     /// tables and traces never depend on it. The default is
@@ -219,7 +209,6 @@ impl Default for Options {
             max_states: usize::MAX,
             stop_at_first_deadlock: false,
             collect_lts: false,
-            threads: 1,
             memo_capacity: MemoConfig::default().capacity,
             store: None,
             cancel: CancelToken::new(),
@@ -256,18 +245,6 @@ impl Options {
     /// ```
     pub fn with_lts(mut self) -> Options {
         self.collect_lts = true;
-        self
-    }
-
-    /// Set the worker-thread count (`0` or `1` means sequential).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// assert_eq!(versa::Options::default().with_threads(8).threads, 8);
-    /// ```
-    pub fn with_threads(mut self, threads: usize) -> Options {
-        self.threads = threads;
         self
     }
 
@@ -424,9 +401,7 @@ pub struct Stats {
     /// back-edges merged by the visited set. `transitions - dedup_hits` is
     /// the number of *fresh* discoveries (≈ `states - 1`).
     pub dedup_hits: usize,
-    /// Successor lists served from the step memo (in parallel runs the split
-    /// between hits and misses can vary run to run — the *results* never
-    /// do).
+    /// Successor lists served from the step memo.
     pub memo_hits: u64,
     /// Successor lists derived fresh by the step memo.
     pub memo_misses: u64,
@@ -887,7 +862,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
+    fn product_of_two_counters_has_lcm_states() {
         let mut env = Env::new();
         // Two counters modulo different bases in parallel: product space.
         let c1 = env.declare("C1", 1);
@@ -919,20 +894,10 @@ mod tests {
             ]),
         );
         let p = par([invoke(c1, [Expr::c(0)]), invoke(c2, [Expr::c(0)])]);
-        let seq = explore(&env, &p, &Options::default().with_lts());
-        let par4 = explore(&env, &p, &Options::default().with_lts().with_threads(4));
-        assert_eq!(seq.num_states(), par4.num_states());
-        assert_eq!(seq.stats.transitions, par4.stats.transitions);
-        assert_eq!(seq.deadlocks, par4.deadlocks);
-        // State tables must be identical (determinism).
-        for i in 0..seq.num_states() {
-            assert_eq!(
-                seq.state(StateId(i as u32)),
-                par4.state(StateId(i as u32))
-            );
-        }
+        let ex = explore(&env, &p, &Options::default().with_lts());
         // lcm(7, 5) = 35 product states.
-        assert_eq!(seq.num_states(), 35);
+        assert_eq!(ex.num_states(), 35);
+        assert!(ex.deadlock_free());
     }
 
     #[test]
@@ -1160,78 +1125,6 @@ mod tests {
         assert!(ex.deadlocks.is_empty());
         // The interned prefix is still a valid BFS prefix.
         assert_eq!(ex.depth_of(StateId(2)), 2);
-    }
-
-    #[test]
-    fn thread_count_never_affects_results() {
-        let mut env = Env::new();
-        let c1 = env.declare("W", 1);
-        env.set_body(
-            c1,
-            choice([
-                guard(
-                    BExpr::lt(Expr::p(0), Expr::c(20)),
-                    choice([
-                        act([(cpu(), 1)], invoke(c1, [Expr::p(0).add(Expr::c(1))])),
-                        act([(Res::new("bus"), 1)], invoke(c1, [Expr::p(0).add(Expr::c(2))])),
-                    ]),
-                ),
-                guard(BExpr::eq(Expr::p(0), Expr::c(20)), nil()),
-                guard(BExpr::eq(Expr::p(0), Expr::c(21)), nil()),
-            ]),
-        );
-        let p = invoke(c1, [Expr::c(0)]);
-        let base = explore(&env, &p, &Options::default());
-        for threads in [2, 3, 4, 8] {
-            let ex = explore(&env, &p, &Options::default().with_threads(threads));
-            assert_eq!(ex.num_states(), base.num_states());
-            assert_eq!(ex.deadlocks, base.deadlocks);
-            assert_eq!(ex.stats.dedup_hits, base.stats.dedup_hits);
-            assert_eq!(ex.stats.transitions, base.stats.transitions);
-            for i in 0..base.num_states() {
-                assert_eq!(ex.state(StateId(i as u32)), base.state(StateId(i as u32)));
-            }
-            assert_eq!(
-                ex.first_deadlock_trace().map(|t| t.len()),
-                base.first_deadlock_trace().map(|t| t.len())
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_with_obs_matches_sequential() {
-        let mut env = Env::new();
-        let c1 = env.declare("Cnt", 1);
-        env.set_body(
-            c1,
-            choice([
-                guard(
-                    BExpr::lt(Expr::p(0), Expr::c(30)),
-                    act([(cpu(), 1)], invoke(c1, [Expr::p(0).add(Expr::c(1))])),
-                ),
-                guard(
-                    BExpr::eq(Expr::p(0), Expr::c(30)),
-                    act([(cpu(), 1)], invoke(c1, [Expr::c(0)])),
-                ),
-            ]),
-        );
-        let p = invoke(c1, [Expr::c(0)]);
-        let seq = explore(&env, &p, &Options::default().with_lts());
-        let rec = obs::Recorder::enabled();
-        let par4 = explore(
-            &env,
-            &p,
-            &Options::default()
-                .with_lts()
-                .with_threads(4)
-                .with_obs(rec.clone()),
-        );
-        assert_eq!(seq.num_states(), par4.num_states());
-        assert_eq!(seq.stats.transitions, par4.stats.transitions);
-        assert_eq!(seq.stats.dedup_hits, par4.stats.dedup_hits);
-        for i in 0..seq.num_states() {
-            assert_eq!(seq.state(StateId(i as u32)), par4.state(StateId(i as u32)));
-        }
     }
 
     #[test]

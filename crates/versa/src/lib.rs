@@ -21,10 +21,9 @@
 //! on "improving the state-space exploration efficiency of VERSA", §7). An
 //! LTS export ([`Options::collect_lts`]) runs the same search with every
 //! edge one quantum long, which makes it a per-quantum breadth-first search
-//! that records each edge. Wide frontiers fan out over scoped `std::thread`
-//! workers that only expand states; a deterministic merge deduplicates and
-//! assigns ids, so results are bit-for-bit identical to the sequential run.
-//! A deliberately plain sequential explorer over the bare step relation,
+//! that records each edge. The search is sequential: each frontier state is
+//! expanded and merged in frontier order, so results are reproducible bit
+//! for bit. A deliberately plain explorer over the bare step relation,
 //! [`reference::explore_reference`], is the executable specification the
 //! differential test suites hold the engine to.
 //!

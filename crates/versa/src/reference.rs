@@ -5,7 +5,7 @@
 //! prioritized transition system): a sequential breadth-first search over
 //! the plain [`acsr::prioritized_steps`] relation with a `HashMap<P,
 //! StateId>` visited set. It has no term store, no successor memo, no
-//! worker threads, no artifact store and no observability, and it honours
+//! delay edges, no artifact store and no observability, and it honours
 //! only [`Options::max_states`] (intern at most that many states; truncated
 //! only when one more was needed) and [`Options::stop_at_first_deadlock`].
 //!
@@ -13,10 +13,10 @@
 //! order, then successor order — so the differential suites hold both
 //! granularities of the one engine to it:
 //!
-//! * LTS runs ([`Options::collect_lts`], every edge one quantum) at any
-//!   thread count and any state budget must reproduce its state table,
-//!   deadlock set, transition and dedup counts, `truncated` flag and
-//!   shortest trace byte for byte (`tests/prop_interning.rs`);
+//! * LTS runs ([`Options::collect_lts`], every edge one quantum) under any
+//!   state budget must reproduce its state table, deadlock set, transition
+//!   and dedup counts, `truncated` flag and shortest trace byte for byte
+//!   (`tests/prop_interning.rs`);
 //! * verdict runs, which collapse forced runs into delay edges, must agree
 //!   with it on the verdict, the deadlocked terms, the shortest
 //!   counterexample length, and must only ever take steps of the relation
@@ -35,7 +35,7 @@ use crate::explore::{Exploration, Options, StateId, Stats};
 /// Explore `initial` breadth-first over [`acsr::prioritized_steps`].
 ///
 /// Only `max_states` and `stop_at_first_deadlock` are read from `opts`; the
-/// memo, store, thread, zone, cancellation and observability settings are
+/// memo, store, zone, cancellation and observability settings are
 /// ignored, and no LTS is collected. The memo and term-store counters of
 /// the returned [`Stats`] stay zero.
 ///

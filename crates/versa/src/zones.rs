@@ -74,7 +74,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use acsr::{
@@ -82,7 +82,7 @@ use acsr::{
     RunSeg, StepSession, TermId, TermStore, P,
 };
 
-use crate::explore::{CancelToken, Exploration, Options, StateId, Stats};
+use crate::explore::{Exploration, Options, StateId, Stats};
 use crate::lts::Lts;
 
 /// Forced steps walked concretely before a run is handed to the closed-form
@@ -95,15 +95,14 @@ pub const LEARN_AFTER: u64 = 4;
 /// costs several times a concrete step and pays off only over many
 /// revisits of long runs, which an exploration made of branch points and
 /// short runs never makes: below this volume every run is walked
-/// concretely. Counted at the deterministic merge and fixed for a whole
-/// bucket, so the handoff never depends on the worker count. Measured in
-/// EXPERIMENTS.md Q15.
+/// concretely. Counted as each run is merged and fixed for a whole bucket,
+/// so the handoff never depends on where in a bucket a long run falls.
+/// Measured in EXPERIMENTS.md Q15.
 pub const LEARN_AFTER_VOLUME: u64 = 4096;
 
-/// The pure, per-state result a worker computes during bucket expansion.
-/// Workers never touch the visited set or the queue; the deterministic
-/// merge on the coordinating thread does, in frontier order, so thread
-/// count can never change results.
+/// The per-state result of expanding one frontier state: a pure function of
+/// the state (and of `learn`), merged into the zone graph before the next
+/// state is expanded.
 enum Expansion {
     /// No prioritized successors.
     Deadlock,
@@ -174,32 +173,6 @@ fn expand_state(
         steps,
         learned,
     }
-}
-
-/// One worker's chunk of a bucket, expanded in frontier order.
-fn expand_chunk(
-    session: &StepSession<'_>,
-    cache: &AdvanceCache,
-    states: &[Interned],
-    ids: &[StateId],
-    cap: u64,
-    learn: bool,
-    cancel: &CancelToken,
-) -> Vec<Expansion> {
-    let mut out = Vec::with_capacity(ids.len());
-    for id in ids {
-        if cancel.is_cancelled() {
-            break;
-        }
-        out.push(expand_state(
-            session,
-            cache,
-            &states[id.index()],
-            cap,
-            learn,
-        ));
-    }
-    out
 }
 
 /// The growing zone graph plus the Dijkstra bookkeeping.
@@ -349,7 +322,6 @@ pub(crate) fn explore_zones(
     let run_span = opts.obs.span("explore");
     let dedup_counter = opts.obs.counter("explore.dedup_hits");
     let states_gauge = opts.obs.gauge("explore.states");
-    let threads = opts.threads.max(1);
     let store = opts
         .store
         .clone()
@@ -398,61 +370,20 @@ pub(crate) fn explore_zones(
         let level_span = run_span.child("explore.level");
         let learn = long_run_steps >= LEARN_AFTER_VOLUME;
 
-        // Phase 1 — expansion. Per-state work is pure (successor lists and
-        // forced runs from the shared memoized session; the advance cache
-        // converges to the same derivatives under any interleaving), so wide
-        // buckets fan out over scoped workers without any result-order
-        // dependence.
-        let expansions: Vec<Expansion> = if threads > 1 && frontier.len() >= 4 * threads {
-            let chunk = frontier.len().div_ceil(threads);
-            let collected: Mutex<Vec<(usize, Vec<Expansion>)>> =
-                Mutex::new(Vec::with_capacity(threads));
-            std::thread::scope(|s| {
-                for (ci, ids) in frontier.chunks(chunk).enumerate() {
-                    let collected = &collected;
-                    let states = &g.states[..];
-                    let session = &session;
-                    let cache = &advance_cache;
-                    let cancel = &opts.cancel;
-                    s.spawn(move || {
-                        let out = expand_chunk(session, cache, states, ids, cap, learn, cancel);
-                        collected
-                            .lock()
-                            .expect("expansion lock poisoned")
-                            .push((ci, out));
-                    });
-                }
-            });
-            let mut chunks = collected.into_inner().expect("expansion lock poisoned");
-            chunks.sort_unstable_by_key(|(ci, _)| *ci);
-            chunks.into_iter().flat_map(|(_, out)| out).collect()
-        } else {
-            expand_chunk(
-                &session,
-                &advance_cache,
-                &g.states,
-                &frontier,
-                cap,
-                learn,
-                &opts.cancel,
-            )
-        };
-
-        // A token that fired mid-expansion leaves chunks cut short; discard
-        // the bucket wholesale rather than merge a partial view.
-        if opts.cancel.is_cancelled() {
-            cancelled = true;
-            level_span.end();
-            break;
-        }
-
-        // Phase 2 — deterministic merge, in frontier order.
+        // Expand and merge each state in frontier order: ids, depths and
+        // parents come out in one order, the order of this loop.
         let before_states = g.states.len();
         let before_transitions = stats.transitions;
-        for (id, expansion) in frontier.iter().zip(expansions) {
-            match expansion {
+        for &id in &frontier {
+            if opts.cancel.is_cancelled() {
+                cancelled = true;
+                level_span.end();
+                break 'search;
+            }
+            let state = &g.states[id.index()];
+            match expand_state(&session, &advance_cache, state, cap, learn) {
                 Expansion::Deadlock => {
-                    deadlocks.push(*id);
+                    deadlocks.push(id);
                     stats.deadlocks += 1;
                     if opts.stop_at_first_deadlock {
                         level_span.set("level", stats.levels as i64);
@@ -488,7 +419,7 @@ pub(crate) fn explore_zones(
                         .expect("the final segment of a run is always materialized");
                     let timeline = (steps >= 2).then_some(segs);
                     if let EdgeOutcome::Truncated =
-                        g.record_edge(*id, label, target, steps, timeline, &mut stats)
+                        g.record_edge(id, label, target, steps, timeline, &mut stats)
                     {
                         truncated = true;
                         level_span.end();
@@ -499,7 +430,7 @@ pub(crate) fn explore_zones(
                     singleton_steps += 1;
                     for (label, target) in succs {
                         if let EdgeOutcome::Truncated =
-                            g.record_edge(*id, label, target, 1, None, &mut stats)
+                            g.record_edge(id, label, target, 1, None, &mut stats)
                         {
                             truncated = true;
                             level_span.end();
@@ -610,7 +541,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::{expand_state, Expansion, LEARN_AFTER};
-    use crate::explore::{explore, Options, StateId};
+    use crate::explore::{explore, Options};
     use acsr::prelude::*;
     use acsr::{AdvanceCache, MemoConfig, StepSession, TermStore};
 
@@ -710,33 +641,6 @@ mod tests {
         ]);
         let zoned = explore(&env, &p, &Options::default());
         assert_eq!(zoned.first_deadlock_trace().unwrap().len(), 6);
-    }
-
-    #[test]
-    fn threads_do_not_change_zone_results() {
-        let mut env = Env::new();
-        // A counter fan: from the root, 16 sibling chains of different
-        // lengths, wide enough to trigger parallel bucket expansion.
-        let alts: Vec<P> = (0..16)
-            .map(|i| act([(Res::new(&format!("r{i}")), 1)], chain(i + 1)))
-            .collect();
-        let p = choice(alts);
-        let d = env.declare("Root", 0);
-        env.set_body(d, p);
-        let p = invoke(d, []);
-        let base = explore(&env, &p, &Options::default());
-        let par4 = explore(&env, &p, &Options::default().with_threads(4));
-        assert_eq!(base.num_states(), par4.num_states());
-        assert_eq!(base.deadlocks, par4.deadlocks);
-        assert_eq!(base.stats.transitions, par4.stats.transitions);
-        assert_eq!(base.stats.dedup_hits, par4.stats.dedup_hits);
-        for i in 0..base.num_states() {
-            assert_eq!(base.state(StateId(i as u32)), par4.state(StateId(i as u32)));
-        }
-        assert_eq!(
-            base.first_deadlock_trace().map(|t| t.len()),
-            par4.first_deadlock_trace().map(|t| t.len())
-        );
     }
 
     #[test]

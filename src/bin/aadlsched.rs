@@ -17,7 +17,6 @@
 //!   --compact         compact translation (drop redundant skeleton scopes)
 //!   --exhaustive      explore the full state space (default: stop at the
 //!                     first deadlock)
-//!   --threads <n>     parallel frontier expansion with n workers
 //!   --max-states <n>  state budget (verdict becomes "unknown" if exceeded);
 //!                     it counts zone-graph states (branch points,
 //!                     deadlocks, run endpoints), not quanta — or every
@@ -65,7 +64,6 @@ struct Args {
     protocol: Option<ConcurrencyControlProtocol>,
     compact: bool,
     exhaustive: bool,
-    threads: usize,
     max_states: Option<usize>,
     store: Option<String>,
     print_acsr: bool,
@@ -80,7 +78,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: aadlsched <model.aadl> [RootSystem.impl] \
          [--quantum <ms>] [--protocol <none|pip|pcp>] [--compact] \
-         [--exhaustive] [--threads <n>] [--max-states <n>] \
+         [--exhaustive] [--max-states <n>] \
          [--store <dir|readonly:dir|off>] \
          [--tree] [--acsr] [--dot <file>] \
          [--metrics <file>] [--trace-events <file>] [--progress]\n\
@@ -104,7 +102,6 @@ fn parse_args() -> Result<Args, String> {
         protocol: None,
         compact: false,
         exhaustive: false,
-        threads: 1,
         max_states: None,
         store: None,
         print_acsr: false,
@@ -132,13 +129,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--compact" => args.compact = true,
             "--exhaustive" => args.exhaustive = true,
-            "--threads" => {
-                args.threads = raw
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
             "--max-states" => {
                 args.max_states = Some(
                     raw.next()
@@ -305,7 +295,6 @@ fn main() -> ExitCode {
     } else {
         AnalysisOptions::default()
     };
-    aopts.explore.threads = args.threads;
     if let Some(max) = args.max_states {
         aopts.explore.max_states = max;
     }
@@ -375,8 +364,8 @@ fn main() -> ExitCode {
             // option string — never the wall clock, so identical invocations
             // produce identical ids.
             let canon_opts = format!(
-                "root={root};quantum_ms={:?};compact={};exhaustive={};threads={};max_states={:?}",
-                args.quantum_ms, args.compact, args.exhaustive, args.threads, args.max_states
+                "root={root};quantum_ms={:?};compact={};exhaustive={};max_states={:?}",
+                args.quantum_ms, args.compact, args.exhaustive, args.max_states
             );
             let run_id = obs::run_id(&[source.as_bytes(), canon_opts.as_bytes()]);
             let mut report = obs::Report::new(&run_id, "aadlsched");

@@ -65,20 +65,6 @@ fn compact_mode_agrees() {
 }
 
 #[test]
-fn parallel_exploration_matches_sequential() {
-    let m = flight_control_model();
-    let tm = translate(&m, &TranslateOptions::default()).unwrap();
-    let seq = versa::explore(&tm.env, &tm.initial, &versa::Options::default());
-    let par = versa::explore(
-        &tm.env,
-        &tm.initial,
-        &versa::Options::default().with_threads(4),
-    );
-    assert_eq!(seq.num_states(), par.num_states());
-    assert_eq!(seq.deadlocks, par.deadlocks);
-}
-
-#[test]
 fn overloading_the_control_processor_is_caught() {
     // Stress variant: slow the autopilot down so control_cpu exceeds 1.
     let mut pkg = aadl::examples::flight_control();

@@ -1,16 +1,15 @@
 //! Property-based equivalence of the exploration engine and the reference
-//! explorer. Hash-consing, successor memoization, the weighted zone search
-//! and parallel expansion are *representation* changes and must be
-//! invisible in results. For every generated task set, an LTS run of the
-//! shipped engine ([`versa::explore`] with `collect_lts`, so every edge is
-//! one quantum: TermId-keyed visited set, memoized [`acsr::StepSession`],
-//! worker threads that only expand, deterministic merge) must agree **byte
-//! for byte** with [`versa::reference::explore_reference`] (a plain BFS over
+//! explorer. Hash-consing, successor memoization and the weighted zone
+//! search are *representation* changes and must be invisible in results.
+//! For every generated task set, an LTS run of the shipped engine
+//! ([`versa::explore`] with `collect_lts`, so every edge is one quantum:
+//! TermId-keyed visited set, memoized [`acsr::StepSession`], each frontier
+//! state expanded and merged in order) must agree **byte for byte** with
+//! [`versa::reference::explore_reference`] (a plain BFS over
 //! [`acsr::prioritized_steps`]) on the state table, the deadlock set, the
 //! transition/dedup counts, the `truncated` flag and the full
-//! shortest-deadlock trace — at 1, 2 and 8 workers, in exhaustive mode, in
-//! verdict mode, and under state budgets on either side of the exhaustive
-//! state count.
+//! shortest-deadlock trace — in exhaustive mode, in verdict mode, and under
+//! state budgets on either side of the exhaustive state count.
 //!
 //! Randomized task sets come from the workspace's vendored [`det`] harness
 //! (`det_prop!` runs 64 seeded cases per property by default; failures print
@@ -48,21 +47,15 @@ det_prop! {
         let m = instantiate(&pkg, "Top.impl").unwrap();
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
         let base = explore_reference(&tm.env, &tm.initial, &Options::default());
-        for threads in [1usize, 2, 8] {
-            let new = explore(
-                &tm.env,
-                &tm.initial,
-                &Options::default().with_lts().with_threads(threads),
-            );
-            let ctx = format!("threads={threads} {ts:?}");
-            assert_identical(&base, &new, &ctx);
-            assert!(new.stats.memo_hits > 0, "no memo hits: {ctx}");
-            assert!(new.stats.unique_subterms > 0, "empty store: {ctx}");
-        }
+        let new = explore(&tm.env, &tm.initial, &Options::default().with_lts());
+        let ctx = format!("{ts:?}");
+        assert_identical(&base, &new, &ctx);
+        assert!(new.stats.memo_hits > 0, "no memo hits: {ctx}");
+        assert!(new.stats.unique_subterms > 0, "empty store: {ctx}");
     }
 
     fn interned_verdict_mode_matches_the_reference(spec in arb_spec) {
-        // stop_at_first_deadlock takes the early-exit path through the merge;
+        // stop_at_first_deadlock takes the early-exit path out of the search;
         // the first (shortest) counterexample must not depend on the state
         // representation either.
         let ts = uunifast(&spec);
@@ -70,14 +63,8 @@ det_prop! {
         let m = instantiate(&pkg, "Top.impl").unwrap();
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
         let base = explore_reference(&tm.env, &tm.initial, &Options::verdict());
-        for threads in [1usize, 2, 8] {
-            let new = explore(
-                &tm.env,
-                &tm.initial,
-                &Options::verdict().with_lts().with_threads(threads),
-            );
-            assert_identical(&base, &new, &format!("verdict threads={threads} {ts:?}"));
-        }
+        let new = explore(&tm.env, &tm.initial, &Options::verdict().with_lts());
+        assert_identical(&base, &new, &format!("verdict {ts:?}"));
     }
 
     fn state_budgets_truncate_like_the_reference(spec in arb_spec) {
@@ -93,15 +80,9 @@ det_prop! {
             let opts = Options::default().with_max_states(budget);
             let base = explore_reference(&tm.env, &tm.initial, &opts);
             assert_eq!(base.truncated, n > budget.max(1), "budget={budget} n={n} {ts:?}");
-            for threads in [1usize, 2, 8] {
-                let new = explore(
-                    &tm.env,
-                    &tm.initial,
-                    &opts.clone().with_lts().with_threads(threads),
-                );
-                let ctx = format!("budget={budget} n={n} threads={threads} {ts:?}");
-                assert_identical(&base, &new, &ctx);
-            }
+            let new = explore(&tm.env, &tm.initial, &opts.clone().with_lts());
+            let ctx = format!("budget={budget} n={n} {ts:?}");
+            assert_identical(&base, &new, &ctx);
         }
     }
 }

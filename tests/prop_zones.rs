@@ -10,8 +10,7 @@
 //! prioritized step relation ending in a deadlock. The *state table* is
 //! deliberately not compared: zone exploration materializes only zone
 //! endpoints, so a smaller table is the whole point (asserted as
-//! `zoned ≤ reference`). One and four workers must produce byte-identical
-//! timelines.
+//! `zoned ≤ reference`).
 //!
 //! The same checks run on hand-built terms for the zone engine's corner
 //! cases (branches, idle loops, events inside forced runs, relaxation, wide
@@ -49,7 +48,7 @@ use versa::{explore, Options};
 
 #[path = "support/reference_checks.rs"]
 mod reference_checks;
-use reference_checks::{assert_matches_reference, assert_same_timeline, warmed};
+use reference_checks::{assert_matches_reference, warmed};
 
 /// Bounded random specs: 2–4 tasks over a small period pool so the
 /// exhaustive exploration stays test-sized, utilizations spanning clearly
@@ -199,22 +198,12 @@ det_prop! {
     }
 }
 
-/// Zone exploration at 1 and 4 workers against the reference explorer, plus
-/// byte-identical counterexample timelines across the two worker counts.
+/// Zone exploration against the reference explorer.
 fn check_zones(env: &acsr::Env, initial: &acsr::P, opts: &Options, ctx: &str) {
     let reference = explore_reference(env, initial, opts);
+    let zoned = explore(env, initial, opts);
     let exhaustive = !opts.stop_at_first_deadlock;
-    let zoned: Vec<_> = [1usize, 4]
-        .into_iter()
-        .map(|threads| {
-            let opts = opts.clone().with_threads(threads);
-            let ex = explore(env, initial, &opts);
-            let ctx = format!("threads={threads} {ctx}");
-            assert_matches_reference(env, &reference, &ex, exhaustive, &ctx);
-            ex
-        })
-        .collect();
-    assert_same_timeline(env, &zoned[0], &zoned[1], &format!("1 vs 4 workers {ctx}"));
+    assert_matches_reference(env, &reference, &zoned, exhaustive, ctx);
 }
 
 /// A straight forced chain of `n` quanta ending in NIL.
@@ -234,8 +223,7 @@ fn zones_match_the_reference_on_hand_built_terms() {
     let cpu = || Res::new("cpu");
     let idle = env.declare("Idle", 0);
     env.set_body(idle, act([] as [(Res, i32); 0], invoke(idle, [])));
-    // A fan of 16 sibling chains of different lengths, wide enough to
-    // trigger parallel bucket expansion.
+    // A fan of 16 sibling chains of different lengths: one wide bucket.
     let fan = env.declare("Fan", 0);
     env.set_body(
         fan,

@@ -141,22 +141,3 @@ pub fn assert_matches_reference(
         assert_steps_in_relation(env, &zoned.trace_to(dead), ctx);
     }
 }
-
-/// Byte identity of two zone runs' counterexample timelines (rendered text
-/// and per-step state digests).
-pub fn assert_same_timeline(env: &Env, a: &Exploration, b: &Exploration, ctx: &str) {
-    match (a.first_deadlock_trace(), b.first_deadlock_trace()) {
-        (None, None) => {}
-        (Some(ta), Some(tb)) => {
-            assert_eq!(ta.render(env), tb.render(env), "timeline text: {ctx}");
-            let states =
-                |t: &Trace| -> Vec<u64> { t.iter().map(|(_, p)| stable_digest(env, p)).collect() };
-            assert_eq!(states(&ta), states(&tb), "timeline states: {ctx}");
-        }
-        (ta, tb) => panic!(
-            "trace presence differs ({} vs {}): {ctx}",
-            ta.is_some(),
-            tb.is_some()
-        ),
-    }
-}

@@ -10,14 +10,11 @@
 #      `--store` directory — verdict lines must be byte-identical cold vs
 #      warm, and the second run must demonstrably serve its Q12 cold pass
 #      from the store the first run deposited (cas.hits >= 1)
-#   4. the bench harness in smoke mode, twice — at 1 and at 4 exploration
-#      workers — with a diff over the verdict lines: the engine is
-#      deterministic in the thread count, so any difference is a regression
-#      in parallel expansion or the deterministic merge (the last run also
-#      refreshes
-#      BENCH_exploration.json, which is committed — deliberately after the
-#      store stage, so the committed report's `cas` section reflects a
-#      fresh cold/warm A/B)
+#   4. the bench harness in smoke mode, once: it aborts if its Q12 warm
+#      sweep changes a verdict row or its Q13 zone graph misses the 10x
+#      state bar, and it refreshes BENCH_exploration.json, which is
+#      committed — deliberately after the store stage, so the committed
+#      report's `cas` section reflects a fresh cold/warm A/B
 #   5. the zone smoke: every small bundled model analyzed with
 #      `--exhaustive` (the delay-zone graph) and with `--exhaustive --dot`
 #      (the same search at unit edges, which builds the LTS) — exit codes must
@@ -99,13 +96,9 @@ if ! grep -q '"cas"' BENCH_exploration.json; then
 fi
 echo "artifact store: second run served $cold_hits artifact(s) from the store"
 
-echo "== bench harness (smoke): verdicts must agree across workers =="
-cargo run --release -q -p bench --bin harness -- --smoke --threads 1 \
-  | extract_verdicts > target/ci/verdicts-t1.txt
-cargo run --release -q -p bench --bin harness -- --smoke --threads 4 \
-  | extract_verdicts > target/ci/verdicts-t4.txt
-diff -u target/ci/verdicts-t1.txt target/ci/verdicts-t4.txt
-echo "verdicts identical across worker counts"
+echo "== bench harness (smoke): refresh BENCH_exploration.json =="
+cargo run --release -q -p bench --bin harness -- --smoke > target/ci/harness-smoke.txt
+echo "bench harness: smoke run complete, BENCH_exploration.json refreshed"
 
 echo "== zone smoke: zone verdicts must match the per-quantum --dot search =="
 # Every small bundled model, on the zone engine and on the per-quantum
