@@ -28,13 +28,17 @@
 //! Two engines compute this relation. The plain functions ([`steps`] and
 //! `raw_steps` internally) work on bare [`P`] terms and re-derive
 //! successors on every call. A [`StepSession`] computes the *same* relation
-//! over hash-consed terms from a [`TermStore`] and
-//! memoizes each subterm's successor list in a bounded cache keyed on
-//! `(TermId, env epoch)` — revisits of the same subprocess (every
-//! hyperperiod of a periodic task model) are cache hits instead of fresh
-//! derivations. The session mirrors the plain engine case for case, so the
-//! two are interchangeable; the exploration engine uses the session, the
-//! plain functions remain the executable specification.
+//! over hash-consed terms from a [`TermStore`] and memoizes each subterm's
+//! successor list (for a root state, its prioritized list) in a bounded
+//! cache keyed on `(TermId, env epoch)` — revisits of the same subprocess
+//! (every hyperperiod of a periodic task model) are cache hits instead of
+//! fresh derivations. The session returns the plain engine's labels in the
+//! same order with structurally equal successors, so the two are
+//! interchangeable; the exploration engine uses the session, the plain
+//! functions remain the executable specification. The session builds less:
+//! a `Restrict` over a `Par` never builds the lone events it would drop,
+//! and a root state's candidates are filtered by preemption before any
+//! successor is interned.
 //!
 //! # Panics
 //!
@@ -45,13 +49,14 @@
 //! without an intervening prefix). The AADL translation upholds all of these
 //! invariants; the panics exist to fail fast on hand-built models.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::env::Env;
 use crate::label::{Dir, GAction, Label};
 use crate::store::{Interned, TermId, TermStore};
+use crate::symbol::Symbol;
 use crate::term::{EvKind, Proc, TimeBound, P};
 
 /// Maximum number of definition unfoldings along a single derivation before we
@@ -374,6 +379,41 @@ fn scope_steps(
 // Interned, memoized successor generation
 // ---------------------------------------------------------------------------
 
+/// Which components of a `Par` one parallel-rule candidate changes, and to
+/// what: enough to intern its successor later, or never.
+enum Recipe<'a> {
+    /// Phase 1: component `i` steps alone.
+    One(usize, &'a Interned),
+    /// Phase 2: components `i < j` synchronise.
+    Two(usize, &'a Interned, usize, &'a Interned),
+    /// Phase 3: every component takes a timed step.
+    All(Vec<&'a Interned>),
+}
+
+impl Recipe<'_> {
+    /// The successor's components, given the `Par`'s.
+    fn apply(self, kids: &[Interned]) -> Vec<Interned> {
+        let mut new = kids.to_vec();
+        match self {
+            Recipe::One(i, pi) => new[i] = pi.clone(),
+            Recipe::Two(i, pi, j, pj) => {
+                new[i] = pi.clone();
+                new[j] = pj.clone();
+            }
+            Recipe::All(picked) => return picked.into_iter().cloned().collect(),
+        }
+        new
+    }
+}
+
+/// Drop repeated `(label, successor)` pairs, keeping first occurrences.
+fn dedup(out: &mut Vec<(Label, Interned)>) {
+    if out.len() > 1 {
+        let mut seen: HashSet<(Label, TermId)> = HashSet::with_capacity(out.len());
+        out.retain(|(l, s)| seen.insert((l.clone(), s.id())));
+    }
+}
+
 /// Configuration of the successor memo of a [`StepSession`].
 ///
 /// # Examples
@@ -425,15 +465,20 @@ impl MemoConfig {
     }
 }
 
+/// A memo key: the term, the env epoch, and whether the entry holds the
+/// term's prioritized list (a root `Par`'s, see
+/// [`StepSession::prioritized_steps`]) rather than its raw list.
+type MemoKey = (TermId, u64, bool);
+
 /// The successor memo's table: the cache map plus FIFO insertion order for
 /// bounded eviction.
 #[derive(Default)]
 struct MemoTable {
-    map: HashMap<(TermId, u64), Arc<Vec<(Label, Interned)>>>,
-    order: VecDeque<(TermId, u64)>,
+    map: HashMap<MemoKey, Arc<Vec<(Label, Interned)>>>,
+    order: VecDeque<MemoKey>,
 }
 
-/// The bounded successor cache: `(TermId, env epoch) → successor list`.
+/// The bounded successor cache: [`MemoKey`] → successor list.
 /// Values carry the successors' canonical `Arc`s alongside their ids so a
 /// hit requires no store lookup.
 struct Memo {
@@ -452,7 +497,7 @@ impl Memo {
         }
     }
 
-    fn get(&self, key: (TermId, u64)) -> Option<Arc<Vec<(Label, Interned)>>> {
+    fn get(&self, key: MemoKey) -> Option<Arc<Vec<(Label, Interned)>>> {
         self.table
             .lock()
             .expect("memo table poisoned")
@@ -461,7 +506,7 @@ impl Memo {
             .cloned()
     }
 
-    fn insert(&self, key: (TermId, u64), value: Arc<Vec<(Label, Interned)>>) {
+    fn insert(&self, key: MemoKey, value: Arc<Vec<(Label, Interned)>>) {
         let mut table = self.table.lock().expect("memo table poisoned");
         if table.map.contains_key(&key) {
             // Another thread sharing the session computed the same entry
@@ -497,10 +542,14 @@ pub struct MemoStats {
 /// over hash-consed terms, with per-subterm successor caching.
 ///
 /// A session borrows its [`Env`] (so the environment cannot change under the
-/// cache — the borrow checker enforces what the `(TermId, epoch)` cache key
+/// cache — the borrow checker enforces what the epoch in the cache key
 /// documents) and shares a [`TermStore`]. It produces, for every term, the
 /// **same labels in the same order with structurally identical successors**
 /// as the plain [`steps`] path; the property suite pins this equivalence.
+/// At a root state — a `Par`, or a `Restrict` over one — it interns only
+/// the successors it returns: the parallel-rule candidates are restricted
+/// and prioritized before any successor is built (see
+/// [`StepSession::prioritized_steps`]).
 /// The memo is a pure cache: hits, misses and evictions never change the
 /// transition relation, only how often it is re-derived.
 ///
@@ -578,31 +627,63 @@ impl<'e> StepSession<'e> {
     /// The unprioritized outgoing transitions of `t`, deduplicated — the
     /// interned counterpart of [`steps`].
     pub fn steps(&self, t: &Interned) -> Vec<(Label, Interned)> {
-        let raw = self.raw(t, 0);
-        let mut out: Vec<(Label, Interned)> = raw.as_ref().clone();
-        if out.len() > 1 {
-            let mut seen: HashSet<(Label, TermId)> = HashSet::with_capacity(out.len());
-            out.retain(|(l, s)| seen.insert((l.clone(), s.id())));
-        }
+        let mut out = self.raw(t, 0).as_ref().clone();
+        dedup(&mut out);
         out
     }
 
     /// The prioritized outgoing transitions of `t` — the interned counterpart
     /// of [`prioritized_steps`](crate::prio::prioritized_steps).
+    ///
+    /// A root that is a `Par`, or a `Restrict` directly over one (every
+    /// state the AADL translation produces), interns only the successors
+    /// the prioritized relation keeps: the parallel rule's candidates pass
+    /// the restriction and [`prioritize`](crate::prio::prioritize) while
+    /// they are still `(label, recipe)` pairs, and only the survivors are
+    /// built. The list is memoized under the root's own prioritized key;
+    /// neither the root's raw list nor its `Par` body's is computed.
+    /// Preemption reads labels only and deduplication drops only exact
+    /// `(label, successor)` repeats, so filtering before building yields
+    /// the list that building, deduplicating and then filtering would.
+    /// Every other root is `prioritize(self.steps(t))`.
     pub fn prioritized_steps(&self, t: &Interned) -> Vec<(Label, Interned)> {
-        crate::prio::prioritize(self.steps(t))
+        let root_par = match &**t.term() {
+            Proc::Par(comps) => Some((comps, None)),
+            Proc::Restrict { body, labels } => match &**body {
+                Proc::Par(comps) => Some((comps, Some(labels))),
+                _ => None,
+            },
+            _ => None,
+        };
+        let Some((comps, hidden)) = root_par else {
+            return crate::prio::prioritize(self.steps(t));
+        };
+        let kept = self.memoized((t.id(), self.epoch, true), || {
+            let mut out = self.par(comps, hidden, true, 0);
+            dedup(&mut out);
+            out
+        });
+        kept.as_ref().clone()
     }
 
     /// The memoized raw-successor relation. Mirrors [`raw_steps`] case by
-    /// case: same label construction, same iteration order, same panics — the
-    /// only differences are that successors come back interned and that the
-    /// whole list may be served from the cache.
-    ///
-    /// The memo insert happens strictly *after* the compute, so unguarded
-    /// recursion still runs into the [`MAX_UNFOLD_DEPTH`] assertion instead
-    /// of hitting a half-built cache entry.
+    /// case — same labels, same iteration order, same panics — except that
+    /// successors come back interned, that the whole list may be served
+    /// from the cache, and that a `Restrict` over a `Par` never builds the
+    /// lone events it would drop.
     fn raw(&self, t: &Interned, depth: u32) -> Arc<Vec<(Label, Interned)>> {
-        let key = (t.id(), self.epoch);
+        self.memoized((t.id(), self.epoch, false), || self.compute(t, depth))
+    }
+
+    /// Serve `key` from the memo, or compute it and cache it. The insert
+    /// happens strictly *after* the compute, so unguarded recursion still
+    /// runs into the [`MAX_UNFOLD_DEPTH`] assertion instead of hitting a
+    /// half-built cache entry.
+    fn memoized(
+        &self,
+        key: MemoKey,
+        compute: impl FnOnce() -> Vec<(Label, Interned)>,
+    ) -> Arc<Vec<(Label, Interned)>> {
         if let Some(memo) = &self.memo {
             if let Some(hit) = memo.get(key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -610,7 +691,7 @@ impl<'e> StepSession<'e> {
             }
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        let computed = Arc::new(self.compute(t, depth));
+        let computed = Arc::new(compute());
         if let Some(memo) = &self.memo {
             memo.insert(key, computed.clone());
         }
@@ -661,7 +742,7 @@ impl<'e> StepSession<'e> {
                 }
             }
 
-            Proc::Par(comps) => self.par(comps, depth),
+            Proc::Par(comps) => self.par(comps, None, false, depth),
 
             Proc::Scope {
                 body,
@@ -671,15 +752,18 @@ impl<'e> StepSession<'e> {
                 interrupt,
             } => self.scope(body, limit, exception, timeout, interrupt, depth),
 
-            Proc::Restrict { body, labels } => self
-                .raw(&self.store.intern(body), depth)
-                .iter()
-                .filter(|(l, _)| match l {
-                    Label::E { label, .. } => !labels.contains(label),
-                    _ => true,
-                })
-                .map(|(l, b)| (l.clone(), self.store.mk_restrict(b, labels)))
-                .collect(),
+            Proc::Restrict { body, labels } => match &**body {
+                Proc::Par(comps) => self.par(comps, Some(labels), false, depth),
+                _ => self
+                    .raw(&self.store.intern(body), depth)
+                    .iter()
+                    .filter(|(l, _)| match l {
+                        Label::E { label, .. } => !labels.contains(label),
+                        _ => true,
+                    })
+                    .map(|(l, b)| (l.clone(), self.store.mk_restrict(b, labels)))
+                    .collect(),
+            },
 
             Proc::Close { body, resources } => self
                 .raw(&self.store.intern(body), depth)
@@ -728,34 +812,61 @@ impl<'e> StepSession<'e> {
         }
     }
 
-    /// Interned counterpart of [`par_steps`]: identical three-phase structure
-    /// and iteration order.
-    fn par(&self, comps: &[P], depth: u32) -> Vec<(Label, Interned)> {
+    /// The interned counterpart of [`par_steps`], for a `Par` that sits
+    /// directly under `Restrict(_, hidden)` when `hidden` is given: each
+    /// successor is wrapped in that restriction, and lone events on a
+    /// hidden label are never generated. With `preempt`, the candidates go
+    /// through [`prioritize`](crate::prio::prioritize) first. Only the
+    /// candidates left are interned.
+    fn par(
+        &self,
+        comps: &[P],
+        hidden: Option<&Arc<BTreeSet<Symbol>>>,
+        preempt: bool,
+        depth: u32,
+    ) -> Vec<(Label, Interned)> {
         // One pointer-map hit per component here; every successor below is
         // then assembled from these `Interned` values without touching the
         // pointer map again (`mk_par` digests from the children's digests).
-        let comps_i: Vec<Interned> = comps.iter().map(|c| self.store.intern(c)).collect();
+        let kids: Vec<Interned> = comps.iter().map(|c| self.store.intern(c)).collect();
         let per: Vec<Arc<Vec<(Label, Interned)>>> =
-            comps_i.iter().map(|ci| self.raw(ci, depth)).collect();
-        let mut out: Vec<(Label, Interned)> = Vec::new();
+            kids.iter().map(|k| self.raw(k, depth)).collect();
+        let mut candidates = Self::par_candidates(&per, hidden.map(|h| &**h));
+        if preempt {
+            candidates = crate::prio::prioritize(candidates);
+        }
+        candidates
+            .into_iter()
+            .map(|(l, recipe)| {
+                let succ = self.store.mk_par(recipe.apply(&kids));
+                match hidden {
+                    Some(labels) => (l, self.store.mk_restrict(&succ, labels)),
+                    None => (l, succ),
+                }
+            })
+            .collect()
+    }
 
-        let rebuild1 = |i: usize, pi: &Interned| -> Interned {
-            let mut kids = comps_i.clone();
-            kids[i] = pi.clone();
-            self.store.mk_par(kids)
-        };
-        let rebuild2 = |i: usize, pi: &Interned, j: usize, pj: &Interned| -> Interned {
-            let mut kids = comps_i.clone();
-            kids[i] = pi.clone();
-            kids[j] = pj.clone();
-            self.store.mk_par(kids)
-        };
+    /// The parallel rule's candidates over the components' raw successor lists
+    /// `per`: the labels of [`par_steps`] in its order, each with the recipe of
+    /// its successor. A lone event on a `hidden` label is not generated — the
+    /// `Restrict` around the `Par` would drop it; phases 2 and 3 yield `τ` and
+    /// timed labels, which no restriction blocks.
+    fn par_candidates<'a>(
+        per: &'a [Arc<Vec<(Label, Interned)>>],
+        hidden: Option<&BTreeSet<Symbol>>,
+    ) -> Vec<(Label, Recipe<'a>)> {
+        let mut out: Vec<(Label, Recipe<'a>)> = Vec::new();
 
         // 1. A single component performs an instantaneous step on its own.
         for (i, steps_i) in per.iter().enumerate() {
             for (l, pi) in steps_i.iter() {
-                if !l.is_timed() {
-                    out.push((l.clone(), rebuild1(i, pi)));
+                let restricted = match l {
+                    Label::E { label, .. } => hidden.is_some_and(|h| h.contains(label)),
+                    _ => false,
+                };
+                if !l.is_timed() && !restricted {
+                    out.push((l.clone(), Recipe::One(i, pi)));
                 }
             }
         }
@@ -779,7 +890,7 @@ impl<'e> StepSession<'e> {
                                     prio: p1.saturating_add(p2),
                                     via: Some(l1),
                                 },
-                                rebuild2(i, pi, j, pj),
+                                Recipe::Two(i, pi, j, pj),
                             ));
                         }
                     }
@@ -802,13 +913,9 @@ impl<'e> StepSession<'e> {
             })
             .collect();
         if timed.iter().all(|t| !t.is_empty()) {
-            let mut picked: Vec<&Interned> = Vec::with_capacity(comps.len());
+            let mut picked: Vec<&Interned> = Vec::with_capacity(per.len());
             combine_timed(&timed, 0, &GAction::idle(), &mut picked, &mut |action, picked| {
-                let kids: Vec<Interned> = picked.iter().map(|p| (*p).clone()).collect();
-                out.push((
-                    Label::A(Arc::new(action.clone())),
-                    self.store.mk_par(kids),
-                ));
+                out.push((Label::A(Arc::new(action.clone())), Recipe::All(picked.to_vec())));
             });
         }
 
@@ -1420,6 +1527,52 @@ mod tests {
         }
         let stats = session.memo_stats();
         assert!(stats.misses > 0 && stats.evictions > 0);
+    }
+
+    #[test]
+    fn restricted_lone_events_are_never_interned() {
+        let env = Env::new();
+        let a = Symbol::new("a");
+        let session = session_over(&env, MemoConfig::default());
+        let root = session.intern(&restrict(
+            par([evt_send(a, 1, nil()), act([(cpu(), 1)], nil())]),
+            [a],
+        ));
+        // Nobody receives `a` and the send blocks time: a deadlock.
+        assert!(session.prioritized_steps(&root).is_empty());
+        // A revisit is one memo hit and builds nothing.
+        let (stats, len) = (session.memo_stats(), session.store().len());
+        assert!(session.prioritized_steps(&root).is_empty());
+        assert_eq!(session.memo_stats().hits, stats.hits + 1);
+        assert_eq!(session.memo_stats().misses, stats.misses);
+        assert_eq!(session.store().len(), len);
+        // The lone send's successor, which the restriction drops, was
+        // never interned: interning it now adds its `Par` node.
+        session.intern(&par([nil(), act([(cpu(), 1)], nil())]));
+        assert_eq!(session.store().len(), len + 1);
+    }
+
+    #[test]
+    fn preempted_timed_combinations_are_never_interned() {
+        let env = Env::new();
+        let (low_ran, high_ran) = (Symbol::new("low_ran"), Symbol::new("high_ran"));
+        let worker = |prio: i64, ran: Symbol| {
+            choice([
+                act([(cpu(), prio)], evt_send(ran, 1, nil())),
+                act([] as [(Res, i32); 0], nil()),
+            ])
+        };
+        let session = session_over(&env, MemoConfig::default());
+        let root = session.intern(&par([worker(1, low_ran), worker(2, high_ran)]));
+        let kept = session.prioritized_steps(&root);
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].1.term(), &par([nil(), evt_send(high_ran, 1, nil())]));
+        // "Low runs, high idles" and "both idle" are preempted by "high
+        // runs"; neither successor was interned.
+        let len = session.store().len();
+        session.intern(&par([evt_send(low_ran, 1, nil()), nil()]));
+        session.intern(&par([nil(), nil()]));
+        assert_eq!(session.store().len(), len + 2);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! store: interning must distinguish structurally-distinct terms even when
 //! every digest collides. The store's [`TermStore::with_digest_mask`] hook
 //! forces collisions deliberately; under any mask, id equality must coincide exactly with deep structural equality,
-//! and the memoized step relation must be unchanged.
+//! and the memoized step relation, prioritized at a root `Par` before its
+//! successors are built, must be unchanged.
 //!
 //! Randomized terms come from the workspace's vendored [`det`] harness
 //! (`det_prop!` runs 64 seeded cases per property by default; failures print
@@ -65,6 +66,18 @@ fn arb_proc(rng: &mut DetRng) -> P {
     arb_proc_depth(rng, 3)
 }
 
+/// A root shaped like a translated state: a `Par` of two to four small
+/// components, bare or under `Restrict(_, {ie_x})`.
+fn arb_root(rng: &mut DetRng) -> P {
+    let n = rng.range_usize(2..5);
+    let comps = (0..n).map(|_| arb_proc_depth(rng, 2)).collect::<Vec<_>>();
+    if rng.next_bool() {
+        restrict(par(comps), [Symbol::new("ie_x")])
+    } else {
+        par(comps)
+    }
+}
+
 det_prop! {
     fn forced_digest_collisions_never_merge_distinct_structures(
         a in arb_proc, b in arb_proc
@@ -99,6 +112,32 @@ det_prop! {
         for ((ll, lp), (il, ip)) in legacy.iter().zip(&interned) {
             assert_eq!(ll, il, "label for {p:?}");
             assert_eq!(lp, ip.term(), "successor for {p:?}");
+        }
+    }
+
+    fn root_prioritized_steps_match_the_plain_relation(root in arb_root) {
+        // A root `Par` is restricted and prioritized before its successors
+        // are interned; the result must still be the plain prioritized
+        // relation, on the first call and when served from the memo.
+        let env = Env::new();
+        let plain = prioritized_steps(&env, &root);
+        for mask in [0u64, u64::MAX] {
+            let store = Arc::new(TermStore::with_digest_mask(mask));
+            let session = StepSession::new(&env, store, MemoConfig::default());
+            let t = session.intern(&root);
+            for call in ["first call", "memo hit"] {
+                let hits = session.memo_stats().hits;
+                let interned = session.prioritized_steps(&t);
+                if call == "memo hit" {
+                    assert_eq!(session.memo_stats().hits, hits + 1, "mask={mask:#x}: no hit");
+                }
+                let case = format!("mask={mask:#x}, {call}, root {root:?}");
+                assert_eq!(plain.len(), interned.len(), "step count, {case}");
+                for ((pl, pp), (il, ip)) in plain.iter().zip(&interned) {
+                    assert_eq!(pl, il, "label, {case}");
+                    assert_eq!(pp, ip.term(), "successor, {case}");
+                }
+            }
         }
     }
 }

@@ -94,7 +94,14 @@ pub const SCHEMA: &str = "aadlsched-metrics";
 ///   - a run that stops at its first deadlock no longer expands the rest of
 ///     that bucket, so its `step.memo_*` counters and `term.unique_subterms`
 ///     gauge can be lower than before; every other instrument is unchanged.
-pub const SCHEMA_VERSION: u64 = 11;
+/// * v12 — a state's successors are built only when the search keeps them:
+///   - `step.memo_misses` no longer counts the `Par` body of a root state
+///     (a `Par`, or a `Restrict` over one): the root's prioritized list is
+///     one memo entry, computed without the body's raw list;
+///   - `step.memo_hits` is unchanged;
+///   - `term.unique_subterms` no longer counts successors that restriction
+///     or preemption discard.
+pub const SCHEMA_VERSION: u64 = 12;
 
 /// Deterministic run identifier: FNV-1a (64-bit) over the given byte slices,
 /// rendered as 16 lowercase hex digits. Feed it the model source and the
@@ -135,7 +142,7 @@ pub fn run_id(parts: &[&[u8]]) -> String {
 /// r.set("model", Json::obj([("file", Json::from("m.aadl"))]));
 /// let text = r.to_json();
 /// assert!(text.starts_with("{\n  \"schema\": \"aadlsched-metrics\""));
-/// assert!(text.contains("\"version\": 11"));
+/// assert!(text.contains("\"version\": 12"));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Report {

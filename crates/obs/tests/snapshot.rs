@@ -36,7 +36,7 @@ fn record() -> Recorder {
 
 const EXPECTED_REPORT: &str = r#"{
   "schema": "aadlsched-metrics",
-  "version": 11,
+  "version": 12,
   "run_id": "e0721772aeb595b6",
   "tool": "snapshot-test",
   "duration_ns": 10000,

@@ -252,7 +252,7 @@ fn metrics_flag_writes_a_schema_versioned_report() {
     let report = std::fs::read_to_string(&report_path).unwrap();
     for key in [
         "\"schema\": \"aadlsched-metrics\"",
-        "\"version\": 11",
+        "\"version\": 12",
         "\"run_id\"",
         "\"tool\": \"aadlsched\"",
         "\"model\"",

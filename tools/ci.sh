@@ -24,7 +24,9 @@
 #      are a traversal change, never a verdict change); the long-hyperperiod
 #      model must exit 0 and demonstrably collapse quanta
 #      (`zone.quanta_collapsed` >= 1) and serve them closed-form
-#      (`zone.closed_form_advances` >= 1) in its `--metrics` report
+#      (`zone.closed_form_advances` >= 1) in its `--metrics` report, and
+#      intern no more than 126807 subterms (`term.unique_subterms`): only
+#      the successors the search keeps are built
 #   6. the daemon smoke: start `aadlschedd`, analyze four small bundled
 #      models and the long-hyperperiod one through `aadlschedc` and diff
 #      the exit codes against the `aadlsched` CLI (the two front ends must
@@ -150,7 +152,17 @@ if [ "${closed_advances:-0}" -lt 1 ]; then
   echo "zone smoke: longperiod served no closed-form advances (zone.closed_form_advances=${closed_advances:-absent})"
   exit 1
 fi
-echo "zone smoke: longperiod collapsed $collapsed quanta ($closed_advances closed-form advances)"
+# Every state's successors are restricted and prioritized before any is
+# interned (DESIGN.md §13), which leaves 126807 subterms in this run's
+# store; building every raw successor first left 425306. More than the
+# bound means discarded successors are being interned again.
+subterms="$(grep -A1 '"term.unique_subterms": {' target/ci/zones-metrics.json \
+  | grep -o '"value": [0-9]*' | grep -o '[0-9]*$')"
+if [ -z "$subterms" ] || [ "$subterms" -gt 126807 ]; then
+  echo "zone smoke: longperiod interned ${subterms:-absent} subterms, more than 126807 (term.unique_subterms): discarded successors are interned again"
+  exit 1
+fi
+echo "zone smoke: longperiod collapsed $collapsed quanta ($closed_advances closed-form advances, $subterms subterms)"
 
 echo "== daemon smoke: aadlschedd verdicts must match the CLI =="
 # Stage 1 built the workspace binaries; run them directly so the smoke
