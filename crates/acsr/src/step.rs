@@ -29,16 +29,18 @@
 //! `raw_steps` internally) work on bare [`P`] terms and re-derive
 //! successors on every call. A [`StepSession`] computes the *same* relation
 //! over hash-consed terms from a [`TermStore`] and memoizes each subterm's
-//! successor list (for a root state, its prioritized list) in a bounded
-//! cache keyed on `(TermId, env epoch)` — revisits of the same subprocess
-//! (every hyperperiod of a periodic task model) are cache hits instead of
-//! fresh derivations. The session returns the plain engine's labels in the
-//! same order with structurally equal successors, so the two are
-//! interchangeable; the exploration engine uses the session, the plain
-//! functions remain the executable specification. The session builds less:
-//! a `Restrict` over a `Par` never builds the lone events it would drop,
-//! and a root state's candidates are filtered by preemption before any
-//! successor is interned.
+//! successor list in a bounded cache keyed on `(TermId, env epoch)` —
+//! revisits of the same subprocess (every hyperperiod of a periodic task
+//! model) are cache hits instead of fresh derivations. A root state's
+//! prioritized list is kept only in a window of the last [`ROOT_WINDOW`]
+//! roots, because the search re-reads it soon or never. The session
+//! returns the plain engine's labels in the same order with structurally
+//! equal successors, so the two are interchangeable; the exploration engine
+//! uses the session, the plain functions remain the executable
+//! specification. The session builds less: a `Restrict` over a `Par` never
+//! builds the lone events it would drop, a root state's candidates are
+//! filtered by preemption before any successor is interned, and equal timed
+//! labels share one allocation.
 //!
 //! # Panics
 //!
@@ -50,13 +52,14 @@
 //! invariants; the panics exist to fail fast on hand-built models.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use crate::env::Env;
+use crate::env::{Env, TagId};
+use crate::hashed::Fnv1a;
 use crate::label::{Dir, GAction, Label};
-use crate::store::{Interned, TermId, TermStore};
-use crate::symbol::Symbol;
+use crate::store::{Interned, Restriction, TermId, TermStore};
+use crate::symbol::{Res, Symbol};
 use crate::term::{EvKind, Proc, TimeBound, P};
 
 /// Maximum number of definition unfoldings along a single derivation before we
@@ -270,33 +273,80 @@ fn par_steps(env: &Env, comps: &[P], depth: u32) -> Vec<(Label, P)> {
                 .collect::<Vec<_>>()
         })
         .collect();
-    if timed.iter().all(|t| !t.is_empty()) {
-        let mut picked: Vec<&P> = Vec::with_capacity(comps.len());
-        combine_timed(&timed, 0, &GAction::idle(), &mut picked, &mut |action, picked| {
-            let new: Vec<P> = picked.iter().map(|p| (*p).clone()).collect();
-            out.push((Label::A(Arc::new(action.clone())), Arc::new(Proc::Par(new))));
-        });
-    }
+    combine_timed(&timed, &mut |uses, tags, picked| {
+        let action = GAction {
+            uses: uses.into(),
+            tags: tags.into(),
+        };
+        let new: Vec<P> = picked.iter().map(|p| (*p).clone()).collect();
+        out.push((Label::A(Arc::new(action)), Arc::new(Proc::Par(new))));
+    });
 
     out
 }
 
-fn combine_timed<'a, T>(
-    timed: &[Vec<(&'a GAction, &'a T)>],
-    idx: usize,
-    acc: &GAction,
-    picked: &mut Vec<&'a T>,
-    emit: &mut dyn FnMut(&GAction, &[&'a T]),
-) {
-    if idx == timed.len() {
-        emit(acc, picked);
+/// Rule *Par3* over the components' timed steps `timed`: every pick of one
+/// action per component with pairwise disjoint resources, in nested-loop
+/// order (component 0 outermost). For each pick, `emit` receives the merged
+/// action, as its `(resource, priority)` pairs sorted by resource and its
+/// tags in component order (what folding [`GAction::merge`] left to right
+/// from [`GAction::idle`] gives), and the picked successors. The walk keeps
+/// the partial merge in scratch buffers, so only `emit` allocates. Both
+/// engines use it: [`par_steps`] and the session's candidate generator.
+fn combine_timed<'a, T>(timed: &[Vec<(&'a GAction, &'a T)>], emit: &mut Par3Emit<'_, 'a, T>) {
+    if timed.iter().any(Vec::is_empty) {
+        // A component without a timed step blocks time.
         return;
     }
-    for (a, p) in &timed[idx] {
-        if let Some(merged) = acc.merge(a) {
-            picked.push(p);
-            combine_timed(timed, idx + 1, &merged, picked, emit);
-            picked.pop();
+    let mut walk = Par3 {
+        uses: Vec::new(),
+        tags: Vec::new(),
+        sorted: Vec::new(),
+        picked: Vec::with_capacity(timed.len()),
+    };
+    walk.pick(timed, emit);
+}
+
+/// The receiver of one complete pick of [`combine_timed`]: the merged
+/// action's uses and tags, and the picked successors.
+type Par3Emit<'e, 'a, T> = dyn FnMut(&[(Res, u32)], &[TagId], &[&'a T]) + 'e;
+
+/// The scratch state of [`combine_timed`].
+struct Par3<'a, T> {
+    /// The picked actions' uses, concatenated in component order.
+    uses: Vec<(Res, u32)>,
+    /// The picked actions' tags, concatenated in component order.
+    tags: Vec<TagId>,
+    /// `uses` sorted by resource, filled at each complete pick.
+    sorted: Vec<(Res, u32)>,
+    picked: Vec<&'a T>,
+}
+
+impl<'a, T> Par3<'a, T> {
+    fn pick(&mut self, timed: &[Vec<(&'a GAction, &'a T)>], emit: &mut Par3Emit<'_, 'a, T>) {
+        let Some(steps) = timed.get(self.picked.len()) else {
+            self.sorted.clear();
+            self.sorted.extend_from_slice(&self.uses);
+            self.sorted.sort_unstable_by_key(|(r, _)| *r);
+            emit(&self.sorted, &self.tags, &self.picked);
+            return;
+        };
+        let (n_uses, n_tags) = (self.uses.len(), self.tags.len());
+        for (a, p) in steps {
+            let conflict = a
+                .uses
+                .iter()
+                .any(|(r, _)| self.uses.iter().any(|(held, _)| held == r));
+            if conflict {
+                continue;
+            }
+            self.uses.extend_from_slice(&a.uses);
+            self.tags.extend_from_slice(&a.tags);
+            self.picked.push(p);
+            self.pick(timed, emit);
+            self.picked.pop();
+            self.uses.truncate(n_uses);
+            self.tags.truncate(n_tags);
         }
     }
 }
@@ -386,23 +436,28 @@ enum Recipe<'a> {
     One(usize, &'a Interned),
     /// Phase 2: components `i < j` synchronise.
     Two(usize, &'a Interned, usize, &'a Interned),
-    /// Phase 3: every component takes a timed step.
-    All(Vec<&'a Interned>),
+    /// Phase 3: every component takes a timed step; the successors picked
+    /// start at this offset of the candidates' pick list.
+    All(usize),
 }
 
 impl Recipe<'_> {
-    /// The successor's components, given the `Par`'s.
-    fn apply(self, kids: &[Interned]) -> Vec<Interned> {
-        let mut new = kids.to_vec();
-        match self {
-            Recipe::One(i, pi) => new[i] = pi.clone(),
-            Recipe::Two(i, pi, j, pj) => {
-                new[i] = pi.clone();
-                new[j] = pj.clone();
+    /// Write the successor's components into `buf`, given the `Par`'s
+    /// `kids` and the phase-3 `picks`.
+    fn fill(&self, kids: &[Interned], picks: &[&Interned], buf: &mut Vec<Interned>) {
+        buf.clear();
+        match *self {
+            Recipe::One(i, pi) => {
+                buf.extend_from_slice(kids);
+                buf[i] = pi.clone();
             }
-            Recipe::All(picked) => return picked.into_iter().cloned().collect(),
+            Recipe::Two(i, pi, j, pj) => {
+                buf.extend_from_slice(kids);
+                buf[i] = pi.clone();
+                buf[j] = pj.clone();
+            }
+            Recipe::All(at) => buf.extend(picks[at..at + kids.len()].iter().map(|&p| p.clone())),
         }
-        new
     }
 }
 
@@ -432,9 +487,11 @@ pub struct MemoConfig {
     /// interning only (the memo-free baseline the acsr-level tests compare
     /// the memoized relation against).
     pub enabled: bool,
-    /// Maximum number of cached successor lists. Bounded so arbitrarily long
-    /// runs cannot grow memory without limit; the cache evicts in FIFO order
-    /// past the cap.
+    /// Maximum number of cached raw successor lists, the lists of the
+    /// components below a root state. Bounded so arbitrarily long runs
+    /// cannot grow memory without limit; the table evicts in FIFO order past
+    /// the cap. A root state's prioritized list lives in a second FIFO table
+    /// of `min(`[`ROOT_WINDOW`]`, capacity)` entries (see [`StepSession`]).
     pub capacity: usize,
 }
 
@@ -465,63 +522,107 @@ impl MemoConfig {
     }
 }
 
-/// A memo key: the term, the env epoch, and whether the entry holds the
-/// term's prioritized list (a root `Par`'s, see
-/// [`StepSession::prioritized_steps`]) rather than its raw list.
-type MemoKey = (TermId, u64, bool);
+/// Entries of the root window: the most recent root states whose
+/// prioritized lists a [`StepSession`] keeps. The search re-reads a root's
+/// list, if at all, soon after computing it: on the largest `branching`
+/// benchmark model all but 6 of 37 225 re-reads come within 2 048 further
+/// root derivations, and on `longperiod` all but 60 of 74 886 within 256
+/// (EXPERIMENTS.md Q19). A list read again after leaving the window is
+/// derived again, which `MemoStats::root_rederivations` counts.
+pub const ROOT_WINDOW: usize = 4096;
 
-/// The successor memo's table: the cache map plus FIFO insertion order for
-/// bounded eviction.
-#[derive(Default)]
-struct MemoTable {
-    map: HashMap<MemoKey, Arc<Vec<(Label, Interned)>>>,
+/// A memo key: the term and the env epoch.
+type MemoKey = (TermId, u64);
+
+/// A memoized successor list. Values carry the successors' canonical `Arc`s
+/// alongside their ids, so a hit requires no store lookup.
+type List = Arc<Vec<(Label, Interned)>>;
+
+/// A bounded table of successor lists that evicts in FIFO order.
+struct Fifo {
+    map: HashMap<MemoKey, List>,
     order: VecDeque<MemoKey>,
-}
-
-/// The bounded successor cache: [`MemoKey`] → successor list.
-/// Values carry the successors' canonical `Arc`s alongside their ids so a
-/// hit requires no store lookup.
-struct Memo {
-    table: Mutex<MemoTable>,
     /// Entry cap (at least 1).
     capacity: usize,
-    evictions: AtomicU64,
+}
+
+impl Fifo {
+    fn new(capacity: usize) -> Fifo {
+        Fifo {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// Insert `key`, returning the key evicted to make room, if any.
+    fn insert(&mut self, key: MemoKey, value: List) -> Option<MemoKey> {
+        if self.map.contains_key(&key) {
+            // Another thread sharing the session computed the same entry
+            // first; keep the existing value (both are equal) and do not
+            // double-count it in the FIFO order.
+            return None;
+        }
+        let evicted = if self.map.len() >= self.capacity {
+            self.order.pop_front().inspect(|old| {
+                self.map.remove(old);
+            })
+        } else {
+            None
+        };
+        self.map.insert(key, value);
+        self.order.push_back(key);
+        evicted
+    }
+}
+
+/// The successor memo: raw lists of the terms below a root state, and the
+/// window of root states' prioritized lists (see [`StepSession`]).
+struct Memo {
+    raw: Fifo,
+    roots: Fifo,
+    /// Bit `TermId::raw` is set once the window has evicted that root's list.
+    evicted_roots: Vec<u64>,
+    stats: MemoStats,
 }
 
 impl Memo {
     fn new(capacity: usize) -> Memo {
         Memo {
-            table: Mutex::default(),
-            capacity: capacity.max(1),
-            evictions: AtomicU64::new(0),
+            raw: Fifo::new(capacity),
+            roots: Fifo::new(ROOT_WINDOW.min(capacity)),
+            evicted_roots: Vec::new(),
+            stats: MemoStats::default(),
         }
     }
 
-    fn get(&self, key: MemoKey) -> Option<Arc<Vec<(Label, Interned)>>> {
-        self.table
-            .lock()
-            .expect("memo table poisoned")
-            .map
-            .get(&key)
-            .cloned()
+    fn table(&self, root: bool) -> &Fifo {
+        if root {
+            &self.roots
+        } else {
+            &self.raw
+        }
     }
 
-    fn insert(&self, key: MemoKey, value: Arc<Vec<(Label, Interned)>>) {
-        let mut table = self.table.lock().expect("memo table poisoned");
-        if table.map.contains_key(&key) {
-            // Another thread sharing the session computed the same entry
-            // first; keep the existing value (both are equal) and do not
-            // double-count it in the FIFO order.
-            return;
-        }
-        while table.map.len() >= self.capacity {
-            let Some(old) = table.order.pop_front() else { break };
-            if table.map.remove(&old).is_some() {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+    fn was_evicted(&self, root: TermId) -> bool {
+        let i = root.raw() as usize;
+        self.evicted_roots
+            .get(i / 64)
+            .is_some_and(|word| word & (1 << (i % 64)) != 0)
+    }
+
+    fn insert(&mut self, key: MemoKey, root: bool, value: List) {
+        if !root {
+            if self.raw.insert(key, value).is_some() {
+                self.stats.evictions += 1;
             }
+        } else if let Some((old, _)) = self.roots.insert(key, value) {
+            let i = old.raw() as usize;
+            if self.evicted_roots.len() <= i / 64 {
+                self.evicted_roots.resize(i / 64 + 1, 0);
+            }
+            self.evicted_roots[i / 64] |= 1 << (i % 64);
         }
-        table.map.insert(key, value);
-        table.order.push_back(key);
     }
 }
 
@@ -533,8 +634,41 @@ pub struct MemoStats {
     pub hits: u64,
     /// Successor lists computed (and, capacity permitting, cached).
     pub misses: u64,
-    /// Entries dropped by the FIFO bound.
+    /// Raw lists dropped by the FIFO bound of [`MemoConfig::capacity`].
+    /// Root lists leaving the window are not counted here.
     pub evictions: u64,
+    /// Misses on a root state whose prioritized list the window had
+    /// evicted: lists derived a second time (or more). Counted in `misses`
+    /// too.
+    pub root_rederivations: u64,
+}
+
+/// The session's timed labels, hash-consed: one `Arc<GAction>` per distinct
+/// action, shared by every list that carries it.
+#[derive(Default)]
+struct LabelTable {
+    /// Digest of `(uses, tags)` → the actions with that digest.
+    buckets: HashMap<u64, Vec<Arc<GAction>>>,
+}
+
+impl LabelTable {
+    /// The action with these uses (sorted by resource) and tags, allocated
+    /// only if the session has not seen it.
+    fn intern(&mut self, uses: &[(Res, u32)], tags: &[TagId]) -> Arc<GAction> {
+        let mut h = Fnv1a::new();
+        uses.hash(&mut h);
+        tags.hash(&mut h);
+        let bucket = self.buckets.entry(h.finish()).or_default();
+        if let Some(a) = bucket.iter().find(|a| *a.uses == *uses && *a.tags == *tags) {
+            return a.clone();
+        }
+        let a = Arc::new(GAction {
+            uses: uses.into(),
+            tags: tags.into(),
+        });
+        bucket.push(a.clone());
+        a
+    }
 }
 
 /// An interned, memoized stepping context: the operational semantics of
@@ -549,12 +683,21 @@ pub struct MemoStats {
 /// At a root state — a `Par`, or a `Restrict` over one — it interns only
 /// the successors it returns: the parallel-rule candidates are restricted
 /// and prioritized before any successor is built (see
-/// [`StepSession::prioritized_steps`]).
+/// [`StepSession::prioritized_steps`]), and each successor node is looked
+/// up before it is allocated, at exactly its number of components.
+///
+/// The memo has two FIFO tables. The raw lists of the terms below a root
+/// (components, their bodies and unfoldings) are re-read for the whole run
+/// and keep up to [`MemoConfig::capacity`] entries. A root's prioritized
+/// list is re-read, if at all, soon after it is computed, so only the last
+/// `min(`[`ROOT_WINDOW`]`, capacity)` of them are kept; a root read again
+/// later is derived again from the cached component lists. Timed labels are
+/// hash-consed per session: equal actions share one `Arc<GAction>`.
 /// The memo is a pure cache: hits, misses and evictions never change the
 /// transition relation, only how often it is re-derived.
 ///
-/// Sessions are `Sync`: the memo is one [`Mutex`]-guarded table, so threads
-/// may share a session through a reference.
+/// Sessions are `Sync`: the memo and the label table are [`Mutex`]-guarded,
+/// so threads may share a session through a reference.
 ///
 /// # Examples
 ///
@@ -583,9 +726,8 @@ pub struct StepSession<'e> {
     env: &'e Env,
     store: Arc<TermStore>,
     epoch: u64,
-    memo: Option<Memo>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    memo: Option<Mutex<Memo>>,
+    labels: Mutex<LabelTable>,
 }
 
 impl<'e> StepSession<'e> {
@@ -596,9 +738,10 @@ impl<'e> StepSession<'e> {
             env,
             store,
             epoch: env.epoch(),
-            memo: config.enabled.then(|| Memo::new(config.capacity)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            memo: config
+                .enabled
+                .then(|| Mutex::new(Memo::new(config.capacity))),
+            labels: Mutex::default(),
         }
     }
 
@@ -612,16 +755,21 @@ impl<'e> StepSession<'e> {
         self.store.intern(p)
     }
 
-    /// Hit / miss / eviction counts so far.
+    /// Hit / miss / eviction / re-derivation counts so far.
     pub fn memo_stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self
-                .memo
-                .as_ref()
-                .map_or(0, |m| m.evictions.load(Ordering::Relaxed)),
-        }
+        self.memo.as_ref().map_or(MemoStats::default(), |m| {
+            m.lock().expect("memo table poisoned").stats
+        })
+    }
+
+    /// The session's one `Arc` for the timed action with these uses and tags.
+    fn action(&self, uses: &[(Res, u32)], tags: &[TagId]) -> Label {
+        Label::A(
+            self.labels
+                .lock()
+                .expect("label table poisoned")
+                .intern(uses, tags),
+        )
     }
 
     /// The unprioritized outgoing transitions of `t`, deduplicated — the
@@ -640,8 +788,12 @@ impl<'e> StepSession<'e> {
     /// the prioritized relation keeps: the parallel rule's candidates pass
     /// the restriction and [`prioritize`](crate::prio::prioritize) while
     /// they are still `(label, recipe)` pairs, and only the survivors are
-    /// built. The list is memoized under the root's own prioritized key;
-    /// neither the root's raw list nor its `Par` body's is computed.
+    /// built, each at exact size and only if the store lacks it. The list
+    /// is memoized in the root window (the last [`ROOT_WINDOW`] roots, see
+    /// [`StepSession`]); neither the root's raw list nor its `Par` body's
+    /// is computed. A root read again after leaving the window is derived
+    /// again, to the same list, and counted in
+    /// [`MemoStats::root_rederivations`].
     /// Preemption reads labels only and deduplication drops only exact
     /// `(label, successor)` repeats, so filtering before building yields
     /// the list that building, deduplicating and then filtering would.
@@ -658,7 +810,7 @@ impl<'e> StepSession<'e> {
         let Some((comps, hidden)) = root_par else {
             return crate::prio::prioritize(self.steps(t));
         };
-        let kept = self.memoized((t.id(), self.epoch, true), || {
+        let kept = self.memoized(t.id(), true, || {
             let mut out = self.par(comps, hidden, true, 0);
             dedup(&mut out);
             out
@@ -671,29 +823,38 @@ impl<'e> StepSession<'e> {
     /// successors come back interned, that the whole list may be served
     /// from the cache, and that a `Restrict` over a `Par` never builds the
     /// lone events it would drop.
-    fn raw(&self, t: &Interned, depth: u32) -> Arc<Vec<(Label, Interned)>> {
-        self.memoized((t.id(), self.epoch, false), || self.compute(t, depth))
+    fn raw(&self, t: &Interned, depth: u32) -> List {
+        self.memoized(t.id(), false, || self.compute(t, depth))
     }
 
-    /// Serve `key` from the memo, or compute it and cache it. The insert
-    /// happens strictly *after* the compute, so unguarded recursion still
-    /// runs into the [`MAX_UNFOLD_DEPTH`] assertion instead of hitting a
-    /// half-built cache entry.
+    /// Serve `t`'s list from the memo — the root window when `root`, else
+    /// the raw table — or compute it and cache it. The insert happens
+    /// strictly *after* the compute, so unguarded recursion still runs into
+    /// the [`MAX_UNFOLD_DEPTH`] assertion instead of hitting a half-built
+    /// cache entry.
     fn memoized(
         &self,
-        key: MemoKey,
+        t: TermId,
+        root: bool,
         compute: impl FnOnce() -> Vec<(Label, Interned)>,
-    ) -> Arc<Vec<(Label, Interned)>> {
+    ) -> List {
+        let key = (t, self.epoch);
         if let Some(memo) = &self.memo {
-            if let Some(hit) = memo.get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+            let mut memo = memo.lock().expect("memo table poisoned");
+            if let Some(hit) = memo.table(root).map.get(&key).cloned() {
+                memo.stats.hits += 1;
                 return hit;
             }
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            memo.stats.misses += 1;
+            if root && memo.was_evicted(t) {
+                memo.stats.root_rederivations += 1;
+            }
         }
         let computed = Arc::new(compute());
         if let Some(memo) = &self.memo {
-            memo.insert(key, computed.clone());
+            memo.lock()
+                .expect("memo table poisoned")
+                .insert(key, root, computed.clone());
         }
         computed
     }
@@ -705,7 +866,7 @@ impl<'e> StepSession<'e> {
             Proc::Act { action, tag, next } => {
                 let ga = GAction::from_template(action, *tag)
                     .expect("ill-formed action in reachable state");
-                vec![(Label::A(Arc::new(ga)), self.store.intern(next))]
+                vec![(self.action(&ga.uses, &ga.tags), self.store.intern(next))]
             }
 
             Proc::Evt { event, next } => {
@@ -754,15 +915,17 @@ impl<'e> StepSession<'e> {
 
             Proc::Restrict { body, labels } => match &**body {
                 Proc::Par(comps) => self.par(comps, Some(labels), false, depth),
-                _ => self
-                    .raw(&self.store.intern(body), depth)
-                    .iter()
-                    .filter(|(l, _)| match l {
-                        Label::E { label, .. } => !labels.contains(label),
-                        _ => true,
-                    })
-                    .map(|(l, b)| (l.clone(), self.store.mk_restrict(b, labels)))
-                    .collect(),
+                _ => {
+                    let restriction = Restriction::new(labels);
+                    self.raw(&self.store.intern(body), depth)
+                        .iter()
+                        .filter(|(l, _)| match l {
+                            Label::E { label, .. } => !labels.contains(label),
+                            _ => true,
+                        })
+                        .map(|(l, b)| (l.clone(), self.store.mk_restrict(b, &restriction)))
+                        .collect()
+                }
             },
 
             Proc::Close { body, resources } => self
@@ -771,17 +934,14 @@ impl<'e> StepSession<'e> {
                 .map(|(l, b)| {
                     let l = match l {
                         Label::A(a) => {
-                            let mut uses: Vec<(crate::symbol::Res, u32)> = a.uses.to_vec();
+                            let mut uses: Vec<(Res, u32)> = a.uses.to_vec();
                             for r in resources.iter() {
                                 if !a.uses_resource(*r) {
                                     uses.push((*r, 0));
                                 }
                             }
                             uses.sort_unstable_by_key(|(r, _)| *r);
-                            Label::A(Arc::new(GAction {
-                                uses: uses.into_boxed_slice(),
-                                tags: a.tags.clone(),
-                            }))
+                            self.action(&uses, &a.tags)
                         }
                         other => other.clone(),
                     };
@@ -829,18 +989,20 @@ impl<'e> StepSession<'e> {
         // then assembled from these `Interned` values without touching the
         // pointer map again (`mk_par` digests from the children's digests).
         let kids: Vec<Interned> = comps.iter().map(|c| self.store.intern(c)).collect();
-        let per: Vec<Arc<Vec<(Label, Interned)>>> =
-            kids.iter().map(|k| self.raw(k, depth)).collect();
-        let mut candidates = Self::par_candidates(&per, hidden.map(|h| &**h));
+        let per: Vec<List> = kids.iter().map(|k| self.raw(k, depth)).collect();
+        let (mut candidates, picks) = self.par_candidates(&per, hidden.map(|h| &**h));
         if preempt {
             candidates = crate::prio::prioritize(candidates);
         }
+        let restriction = hidden.map(Restriction::new);
+        let mut buf: Vec<Interned> = Vec::with_capacity(kids.len());
         candidates
             .into_iter()
             .map(|(l, recipe)| {
-                let succ = self.store.mk_par(recipe.apply(&kids));
-                match hidden {
-                    Some(labels) => (l, self.store.mk_restrict(&succ, labels)),
+                recipe.fill(&kids, &picks, &mut buf);
+                let succ = self.store.mk_par(&buf);
+                match &restriction {
+                    Some(r) => (l, self.store.mk_restrict(&succ, r)),
                     None => (l, succ),
                 }
             })
@@ -849,13 +1011,15 @@ impl<'e> StepSession<'e> {
 
     /// The parallel rule's candidates over the components' raw successor lists
     /// `per`: the labels of [`par_steps`] in its order, each with the recipe of
-    /// its successor. A lone event on a `hidden` label is not generated — the
-    /// `Restrict` around the `Par` would drop it; phases 2 and 3 yield `τ` and
-    /// timed labels, which no restriction blocks.
+    /// its successor, plus the successors the phase-3 recipes picked, one
+    /// run of `per.len()` per recipe. A lone event on a `hidden` label is
+    /// not generated — the `Restrict` around the `Par` would drop it; phases
+    /// 2 and 3 yield `τ` and timed labels, which no restriction blocks.
     fn par_candidates<'a>(
-        per: &'a [Arc<Vec<(Label, Interned)>>],
+        &self,
+        per: &'a [List],
         hidden: Option<&BTreeSet<Symbol>>,
-    ) -> Vec<(Label, Recipe<'a>)> {
+    ) -> (Vec<(Label, Recipe<'a>)>, Vec<&'a Interned>) {
         let mut out: Vec<(Label, Recipe<'a>)> = Vec::new();
 
         // 1. A single component performs an instantaneous step on its own.
@@ -898,8 +1062,7 @@ impl<'e> StepSession<'e> {
             }
         }
 
-        // 3. Joint timed steps (Par3), merged left to right exactly as
-        //    `par_steps` does.
+        // 3. Joint timed steps (Par3), through the same walk as `par_steps`.
         let timed: Vec<Vec<(&GAction, &Interned)>> = per
             .iter()
             .map(|steps_i| {
@@ -912,14 +1075,13 @@ impl<'e> StepSession<'e> {
                     .collect::<Vec<_>>()
             })
             .collect();
-        if timed.iter().all(|t| !t.is_empty()) {
-            let mut picked: Vec<&Interned> = Vec::with_capacity(per.len());
-            combine_timed(&timed, 0, &GAction::idle(), &mut picked, &mut |action, picked| {
-                out.push((Label::A(Arc::new(action.clone())), Recipe::All(picked.to_vec())));
-            });
-        }
+        let mut picks: Vec<&'a Interned> = Vec::new();
+        combine_timed(&timed, &mut |uses, tags, picked| {
+            out.push((self.action(uses, tags), Recipe::All(picks.len())));
+            picks.extend_from_slice(picked);
+        });
 
-        out
+        (out, picks)
     }
 
     /// Interned counterpart of [`scope_steps`], case for case.
@@ -1369,6 +1531,82 @@ mod tests {
         assert_eq!(count_timed(&s), 3);
     }
 
+    /// Rule *Par3* as a left-to-right fold of [`GAction::merge`] from
+    /// [`GAction::idle`], in nested-loop order: what [`combine_timed`]
+    /// computes without the intermediate actions.
+    fn merge_fold(timed: &[Vec<GAction>]) -> Vec<(GAction, Vec<usize>)> {
+        fn go(
+            timed: &[Vec<GAction>],
+            acc: &GAction,
+            picked: &mut Vec<usize>,
+            out: &mut Vec<(GAction, Vec<usize>)>,
+        ) {
+            let Some(steps) = timed.get(picked.len()) else {
+                out.push((acc.clone(), picked.clone()));
+                return;
+            };
+            for (k, a) in steps.iter().enumerate() {
+                if let Some(merged) = acc.merge(a) {
+                    picked.push(k);
+                    go(timed, &merged, picked, out);
+                    picked.pop();
+                }
+            }
+        }
+        let mut out = Vec::new();
+        go(timed, &GAction::idle(), &mut Vec::new(), &mut out);
+        out
+    }
+
+    #[test]
+    fn par3_walk_matches_folding_merge() {
+        let mut env = Env::new();
+        let tags = [env.tag("t0"), env.tag("t1")];
+        let pool = [cpu(), bus(), Res::new("mem"), Res::new("lock")];
+        let mut rng = det::DetRng::new(7);
+        for _ in 0..500 {
+            let timed: Vec<Vec<GAction>> = (0..rng.range_usize(1..5))
+                .map(|_| {
+                    (0..rng.range_usize(0..4))
+                        .map(|_| {
+                            let mut uses: Vec<(Res, u32)> = Vec::new();
+                            for &r in &pool {
+                                if rng.range_usize(0..3) == 0 {
+                                    uses.push((r, rng.range_u64(0..3) as u32));
+                                }
+                            }
+                            uses.sort_unstable_by_key(|(r, _)| *r);
+                            let tags: Vec<TagId> = match rng.range_usize(0..3) {
+                                0 => vec![],
+                                1 => vec![*rng.pick(&tags)],
+                                _ => tags.to_vec(),
+                            };
+                            GAction {
+                                uses: uses.into(),
+                                tags: tags.into(),
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let indices: Vec<Vec<usize>> = timed.iter().map(|t| (0..t.len()).collect()).collect();
+            let refs: Vec<Vec<(&GAction, &usize)>> = timed
+                .iter()
+                .zip(&indices)
+                .map(|(t, ix)| t.iter().zip(ix).collect())
+                .collect();
+            let mut walked = Vec::new();
+            combine_timed(&refs, &mut |uses, tags, picked| {
+                let action = GAction {
+                    uses: uses.into(),
+                    tags: tags.into(),
+                };
+                walked.push((action, picked.iter().map(|&&k| k).collect::<Vec<_>>()));
+            });
+            assert_eq!(walked, merge_fold(&timed), "timed steps {timed:?}");
+        }
+    }
+
     // -- StepSession: interned + memoized stepping ---------------------------
 
     fn session_over(env: &Env, config: MemoConfig) -> StepSession<'_> {
@@ -1573,6 +1811,107 @@ mod tests {
         session.intern(&par([evt_send(low_ran, 1, nil()), nil()]));
         session.intern(&par([nil(), nil()]));
         assert_eq!(session.store().len(), len + 2);
+    }
+
+    /// The `Par` node of a root successor: the successor itself, or the
+    /// body of its `Restrict`.
+    fn par_kids(t: &Interned) -> &Vec<P> {
+        match &**t.term() {
+            Proc::Par(kids) => kids,
+            Proc::Restrict { body, .. } => match &**body {
+                Proc::Par(kids) => kids,
+                other => panic!("not a Par: {other:?}"),
+            },
+            other => panic!("not a root successor: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn root_successors_are_built_at_exact_size() {
+        let env = Env::new();
+        let go = Symbol::new("go");
+        let worker = |r: Res| choice([act([(r, 1)], nil()), act([] as [(Res, i32); 0], nil())]);
+        let roots = [
+            par([worker(cpu()), worker(bus()), worker(Res::new("mem"))]),
+            restrict(
+                par([
+                    evt_send(go, 1, worker(cpu())),
+                    evt_recv(go, 1, nil()),
+                    worker(bus()),
+                ]),
+                [go],
+            ),
+        ];
+        let session = session_over(&env, MemoConfig::default());
+        for root in &roots {
+            let kept = session.prioritized_steps(&session.intern(root));
+            assert!(!kept.is_empty());
+            for (l, succ) in &kept {
+                let kids = par_kids(succ);
+                assert_eq!(kids.capacity(), kids.len(), "{l:?} successor is oversized");
+            }
+        }
+    }
+
+    #[test]
+    fn equal_timed_labels_share_one_arc() {
+        let env = Env::new();
+        let done = Symbol::new("done");
+        let session = session_over(&env, MemoConfig::default());
+        // Both roots keep one timed step, {bus:1, cpu:1}, towards different
+        // successors.
+        let a = session.intern(&par([act([(cpu(), 1)], nil()), act([(bus(), 1)], nil())]));
+        let b = session.intern(&par([
+            act([(cpu(), 1)], evt_send(done, 1, nil())),
+            act([(bus(), 1)], nil()),
+        ]));
+        let (sa, sb) = (session.prioritized_steps(&a), session.prioritized_steps(&b));
+        assert_ne!(sa[0].1.id(), sb[0].1.id());
+        match (&sa[0].0, &sb[0].0) {
+            (Label::A(x), Label::A(y)) => {
+                assert_eq!(x, y);
+                assert!(Arc::ptr_eq(x, y), "equal actions are two allocations");
+            }
+            other => panic!("expected two timed labels, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn root_window_rederives_evicted_roots_from_cached_components() {
+        let env = Env::new();
+        // Three roots over the same two components: their two raw lists fit
+        // the capacity-2 component table, but the window (min(4096, 2) = 2
+        // entries) cannot hold all three prioritized lists.
+        let root = |hidden: &str| {
+            restrict(
+                par([act([(cpu(), 1)], nil()), act([(bus(), 1)], nil())]),
+                [Symbol::new(hidden)],
+            )
+        };
+        let session = session_over(&env, MemoConfig::with_capacity(2));
+        let roots: Vec<Interned> = ["a", "b", "c"]
+            .iter()
+            .map(|h| session.intern(&root(h)))
+            .collect();
+        let first = session.prioritized_steps(&roots[0]);
+        assert_eq!(first.len(), 1);
+        session.prioritized_steps(&roots[1]);
+        session.prioritized_steps(&roots[2]);
+        let before = session.memo_stats();
+        assert_eq!(before.root_rederivations, 0);
+        // The third root pushed the first out of the window: revisiting it
+        // derives its list again, to the same list, from two component hits.
+        let again = session.prioritized_steps(&roots[0]);
+        assert_eq!(again.len(), first.len());
+        for ((l1, s1), (l2, s2)) in first.iter().zip(&again) {
+            assert_eq!(l1, l2);
+            assert_eq!(s1.id(), s2.id());
+        }
+        let after = session.memo_stats();
+        assert_eq!(after.root_rederivations, 1);
+        assert_eq!(after.misses, before.misses + 1);
+        assert_eq!(after.hits, before.hits + 2);
+        assert_eq!(after.evictions, 0, "the component lists stayed cached");
     }
 
     #[test]

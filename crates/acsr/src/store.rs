@@ -347,7 +347,7 @@ impl TermStore {
                 {
                     p.clone()
                 } else {
-                    Arc::new(Proc::Choice(kids.into_iter().map(Interned::into_term).collect()))
+                    Arc::new(Proc::Choice(terms(&kids)))
                 };
                 (digest, canon)
             }
@@ -361,7 +361,7 @@ impl TermStore {
                 {
                     p.clone()
                 } else {
-                    Arc::new(Proc::Par(kids.into_iter().map(Interned::into_term).collect()))
+                    Arc::new(Proc::Par(terms(&kids)))
                 };
                 (digest, canon)
             }
@@ -457,27 +457,52 @@ impl TermStore {
     //
     // The step session builds successor terms whose children it already holds
     // as [`Interned`] values. These constructors digest the node directly
-    // from the children's digests and go straight to [`TermStore::insert`] —
-    // no recursive walk, no per-child pointer-map lookup. They MUST produce
+    // from the children's digests and go straight to the entry table
+    // ([`TermStore::find_or_insert`]) — no recursive walk, no per-child
+    // pointer-map lookup. They MUST produce
     // the exact digest [`TermStore::intern_slow`] would (both paths share the
     // `digest_*` helpers), or structurally equal terms would land in
     // different buckets and be assigned two ids.
 
-    /// Intern `Par(kids)` from already-interned components.
-    pub(crate) fn mk_par(&self, kids: Vec<Interned>) -> Interned {
-        let digest = digest_list(4, &kids) & self.digest_mask;
-        let canon = Arc::new(Proc::Par(kids.into_iter().map(Interned::into_term).collect()));
-        self.insert(canon, digest)
+    /// Intern `Par(kids)` from already-interned components. The node is
+    /// looked up first and allocated, at exactly `kids.len()` slots, only
+    /// when the store does not hold it yet.
+    pub(crate) fn mk_par(&self, kids: &[Interned]) -> Interned {
+        let digest = digest_list(4, kids) & self.digest_mask;
+        self.find_or_insert(
+            digest,
+            |e| match e {
+                Proc::Par(comps) => {
+                    comps.len() == kids.len()
+                        && comps.iter().zip(kids).all(|(c, k)| Arc::ptr_eq(c, &k.term))
+                }
+                _ => false,
+            },
+            || Arc::new(Proc::Par(terms(kids))),
+        )
     }
 
-    /// Intern `Restrict { body, labels }` from an already-interned body.
-    pub(crate) fn mk_restrict(&self, body: &Interned, labels: &Arc<BTreeSet<Symbol>>) -> Interned {
-        let digest = digest_restrict(labels, body.digest) & self.digest_mask;
-        let canon = Arc::new(Proc::Restrict {
-            body: body.term.clone(),
-            labels: labels.clone(),
-        });
-        self.insert(canon, digest)
+    /// Intern `Restrict { body, labels }` from an already-interned body,
+    /// with the label set hashed once in `r`. Looked up before allocating,
+    /// like [`TermStore::mk_par`].
+    pub(crate) fn mk_restrict(&self, body: &Interned, r: &Restriction<'_>) -> Interned {
+        let digest = finish_restrict(r.prefix.clone(), body.digest) & self.digest_mask;
+        self.find_or_insert(
+            digest,
+            |e| match e {
+                Proc::Restrict { body: b, labels } => {
+                    Arc::ptr_eq(b, &body.term)
+                        && (Arc::ptr_eq(labels, r.labels) || labels == r.labels)
+                }
+                _ => false,
+            },
+            || {
+                Arc::new(Proc::Restrict {
+                    body: body.term.clone(),
+                    labels: r.labels.clone(),
+                })
+            },
+        )
     }
 
     /// Intern `Close { body, resources }` from an already-interned body.
@@ -515,11 +540,23 @@ impl TermStore {
     /// structural comparison (children by pointer — sound because both sides
     /// are canonical).
     fn insert(&self, canon: P, digest: u64) -> Interned {
+        self.find_or_insert(digest, |e| shallow_eq(e, &canon), || canon.clone())
+    }
+
+    /// The entry in `digest`'s bucket that `is_node` accepts, or a new one
+    /// holding `build()`. `is_node` must be the shallow comparison against
+    /// the node `build` makes, so a node is only allocated when it is new.
+    fn find_or_insert(
+        &self,
+        digest: u64,
+        is_node: impl Fn(&Proc) -> bool,
+        build: impl FnOnce() -> P,
+    ) -> Interned {
         let mut guard = self.entries.lock().expect("term store entry table poisoned");
         if let Some(ids) = guard.buckets.get(&digest) {
             for &id in ids {
                 let existing = &guard.entries[id.index()].0;
-                if shallow_eq(existing, &canon) {
+                if is_node(existing) {
                     // The canonical Arc's address was registered when the
                     // entry was created, so no pointer-map work is needed.
                     return Interned {
@@ -530,6 +567,7 @@ impl TermStore {
                 }
             }
         }
+        let canon = build();
         let id = TermId(u32::try_from(guard.entries.len()).expect("term store overflow"));
         guard.entries.push((canon.clone(), digest));
         guard.buckets.entry(digest).or_default().push(id);
@@ -541,6 +579,32 @@ impl TermStore {
         };
         self.register_ptr(&out);
         out
+    }
+}
+
+/// The terms of `kids`, in a vector of exactly their length. Collecting
+/// `kids.into_iter().map(Interned::into_term)` would reuse `kids`'
+/// allocation in place: three `P` slots per child.
+fn terms(kids: &[Interned]) -> Vec<P> {
+    kids.iter().map(|k| k.term.clone()).collect()
+}
+
+/// A restriction's label set with its digest prefix hashed once, for
+/// wrapping every successor of one state in the same `Restrict`
+/// ([`TermStore::mk_restrict`]). The prefix is the one
+/// [`digest_restrict`] starts from, so both paths give one digest.
+pub(crate) struct Restriction<'a> {
+    labels: &'a Arc<BTreeSet<Symbol>>,
+    prefix: Fnv1a,
+}
+
+impl<'a> Restriction<'a> {
+    /// Hash `labels` into the prefix of every `Restrict` digest over them.
+    pub(crate) fn new(labels: &'a Arc<BTreeSet<Symbol>>) -> Restriction<'a> {
+        Restriction {
+            labels,
+            prefix: restrict_prefix(labels),
+        }
     }
 }
 
@@ -631,11 +695,20 @@ fn digest_scope(
 }
 
 fn digest_restrict(labels: &Arc<BTreeSet<Symbol>>, body: u64) -> u64 {
+    finish_restrict(restrict_prefix(labels), body)
+}
+
+/// The part of a `Restrict` digest that does not depend on the body.
+fn restrict_prefix(labels: &Arc<BTreeSet<Symbol>>) -> Fnv1a {
     let mut h = Fnv1a::new();
     h.write_u8(7);
     labels.hash(&mut h);
-    h.write_u64(body);
-    h.finish()
+    h
+}
+
+fn finish_restrict(mut prefix: Fnv1a, body: u64) -> u64 {
+    prefix.write_u64(body);
+    prefix.finish()
 }
 
 fn digest_close(resources: &Arc<BTreeSet<Res>>, body: u64) -> u64 {
@@ -803,6 +876,23 @@ mod tests {
         let again = store.intern(first.term());
         assert_eq!(first.id(), again.id());
         assert_eq!(store.len(), before);
+    }
+
+    #[test]
+    fn rebuilt_lists_hold_exactly_their_children() {
+        let store = TermStore::new();
+        let leaf = || act([(cpu(), 1)], nil());
+        store.intern(&leaf());
+        // The fresh `leaf()` resolves to the canonical one, so each node is
+        // rebuilt around canonical children.
+        for t in [choice([leaf(), nil()]), par([leaf(), nil(), nil()])] {
+            let i = store.intern(&t);
+            assert!(!Arc::ptr_eq(i.term(), &t), "node was not rebuilt");
+            match &**i.term() {
+                Proc::Choice(kids) | Proc::Par(kids) => assert_eq!(kids.capacity(), kids.len()),
+                other => panic!("unexpected: {other:?}"),
+            }
+        }
     }
 
     #[test]

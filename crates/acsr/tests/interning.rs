@@ -71,10 +71,47 @@ fn arb_proc(rng: &mut DetRng) -> P {
 fn arb_root(rng: &mut DetRng) -> P {
     let n = rng.range_usize(2..5);
     let comps = (0..n).map(|_| arb_proc_depth(rng, 2)).collect::<Vec<_>>();
+    restrict_maybe(rng, par(comps))
+}
+
+/// A root of three to five components that all offer timed steps over
+/// overlapping resource sets, some tagged, so the joint timed steps depend
+/// on which picks of the *Par3* walk conflict.
+fn arb_timed_root(rng: &mut DetRng) -> P {
+    let mut env = Env::new();
+    let tags = [env.tag("t0"), env.tag("t1"), env.tag("t2")];
+    let n = rng.range_usize(3..6);
+    let comps = (0..n)
+        .map(|_| {
+            let alts = rng.range_usize(1..4);
+            choice(
+                (0..alts)
+                    .map(|_| {
+                        let mut uses: Vec<(Res, i64)> = Vec::new();
+                        for r in RES_POOL {
+                            if rng.next_bool() {
+                                uses.push((Res::new(r), rng.range_i64(0..4)));
+                            }
+                        }
+                        let next = arb_leaf(rng);
+                        if rng.next_bool() {
+                            act_tagged(uses, *rng.pick(&tags), next)
+                        } else {
+                            act(uses, next)
+                        }
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        })
+        .collect::<Vec<_>>();
+    restrict_maybe(rng, par(comps))
+}
+
+fn restrict_maybe(rng: &mut DetRng, p: P) -> P {
     if rng.next_bool() {
-        restrict(par(comps), [Symbol::new("ie_x")])
+        restrict(p, [Symbol::new("ie_x")])
     } else {
-        par(comps)
+        p
     }
 }
 
@@ -115,27 +152,49 @@ det_prop! {
         }
     }
 
-    fn root_prioritized_steps_match_the_plain_relation(root in arb_root) {
+    fn root_prioritized_steps_match_the_plain_relation(
+        root in arb_root, timed in arb_timed_root
+    ) {
         // A root `Par` is restricted and prioritized before its successors
         // are interned; the result must still be the plain prioritized
-        // relation, on the first call and when served from the memo.
+        // relation, on the first call and on the second, whether the second
+        // is served from the root window (default capacity) or derived again
+        // because the other root pushed it out (a window of 1).
         let env = Env::new();
-        let plain = prioritized_steps(&env, &root);
-        for mask in [0u64, u64::MAX] {
-            let store = Arc::new(TermStore::with_digest_mask(mask));
-            let session = StepSession::new(&env, store, MemoConfig::default());
-            let t = session.intern(&root);
-            for call in ["first call", "memo hit"] {
-                let hits = session.memo_stats().hits;
-                let interned = session.prioritized_steps(&t);
-                if call == "memo hit" {
-                    assert_eq!(session.memo_stats().hits, hits + 1, "mask={mask:#x}: no hit");
-                }
-                let case = format!("mask={mask:#x}, {call}, root {root:?}");
-                assert_eq!(plain.len(), interned.len(), "step count, {case}");
-                for ((pl, pp), (il, ip)) in plain.iter().zip(&interned) {
-                    assert_eq!(pl, il, "label, {case}");
-                    assert_eq!(pp, ip.term(), "successor, {case}");
+        let roots = [&root, &timed];
+        let plain = roots.map(|r| prioritized_steps(&env, r));
+        let configs = [
+            (MemoConfig::default(), "default window"),
+            (MemoConfig::with_capacity(1), "window 1"),
+        ];
+        for (config, window) in configs {
+            for mask in [0u64, u64::MAX] {
+                let store = Arc::new(TermStore::with_digest_mask(mask));
+                let session = StepSession::new(&env, store, config);
+                let ts = roots.map(|r| session.intern(r));
+                let distinct = ts[0].id() != ts[1].id();
+                for call in ["first call", "second call"] {
+                    for (k, t) in ts.iter().enumerate() {
+                        let before = session.memo_stats();
+                        let interned = session.prioritized_steps(t);
+                        let after = session.memo_stats();
+                        let case = format!("{window}, mask={mask:#x}, {call}, root {:?}", roots[k]);
+                        if call == "second call" && window == "default window" {
+                            assert_eq!(after.hits, before.hits + 1, "no hit, {case}");
+                        }
+                        if call == "second call" && window == "window 1" && distinct {
+                            assert_eq!(
+                                after.root_rederivations,
+                                before.root_rederivations + 1,
+                                "not derived again, {case}"
+                            );
+                        }
+                        assert_eq!(plain[k].len(), interned.len(), "step count, {case}");
+                        for ((pl, pp), (il, ip)) in plain[k].iter().zip(&interned) {
+                            assert_eq!(pl, il, "label, {case}");
+                            assert_eq!(pp, ip.term(), "successor, {case}");
+                        }
+                    }
                 }
             }
         }

@@ -101,7 +101,16 @@ pub const SCHEMA: &str = "aadlsched-metrics";
 ///   - `step.memo_hits` is unchanged;
 ///   - `term.unique_subterms` no longer counts successors that restriction
 ///     or preemption discard.
-pub const SCHEMA_VERSION: u64 = 12;
+/// * v13 — a root state's prioritized list is kept only while the search
+///   may re-read it (a window of the most recent root lists):
+///   - new counter `step.root_rederivations`: misses on a root whose list
+///     the window had evicted, so the list was derived again;
+///   - `step.memo_misses` rises by exactly `step.root_rederivations`, and
+///     `step.memo_hits` by the component-list lookups of those
+///     re-derivations;
+///   - `step.memo_evictions` counts the component-list table only; root
+///     lists leaving the window are not evictions.
+pub const SCHEMA_VERSION: u64 = 13;
 
 /// Deterministic run identifier: FNV-1a (64-bit) over the given byte slices,
 /// rendered as 16 lowercase hex digits. Feed it the model source and the
@@ -142,7 +151,7 @@ pub fn run_id(parts: &[&[u8]]) -> String {
 /// r.set("model", Json::obj([("file", Json::from("m.aadl"))]));
 /// let text = r.to_json();
 /// assert!(text.starts_with("{\n  \"schema\": \"aadlsched-metrics\""));
-/// assert!(text.contains("\"version\": 12"));
+/// assert!(text.contains("\"version\": 13"));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Report {

@@ -274,7 +274,7 @@ pub(crate) fn replay(
     let mut stats = artifact.stats.clone();
     stats.duration = start.elapsed();
     Some(Exploration {
-        states: states.into_iter().map(Interned::into_term).collect(),
+        states: states.iter().map(|s| s.term().clone()).collect(),
         parents,
         zone_edges: Vec::new(),
         deadlocks,

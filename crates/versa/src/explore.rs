@@ -161,8 +161,10 @@ pub struct Options {
     /// transition relation, so every per-quantum step becomes its own unit
     /// edge and state. Such runs never touch [`Options::cas`].
     pub collect_lts: bool,
-    /// Entry cap of the successor memo (see [`acsr::step::StepSession`];
-    /// FIFO eviction past it). The memo is a pure cache — verdicts, state
+    /// Entry cap of the successor memo's component-list table (see
+    /// [`acsr::step::StepSession`]; FIFO eviction past it), which also caps
+    /// the window of root lists at `min(`[`acsr::step::ROOT_WINDOW`]`,
+    /// cap)`. The memo is a pure cache — verdicts, state
     /// tables and traces never depend on it. The default is
     /// [`MemoConfig::default`]'s capacity.
     pub memo_capacity: usize,
@@ -1037,6 +1039,7 @@ mod tests {
                 ("step.memo_evictions".to_string(), 0),
                 ("step.memo_hits".to_string(), ex.stats.memo_hits),
                 ("step.memo_misses".to_string(), ex.stats.memo_misses),
+                ("step.root_rederivations".to_string(), 0),
                 ("zone.closed_form_advances".to_string(), 0),
                 ("zone.delay_steps".to_string(), 0),
                 ("zone.learned_runs".to_string(), 0),

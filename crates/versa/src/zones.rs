@@ -499,12 +499,17 @@ pub(crate) fn explore_zones(
         .counter("step.memo_evictions")
         .add(stats.memo_evictions);
     opts.obs
+        .counter("step.root_rederivations")
+        .add(memo.root_rederivations);
+    opts.obs
         .gauge("term.unique_subterms")
         .set(stats.unique_subterms as i64);
     run_span.end();
 
     let ex = Exploration {
-        states: g.states.into_iter().map(Interned::into_term).collect(),
+        // Collected from the slice, the vector holds exactly the states; an
+        // in-place collect of `g.states` would keep three slots per state.
+        states: g.states.iter().map(|s| s.term().clone()).collect(),
         parents: g.parents,
         zone_edges: g.edges,
         deadlocks,

@@ -26,7 +26,9 @@
 #      (`zone.quanta_collapsed` >= 1) and serve them closed-form
 #      (`zone.closed_form_advances` >= 1) in its `--metrics` report, and
 #      intern no more than 126807 subterms (`term.unique_subterms`): only
-#      the successors the search keeps are built
+#      the successors the search keeps are built; and derive no more than
+#      10 root lists a second time (`step.root_rederivations`): the memo's
+#      root window still holds every list the search re-reads
 #   6. the daemon smoke: start `aadlschedd`, analyze four small bundled
 #      models and the long-hyperperiod one through `aadlschedc` and diff
 #      the exit codes against the `aadlsched` CLI (the two front ends must
@@ -162,7 +164,16 @@ if [ -z "$subterms" ] || [ "$subterms" -gt 126807 ]; then
   echo "zone smoke: longperiod interned ${subterms:-absent} subterms, more than 126807 (term.unique_subterms): discarded successors are interned again"
   exit 1
 fi
-echo "zone smoke: longperiod collapsed $collapsed quanta ($closed_advances closed-form advances, $subterms subterms)"
+# A root state's prioritized list is kept only in a window of the last
+# 4096 roots (DESIGN.md §13); this run re-derives 10 lists that left it.
+# More means the window no longer covers the search's re-reads.
+rederived="$(grep -o '"step.root_rederivations": [0-9]*' target/ci/zones-metrics.json \
+  | grep -o '[0-9]*$')"
+if [ -z "$rederived" ] || [ "$rederived" -gt 10 ]; then
+  echo "zone smoke: longperiod derived ${rederived:-absent} root lists again, more than 10 (step.root_rederivations): the root window misses re-reads"
+  exit 1
+fi
+echo "zone smoke: longperiod collapsed $collapsed quanta ($closed_advances closed-form advances, $subterms subterms, $rederived root lists derived again)"
 
 echo "== daemon smoke: aadlschedd verdicts must match the CLI =="
 # Stage 1 built the workspace binaries; run them directly so the smoke
