@@ -3,7 +3,7 @@
 //! The term store ([`crate::store`]) and the shape factorization
 //! ([`crate::skeleton`]) need structural digests that are reproducible run
 //! to run — no per-process random keys — so digest-keyed tables downstream
-//! (the store's collision buckets, the advance cache's shape keys) never
+//! (the store's digest index, the advance cache's shape keys) never
 //! depend on the process. [`Fnv1a`] is that hasher.
 
 use std::hash::Hasher;

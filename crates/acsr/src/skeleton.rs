@@ -230,7 +230,7 @@ fn walk(p: &P, h: &mut Fnv1a, out: &mut Vec<i64>) {
 /// when the vector does not fit the shape (wrong length, a chain count
 /// outside `1..=MAX_CHAIN`). Unchanged subtrees share the template's `Arc`s;
 /// in particular a shrunk action chain reuses the template's own suffix, so
-/// re-interning the result is mostly pointer-map hits.
+/// re-interning the result is mostly pointer-index hits.
 pub fn rebuild(template: &P, values: &[i64]) -> Option<P> {
     let mut idx = 0usize;
     let built = rb(template, values, &mut idx)?;

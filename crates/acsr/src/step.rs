@@ -985,9 +985,9 @@ impl<'e> StepSession<'e> {
         preempt: bool,
         depth: u32,
     ) -> Vec<(Label, Interned)> {
-        // One pointer-map hit per component here; every successor below is
+        // One pointer-index hit per component here; every successor below is
         // then assembled from these `Interned` values without touching the
-        // pointer map again (`mk_par` digests from the children's digests).
+        // pointer index again (`mk_par` digests from the children's digests).
         let kids: Vec<Interned> = comps.iter().map(|c| self.store.intern(c)).collect();
         let per: Vec<List> = kids.iter().map(|k| self.raw(k, depth)).collect();
         let (mut candidates, picks) = self.par_candidates(&per, hidden.map(|h| &**h));
@@ -1106,7 +1106,7 @@ impl<'e> StepSession<'e> {
         let expired = remaining.is_some_and(|n| n <= 0);
 
         // The scope node is canonical, so its fixed children resolve through
-        // the pointer map once here; `mk_scope` then rebuilds each successor
+        // the pointer index once here; `mk_scope` then rebuilds each successor
         // from their digests without re-walking them.
         let exc_i = exception.as_ref().map(|(s, h)| (*s, self.store.intern(h)));
         let to_i = timeout.as_ref().map(|t| self.store.intern(t));

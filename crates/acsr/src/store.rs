@@ -9,18 +9,25 @@
 //!
 //! * equality and hashing of interned terms are O(1) id comparisons, with
 //!   no deep structural comparison anywhere;
-//! * re-interning a term whose `Arc` is already canonical is a pointer-map
-//!   hit, no tree walk at all;
+//! * re-interning a term whose `Arc` is already canonical is a
+//!   pointer-index hit, no tree walk at all;
 //! * interning a freshly built successor walks only its *new spine*: shared
 //!   children are canonical `Arc`s and resolve through the pointer fast path.
 //!
-//! The store keeps one [`Mutex`]-guarded table per map (entries, canonical
-//! pointers, shapes), so `&TermStore` is `Sync` and may be shared across
-//! threads. Structural digests are deterministic (FNV-1a over node kind,
-//! local fields and child digests — no pointers, no random keys). A
-//! [`TermId`] is the term's interning index: the exploration interns in one
-//! order, so ids are reproducible run to run, but they are only meaningful
-//! within the store that produced them and never appear in results.
+//! The store keeps two [`Mutex`]-guarded tables: the entries together with
+//! the two indexes that find them, and the memoized shapes, so `&TermStore`
+//! is `Sync` and may be shared across threads. The entries are a vector of
+//! `(canonical term, digest)` addressed by [`TermId`]; one index finds an id
+//! by structural digest, the other by canonical `Arc` address. Each index
+//! is an open-addressing vector of `u32` ids that keeps no keys: a probe
+//! reads a candidate's key back from its entry, so an interned term costs
+//! its entry, two 4-byte slots in vectors kept at most 3/4 full, and no
+//! allocation of its own. Structural digests are deterministic (FNV-1a
+//! over node kind, local fields and child digests — no pointers, no random
+//! keys). A [`TermId`] is the term's interning index: the exploration
+//! interns in one order, so ids are reproducible run to run, but they are
+//! only meaningful within the store that produced them and never appear in
+//! results.
 //!
 //! # The canonical-children invariant
 //!
@@ -85,7 +92,7 @@ impl TermId {
 ///
 /// let store = TermStore::new();
 /// let i = store.intern(&act([(Res::new("cpu"), 1)], nil()));
-/// // Interning the *canonical* Arc again is a pointer-map hit with the same id.
+/// // Interning the *canonical* Arc again is a pointer-index hit with the same id.
 /// let again = store.intern(&i.term().clone());
 /// assert_eq!(i.id(), again.id());
 /// assert_eq!(i.digest(), again.digest());
@@ -119,14 +126,115 @@ impl Interned {
     }
 }
 
-/// The store's entry table: id-addressed canonical entries plus the digest
-/// buckets that resolve collisions by shallow comparison.
+/// The store's entry table: id-addressed canonical entries and the two
+/// indexes that find an entry's id from its keys.
 #[derive(Default, Debug)]
 struct EntryTable {
     /// `(canonical term, digest)`, indexed by [`TermId`].
     entries: Vec<(P, u64)>,
-    /// digest → ids holding that digest (usually exactly one).
-    buckets: HashMap<u64, Vec<TermId>>,
+    /// Structural digest → id. Ids sharing a digest lie on one probe
+    /// sequence and are told apart by shallow comparison.
+    by_digest: IdIndex,
+    /// Canonical `Arc` address → id. Only canonical pointers are ever
+    /// indexed, and `entries` keeps every canonical `Arc` alive, so an
+    /// address can never be recycled while it is a key.
+    by_ptr: IdIndex,
+}
+
+impl EntryTable {
+    /// The id of the entry whose canonical `Arc` is `p`.
+    fn find_ptr(&self, p: &P) -> Option<TermId> {
+        self.by_ptr
+            .find(ptr_key(p), |id| Arc::ptr_eq(&self.entries[id.index()].0, p))
+    }
+
+    /// The id of the entry with `digest` whose node `is_node` accepts.
+    fn find_digest(&self, digest: u64, is_node: impl Fn(&Proc) -> bool) -> Option<TermId> {
+        self.by_digest.find(digest, |id| {
+            let (term, d) = &self.entries[id.index()];
+            *d == digest && is_node(term)
+        })
+    }
+
+    /// Append a new canonical entry and index it under both keys.
+    fn push(&mut self, canon: P, digest: u64) -> TermId {
+        // A slot holds `id + 1`, so the largest id is `u32::MAX - 1`.
+        let id = u32::try_from(self.entries.len())
+            .ok()
+            .filter(|&raw| raw < u32::MAX)
+            .map(TermId)
+            .expect("term store overflow");
+        self.entries.push((canon, digest));
+        let entries = &self.entries;
+        self.by_digest.push(id, |i| entries[i.index()].1);
+        self.by_ptr.push(id, |i| ptr_key(&entries[i.index()].0));
+        id
+    }
+}
+
+/// The pointer index's key: the canonical `Arc`'s address.
+fn ptr_key(p: &P) -> u64 {
+    Arc::as_ptr(p) as usize as u64
+}
+
+/// An open-addressing index of [`TermId`]s: a power-of-two vector of
+/// slots, each holding `id + 1` (0 is empty), probed linearly from a key's
+/// home slot and doubled when more than 3/4 full. It keeps no keys: its
+/// owner reads a candidate's key back from the entry the id names.
+#[derive(Default, Debug)]
+struct IdIndex {
+    slots: Vec<u32>,
+}
+
+impl IdIndex {
+    /// Slots of the first allocation.
+    const MIN_SLOTS: usize = 16;
+
+    /// The first id on `key`'s probe sequence that `is_hit` accepts.
+    fn find(&self, key: u64, is_hit: impl Fn(TermId) -> bool) -> Option<TermId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                0 => return None,
+                slot if is_hit(TermId(slot - 1)) => return Some(TermId(slot - 1)),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Index `id`, the newest id; `key` gives the key of every id up to it.
+    /// Past 3/4 full the index doubles and re-places every id from its key.
+    fn push(&mut self, id: TermId, key: impl Fn(TermId) -> u64) {
+        let len = id.index() + 1;
+        if 4 * len > 3 * self.slots.len() {
+            self.slots = vec![0; (2 * self.slots.len()).max(Self::MIN_SLOTS)];
+            for raw in 0..=id.0 {
+                self.place(key(TermId(raw)), TermId(raw));
+            }
+        } else {
+            self.place(key(id), id);
+        }
+    }
+
+    fn place(&mut self, key: u64, id: TermId) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        while self.slots[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = id.0 + 1;
+    }
+
+    /// `key`'s home slot: the top bits of its Fibonacci hash, so aligned
+    /// addresses (low bits always zero) spread as well as digests do.
+    fn home(&self, key: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
 }
 
 /// A thread-safe hash-consing interner for [`Proc`] terms.
@@ -154,11 +262,8 @@ struct EntryTable {
 /// ```
 #[derive(Debug)]
 pub struct TermStore {
+    /// The entries and both indexes, under one lock.
     entries: Mutex<EntryTable>,
-    /// Canonical `Arc` address → `(id, digest)`. Only canonical pointers are
-    /// ever inserted, and the entry table keeps every canonical `Arc` alive,
-    /// so an address can never be recycled while it is a key.
-    ptrs: Mutex<HashMap<usize, (TermId, u64)>>,
     /// [`TermId`] → factored shape, memoized on first demand. Shapes live
     /// with the store so their lifetime matches the ids that key them.
     shapes: Mutex<HashMap<TermId, Arc<Factored>>>,
@@ -179,9 +284,10 @@ impl TermStore {
 
     /// An empty store whose structural digests are AND-ed with `mask` —
     /// a *testing* hook that forces digest collisions (`mask = 0` collapses
-    /// every digest to zero). Interning stays correct under any mask: the
-    /// digest buckets fall back to shallow structural comparison, so
-    /// structurally distinct terms always receive distinct ids.
+    /// every digest to zero). Interning stays correct under any mask: a
+    /// digest probe tells the entries sharing a digest apart by shallow
+    /// structural comparison, so structurally distinct terms always receive
+    /// distinct ids.
     ///
     /// # Examples
     ///
@@ -198,7 +304,6 @@ impl TermStore {
     pub fn with_digest_mask(mask: u64) -> TermStore {
         TermStore {
             entries: Mutex::default(),
-            ptrs: Mutex::default(),
             shapes: Mutex::default(),
             digest_mask: mask,
         }
@@ -263,7 +368,7 @@ impl TermStore {
     /// Intern `p` (and, recursively, every subterm), returning its id,
     /// digest and canonical `Arc`.
     ///
-    /// Cost: O(1) when `p` is already canonical (pointer-map hit); otherwise
+    /// Cost: O(1) when `p` is already canonical (pointer-index hit); otherwise
     /// linear in the *non-canonical spine* of `p` — children that are already
     /// canonical stop the recursion at a pointer hit each.
     pub fn intern(&self, p: &P) -> Interned {
@@ -289,21 +394,13 @@ impl TermStore {
     }
 
     fn ptr_lookup(&self, p: &P) -> Option<Interned> {
-        let guard = self.ptrs.lock().expect("term store pointer table poisoned");
-        guard
-            .get(&(Arc::as_ptr(p) as usize))
-            .map(|&(id, digest)| Interned {
-                id,
-                digest,
-                term: p.clone(),
-            })
-    }
-
-    fn register_ptr(&self, i: &Interned) {
-        let mut guard = self.ptrs.lock().expect("term store pointer table poisoned");
-        guard
-            .entry(Arc::as_ptr(&i.term) as usize)
-            .or_insert((i.id, i.digest));
+        let guard = self.entries.lock().expect("term store entry table poisoned");
+        let id = guard.find_ptr(p)?;
+        Some(Interned {
+            id,
+            digest: guard.entries[id.index()].1,
+            term: p.clone(),
+        })
     }
 
     /// Canonicalize `p`'s children, digest the node, and insert (or find) it.
@@ -459,10 +556,10 @@ impl TermStore {
     // as [`Interned`] values. These constructors digest the node directly
     // from the children's digests and go straight to the entry table
     // ([`TermStore::find_or_insert`]) — no recursive walk, no per-child
-    // pointer-map lookup. They MUST produce
+    // pointer-index lookup. They MUST produce
     // the exact digest [`TermStore::intern_slow`] would (both paths share the
-    // `digest_*` helpers), or structurally equal terms would land in
-    // different buckets and be assigned two ids.
+    // `digest_*` helpers), or structurally equal terms would be looked up
+    // under different digests and be assigned two ids.
 
     /// Intern `Par(kids)` from already-interned components. The node is
     /// looked up first and allocated, at exactly `kids.len()` slots, only
@@ -536,16 +633,16 @@ impl TermStore {
     }
 
     /// Insert a node whose children are canonical, or find its existing
-    /// entry. Collisions within a digest bucket are resolved by shallow
-    /// structural comparison (children by pointer — sound because both sides
-    /// are canonical).
+    /// entry. Entries sharing a digest are told apart by shallow structural
+    /// comparison (children by pointer — sound because both sides are
+    /// canonical).
     fn insert(&self, canon: P, digest: u64) -> Interned {
         self.find_or_insert(digest, |e| shallow_eq(e, &canon), || canon.clone())
     }
 
-    /// The entry in `digest`'s bucket that `is_node` accepts, or a new one
-    /// holding `build()`. `is_node` must be the shallow comparison against
-    /// the node `build` makes, so a node is only allocated when it is new.
+    /// The entry with `digest` that `is_node` accepts, or a new one holding
+    /// `build()`. `is_node` must be the shallow comparison against the node
+    /// `build` makes, so a node is only allocated when it is new.
     fn find_or_insert(
         &self,
         digest: u64,
@@ -553,32 +650,20 @@ impl TermStore {
         build: impl FnOnce() -> P,
     ) -> Interned {
         let mut guard = self.entries.lock().expect("term store entry table poisoned");
-        if let Some(ids) = guard.buckets.get(&digest) {
-            for &id in ids {
-                let existing = &guard.entries[id.index()].0;
-                if is_node(existing) {
-                    // The canonical Arc's address was registered when the
-                    // entry was created, so no pointer-map work is needed.
-                    return Interned {
-                        id,
-                        digest,
-                        term: existing.clone(),
-                    };
-                }
-            }
+        if let Some(id) = guard.find_digest(digest, is_node) {
+            return Interned {
+                id,
+                digest,
+                term: guard.entries[id.index()].0.clone(),
+            };
         }
         let canon = build();
-        let id = TermId(u32::try_from(guard.entries.len()).expect("term store overflow"));
-        guard.entries.push((canon.clone(), digest));
-        guard.buckets.entry(digest).or_default().push(id);
-        drop(guard);
-        let out = Interned {
+        let id = guard.push(canon.clone(), digest);
+        Interned {
             id,
             digest,
             term: canon,
-        };
-        self.register_ptr(&out);
-        out
+        }
     }
 }
 
@@ -942,19 +1027,34 @@ mod tests {
 
     #[test]
     fn digest_mask_collisions_never_merge_distinct_terms() {
-        let store = TermStore::with_digest_mask(0);
-        let mut ids = std::collections::HashSet::new();
-        for i in 0..40 {
-            let t = store.intern(&act([(cpu(), i)], nil()));
-            assert_eq!(t.digest(), 0);
-            assert!(ids.insert(t.id()));
+        // 1 000 terms take both indexes from 16 to 2 048 slots, seven
+        // doublings. Under mask 0 every digest probe starts at one home slot;
+        // under 0xF sixteen clusters grow into each other.
+        for mask in [0, 0xF, u64::MAX] {
+            let store = TermStore::with_digest_mask(mask);
+            let end = store.intern(&nil());
+            let terms: Vec<Interned> = (0..1000)
+                .map(|i| store.intern(&act([(cpu(), i)], end.term().clone())))
+                .collect();
+            let ids: std::collections::HashSet<TermId> = terms.iter().map(Interned::id).collect();
+            assert_eq!(ids.len(), 1000, "mask {mask:#x} merged distinct terms");
+            assert!(terms.iter().all(|t| t.digest() & !mask == 0));
+            for (i, t) in (0..1000).zip(&terms) {
+                let hit = store.ptr_lookup(t.term()).expect("canonical Arc not indexed");
+                assert_eq!(hit.id(), t.id(), "mask {mask:#x}, term {i}");
+                assert_eq!(store.intern(t.term()).id(), t.id());
+                assert_eq!(store.len(), 1001, "re-interning a canonical Arc added an entry");
+                // A structural copy finds its entry along the digest probe.
+                let copy = store.intern(&act([(cpu(), i)], nil()));
+                assert_eq!(copy.id(), t.id(), "mask {mask:#x}, structural copy of term {i}");
+            }
+            assert_eq!(store.len(), 1001);
+            for raw in 0..1001 {
+                let r = store.resolve(TermId(raw));
+                assert_eq!(r.id().raw(), raw);
+                assert_eq!(store.intern(r.term()).id(), r.id());
+            }
         }
-        // Structural copies still find their entries through the bucket scan.
-        for i in 0..40 {
-            let t = store.intern(&act([(cpu(), i)], nil()));
-            assert!(ids.contains(&t.id()));
-        }
-        assert_eq!(store.len(), 41);
     }
 
     #[test]

@@ -40,7 +40,12 @@
 #      fleet report carrying the flight-recorder window)
 #   7. the benchmark smoke: `bash benchmark/run.sh --smoke` builds the
 #      separate benchmark package and runs every workload briefly (see
-#      benchmark/README.md)
+#      benchmark/README.md); its output is kept in
+#      target/ci/benchmark-smoke.txt and printed, pass or fail, and the
+#      long-hyperperiod model's peak RSS on its result line
+#      (`longperiod/peak_rss_mb`) must be at most 56 MB: the term store
+#      indexes its entries by id, with no keyed maps and no per-digest
+#      vectors (those read 67 MB)
 #   8. the hermetic-build audit (path-only deps, pinned dependency graph,
 #      obs dependency-free, `cargo doc` with warnings denied — see
 #      tools/check_hermetic.sh)
@@ -259,7 +264,25 @@ fi
 echo "daemon smoke: cache hit observed, graceful drain, fleet report carries the flight window"
 
 echo "== benchmark smoke: bash benchmark/run.sh --smoke =="
-bash benchmark/run.sh --smoke
+# A redirect, not a pipe into `tee`: without `pipefail` the pipe would
+# hide the smoke's exit code.
+smoke_code=0
+bash benchmark/run.sh --smoke > target/ci/benchmark-smoke.txt || smoke_code=$?
+cat target/ci/benchmark-smoke.txt
+if [ "$smoke_code" -ne 0 ]; then
+  echo "benchmark smoke: bash benchmark/run.sh --smoke exited $smoke_code"
+  exit 1
+fi
+# The last line is the result line. The term store finds its entries
+# through two vectors of 4-byte id slots; the keyed maps and per-digest
+# vectors they replaced put this run at 67 MB.
+longperiod_rss="$(tail -n 1 target/ci/benchmark-smoke.txt \
+  | grep -o '"longperiod/peak_rss_mb":{"value":[0-9.]*' | grep -o '[0-9.]*$' || true)"
+if [ -z "$longperiod_rss" ] || awk -v mb="$longperiod_rss" 'BEGIN { exit !(mb > 56) }'; then
+  echo "benchmark smoke: longperiod/peak_rss_mb is ${longperiod_rss:-absent}, expected at most 56 MB: the term store's index grew back"
+  exit 1
+fi
+echo "benchmark smoke: longperiod peak RSS $longperiod_rss MB"
 
 echo "== hermetic audit =="
 tools/check_hermetic.sh
