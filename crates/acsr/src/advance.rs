@@ -53,12 +53,11 @@ use crate::store::{Interned, TermId};
 pub enum Advance {
     /// A verified closed-form span: `len ≥ 2` forced timed steps, every one
     /// labelled `label`, ending in `target`. Interior states are *not*
-    /// materialized; the `k`-th one is `rebuild(entry, v + k·delta)`.
+    /// materialized and not kept: a caller that needs them takes the
+    /// span's `len` steps through the step relation again.
     Closed {
         /// The (constant) label of every step in the span.
         label: Label,
-        /// The per-quantum time-vector derivative.
-        delta: Arc<Vec<i64>>,
         /// Number of quanta advanced.
         len: u64,
         /// The interned state at the end of the span.
@@ -400,7 +399,6 @@ fn try_closed(
     cache.closed.fetch_add(1, Ordering::Relaxed);
     Some(Advance::Closed {
         label: var.label.clone(),
-        delta: delta.clone(),
         len: d,
         target: s_end,
     })

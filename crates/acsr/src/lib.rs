@@ -82,7 +82,7 @@ pub use env::{DefId, Env, ProcDef, TagId};
 pub use expr::{BExpr, EvalError, Expr};
 pub use label::{Dir, GAction, Label};
 pub use prio::{preempts, prioritize, prioritized_steps};
-pub use runner::{forced_run_closed, RunEnd, RunOutcome, RunSeg};
+pub use runner::{forced_run_closed, RunOutcome};
 pub use stable::{env_fingerprint, stable_digest};
 pub use step::{steps, MemoConfig, MemoStats, StepSession};
 pub use store::{Interned, TermId, TermStore};

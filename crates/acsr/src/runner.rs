@@ -25,9 +25,11 @@
 //!   three consistent concrete observations and thereafter serves the step
 //!   as `O(#params)` arithmetic.
 //!
-//! Only run endpoints are materialized back into interned terms; interior
-//! states live as `(template, vector)` pairs inside the returned segments
-//! and are rebuilt syntactically on demand (traces, artifact deposits).
+//! Only a run's endpoint is materialized back into an interned term. The
+//! runner returns the run's length, last label and endpoint and keeps no
+//! interior state: a caller that needs the interior quanta (a
+//! counterexample trace) re-derives them through the step relation, and
+//! the length says exactly how many steps to take.
 //!
 //! # When is a macro allowed to serve?
 //!
@@ -83,102 +85,20 @@ const INFER_AT: usize = 3;
 /// this many observations is poisoned.
 const REFINE_CAP: usize = 10;
 
-/// The endpoint of a [`RunSeg`]: materialized, or a `(template, vector)`
-/// pair that rebuilds to the state on demand.
-#[derive(Clone, Debug)]
-pub enum RunEnd {
-    /// An interned state (every run's final segment ends in one).
-    Real(Interned),
-    /// A virtual state: `rebuild(template, values)`.
-    Virt {
-        template: Interned,
-        values: Arc<Vec<i64>>,
-    },
-}
-
-impl RunEnd {
-    /// The interned endpoint, when materialized.
-    pub fn interned(&self) -> Option<&Interned> {
-        match self {
-            RunEnd::Real(t) => Some(t),
-            RunEnd::Virt { .. } => None,
-        }
-    }
-
-    /// The endpoint as an interned term, rebuilding if virtual.
-    pub fn materialize(&self, session: &StepSession<'_>) -> Interned {
-        match self {
-            RunEnd::Real(t) => t.clone(),
-            RunEnd::Virt { template, values } => {
-                let p = skeleton::rebuild(template.term(), values)
-                    .expect("virtual run state must rebuild within its shape");
-                session.intern(&p)
-            }
-        }
-    }
-}
-
-/// One segment of a forced run walked by [`forced_run_closed`].
-#[derive(Clone, Debug)]
-pub enum RunSeg {
-    /// A concretely derived step (timed or instantaneous).
-    Unit(Label, Interned),
-    /// A closed-form span of `len ≥ 1` forced timed steps, all labelled
-    /// `label`; the `k`-th interior state is the segment's source rebuilt
-    /// at `vector + k·delta`.
-    Span {
-        label: Label,
-        delta: Arc<Vec<i64>>,
-        len: u64,
-        end: RunEnd,
-    },
-    /// A macro-served forced step that changes shape (a boundary exit, a
-    /// cascade `τ`, a one-quantum compute step).
-    Jump { label: Label, end: RunEnd },
-}
-
-impl RunSeg {
-    /// Concrete steps this segment stands for.
-    pub fn weight(&self) -> u64 {
-        match self {
-            RunSeg::Unit(..) | RunSeg::Jump { .. } => 1,
-            RunSeg::Span { len, .. } => *len,
-        }
-    }
-
-    /// The (uniform) label of the segment's steps.
-    pub fn label(&self) -> &Label {
-        match self {
-            RunSeg::Unit(l, _) => l,
-            RunSeg::Span { label, .. } | RunSeg::Jump { label, .. } => label,
-        }
-    }
-
-    /// The segment's endpoint.
-    pub fn end(&self) -> RunEnd {
-        match self {
-            RunSeg::Unit(_, t) => RunEnd::Real(t.clone()),
-            RunSeg::Span { end, .. } | RunSeg::Jump { end, .. } => end.clone(),
-        }
-    }
-
-    fn set_end(&mut self, t: Interned) {
-        match self {
-            RunSeg::Unit(..) => {}
-            RunSeg::Span { end, .. } | RunSeg::Jump { end, .. } => *end = RunEnd::Real(t),
-        }
-    }
-}
-
 /// The outcome of [`forced_run_closed`].
 pub enum RunOutcome {
     /// The entry state has no prioritized successors.
     Deadlock,
     /// The entry state has two or more prioritized successors.
     Branch(Vec<(Label, Interned)>),
-    /// The maximal forced chain out of the entry: `steps` concrete steps
-    /// across the segments; the final segment's end is always materialized.
-    Run { segs: Vec<RunSeg>, steps: u64 },
+    /// The maximal forced chain out of the entry: `steps ≥ 1` concrete
+    /// steps, the last one labelled `label`, ending in the materialized
+    /// `end`.
+    Run {
+        label: Label,
+        end: Interned,
+        steps: u64,
+    },
 }
 
 /// Per-output-component source of a unit macro's transition map.
@@ -609,7 +529,8 @@ enum Cur {
 struct Runner<'a, 'e> {
     session: &'a StepSession<'e>,
     cache: &'a AdvanceCache,
-    segs: Vec<RunSeg>,
+    /// The label of the last step taken (`None` until the first).
+    last: Option<Label>,
     steps: u64,
     cap: u64,
     cur: Cur,
@@ -709,13 +630,7 @@ impl<'a, 'e> Runner<'a, 'e> {
             return false;
         }
         self.cache.closed.fetch_add(1, Ordering::Relaxed);
-        self.segs.push(RunSeg::Jump {
-            label: p.label.clone(),
-            end: RunEnd::Virt {
-                template: p.target_tpl.clone(),
-                values: Arc::new(p.w.clone()),
-            },
-        });
+        self.last = Some(p.label);
         self.steps += 1;
         self.instant_valid = instant_after;
         self.cur = Cur::Virt {
@@ -825,7 +740,7 @@ impl<'a, 'e> Runner<'a, 'e> {
                 } else {
                     certified
                 };
-                self.segs.push(RunSeg::Unit(l, t.clone()));
+                self.last = Some(l);
                 self.steps += 1;
                 self.cur = Cur::Real(t);
                 if self.note_seen() {
@@ -840,7 +755,7 @@ impl<'a, 'e> Runner<'a, 'e> {
 
     /// The current state is not forced: classify it (ending the run).
     fn blocked(&mut self, src: &Interned) -> Flow {
-        if !self.segs.is_empty() {
+        if self.steps > 0 {
             return Flow::EndRun;
         }
         let succs = self.session.prioritized_steps(src);
@@ -888,15 +803,7 @@ impl<'a, 'e> Runner<'a, 'e> {
                     return Flow::Continue;
                 }
                 self.cache.closed.fetch_add(1, Ordering::Relaxed);
-                self.segs.push(RunSeg::Span {
-                    label,
-                    delta,
-                    len: d,
-                    end: RunEnd::Virt {
-                        template: template.clone(),
-                        values: Arc::new(end.clone()),
-                    },
-                });
+                self.last = Some(label);
                 self.steps += d;
                 self.instant_valid = false;
                 self.cur = Cur::Virt {
@@ -936,7 +843,7 @@ impl<'a, 'e> Runner<'a, 'e> {
                 // consumed that one event: the instant it opened (if it
                 // was instantaneous, or `next_clear` held) is validated by
                 // the same argument as the macro serve.
-                if let (Flow::Continue, Some(RunSeg::Unit(l, _))) = (&flow, self.segs.last()) {
+                if let (Flow::Continue, Some(l)) = (&flow, &self.last) {
                     self.instant_valid = self.instant_valid || !l.is_timed() || next_clear;
                 }
                 flow
@@ -975,20 +882,10 @@ impl<'a, 'e> Runner<'a, 'e> {
                 // boundaries, and record unit observations on the way.
                 let real = self.materialize();
                 match advance(self.session, self.cache, &real, self.cap - self.steps) {
-                    Advance::Closed {
-                        label,
-                        delta,
-                        len,
-                        target,
-                    } => {
+                    Advance::Closed { label, len, target } => {
                         self.steps += len;
                         self.instant_valid = false;
-                        self.segs.push(RunSeg::Span {
-                            label,
-                            delta,
-                            len,
-                            end: RunEnd::Real(target.clone()),
-                        });
+                        self.last = Some(label);
                         self.cur = Cur::Real(target);
                         if self.note_seen() {
                             Flow::Continue
@@ -1041,7 +938,7 @@ impl<'a, 'e> Runner<'a, 'e> {
                             }
                             certified = certified && !l.is_timed();
                             self.steps += 1;
-                            self.segs.push(RunSeg::Unit(l.clone(), t.clone()));
+                            self.last = Some(l.clone());
                             self.cur = Cur::Real(t.clone());
                             if !self.note_seen() {
                                 self.instant_valid = certified;
@@ -1087,7 +984,7 @@ pub fn forced_run_closed(
     let mut r = Runner {
         session,
         cache,
-        segs: Vec::new(),
+        last: None,
         steps: 0,
         cap,
         cur: Cur::Real(entry.clone()),
@@ -1103,14 +1000,11 @@ pub fn forced_run_closed(
             Flow::Branch(succs) => return RunOutcome::Branch(succs),
         }
     }
-    // Materialize the endpoint: the final segment's end is the edge target.
+    // Materialize the endpoint: it is the edge target.
     let end = r.materialize();
-    let mut segs = r.segs;
-    if let Some(last) = segs.last_mut() {
-        last.set_end(end);
-    }
     RunOutcome::Run {
-        segs,
+        label: r.last.expect("a run takes at least one step (cap ≥ 1)"),
+        end,
         steps: r.steps,
     }
 }
@@ -1159,77 +1053,25 @@ mod tests {
         par([a, b])
     }
 
-    /// Expand a run into `(label, interned)` unit steps by materializing
-    /// every segment the way a trace reconstruction would.
-    fn expand(
-        session: &StepSession<'_>,
-        entry: &Interned,
-        segs: &[RunSeg],
-    ) -> Vec<(Label, Interned)> {
-        let mut cur = entry.clone();
-        let mut steps = Vec::new();
-        for seg in segs {
-            match seg {
-                RunSeg::Unit(l, t) => {
-                    steps.push((l.clone(), t.clone()));
-                    cur = t.clone();
-                }
-                RunSeg::Span {
-                    label,
-                    delta,
-                    len,
-                    end,
-                } => {
-                    let f = session.store().shape_of(&cur);
-                    for k in 1..*len {
-                        let v = offset(&f.values, delta, k as i64).unwrap();
-                        let p = skeleton::rebuild(cur.term(), &v).unwrap();
-                        steps.push((label.clone(), session.intern(&p)));
-                    }
-                    let t = end.materialize(session);
-                    steps.push((label.clone(), t.clone()));
-                    cur = t;
-                }
-                RunSeg::Jump { label, end } => {
-                    let t = end.materialize(session);
-                    steps.push((label.clone(), t.clone()));
-                    cur = t;
-                }
-            }
-        }
-        steps
-    }
-
-    /// Drive a closed run from `cur` and check that its expansion is
-    /// intern-identical to the concrete unique-step chain out of `cur`,
-    /// step for step. Returns the run's endpoint (or `None` at a
+    /// Drive a closed run from `cur` and check its `(steps, label, end)`
+    /// against a `steps`-long walk of the concrete unique-step chain out of
+    /// `cur`: every step forced, the last one labelled `label`, ending in
+    /// `end` by interned id. Returns the run's endpoint (or `None` at a
     /// deadlock/branch, which must agree with the concrete successor set).
     fn check_run(s: &StepSession<'_>, cache: &AdvanceCache, cur: &Interned) -> Option<Interned> {
         match forced_run_closed(s, cache, cur, &[], 64) {
-            RunOutcome::Run { segs, steps } => {
-                assert!(!segs.is_empty(), "a run has at least one segment");
-                assert_eq!(
-                    steps,
-                    segs.iter().map(RunSeg::weight).sum::<u64>(),
-                    "step count equals total segment weight"
-                );
-                let end = segs
-                    .last()
-                    .unwrap()
-                    .end()
-                    .interned()
-                    .cloned()
-                    .expect("final segment is materialized");
-                let got = expand(s, cur, &segs);
+            RunOutcome::Run { label, end, steps } => {
+                assert!((1..=64).contains(&steps), "{steps} steps under cap 64");
                 let mut c = cur.clone();
-                for (i, (gl, gt)) in got.iter().enumerate() {
+                let mut last = None;
+                for i in 0..steps {
                     let (cl, ct) =
                         unique_step(s, &c).unwrap_or_else(|| panic!("step {i} is not forced"));
-                    assert_eq!(gl, &cl, "label {i}");
-                    assert_eq!(gt.id(), ct.id(), "state {i}");
+                    last = Some(cl);
                     c = ct;
                 }
-                assert_eq!(got.last().unwrap().1.id(), end.id());
+                assert_eq!(last.as_ref(), Some(&label), "label of the last step");
+                assert_eq!(c.id(), end.id(), "endpoint");
                 Some(end)
             }
             RunOutcome::Deadlock => {
@@ -1284,12 +1126,7 @@ mod tests {
         let mut cur = t0.clone();
         for _ in 0..64 {
             match forced_run_closed(&s, &cache, &cur, &[], 64) {
-                RunOutcome::Run { segs, .. } => {
-                    cur = segs
-                        .last()
-                        .and_then(|sg| sg.end().interned().cloned())
-                        .expect("final segment is materialized");
-                }
+                RunOutcome::Run { end, .. } => cur = end,
                 _ => break,
             }
         }

@@ -58,7 +58,7 @@ use std::sync::{Arc, Mutex};
 use crate::env::{Env, TagId};
 use crate::hashed::Fnv1a;
 use crate::label::{Dir, GAction, Label};
-use crate::store::{Interned, Restriction, TermId, TermStore};
+use crate::store::{IdIndex, Interned, Restriction, TermId, TermStore};
 use crate::symbol::{Res, Symbol};
 use crate::term::{EvKind, Proc, TimeBound, P};
 
@@ -647,8 +647,11 @@ pub struct MemoStats {
 /// action, shared by every list that carries it.
 #[derive(Default)]
 struct LabelTable {
-    /// Digest of `(uses, tags)` → the actions with that digest.
-    buckets: HashMap<u64, Vec<Arc<GAction>>>,
+    /// Each distinct action with the digest of its `(uses, tags)`, in
+    /// first-seen order: a label's id is its position.
+    labels: Vec<(Arc<GAction>, u64)>,
+    /// Digest → id, the store's open-addressing index.
+    by_digest: IdIndex,
 }
 
 impl LabelTable {
@@ -658,15 +661,23 @@ impl LabelTable {
         let mut h = Fnv1a::new();
         uses.hash(&mut h);
         tags.hash(&mut h);
-        let bucket = self.buckets.entry(h.finish()).or_default();
-        if let Some(a) = bucket.iter().find(|a| *a.uses == *uses && *a.tags == *tags) {
-            return a.clone();
+        let digest = h.finish();
+        let labels = &self.labels;
+        let hit = self.by_digest.find(digest, |id| {
+            let (a, d) = &labels[id as usize];
+            *d == digest && *a.uses == *uses && *a.tags == *tags
+        });
+        if let Some(id) = hit {
+            return labels[id as usize].0.clone();
         }
+        let id = IdIndex::id_for(labels.len()).expect("label table overflow");
         let a = Arc::new(GAction {
             uses: uses.into(),
             tags: tags.into(),
         });
-        bucket.push(a.clone());
+        self.labels.push((a.clone(), digest));
+        let labels = &self.labels;
+        self.by_digest.push(id, |i| labels[i as usize].1);
         a
     }
 }

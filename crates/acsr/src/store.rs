@@ -145,29 +145,31 @@ impl EntryTable {
     /// The id of the entry whose canonical `Arc` is `p`.
     fn find_ptr(&self, p: &P) -> Option<TermId> {
         self.by_ptr
-            .find(ptr_key(p), |id| Arc::ptr_eq(&self.entries[id.index()].0, p))
+            .find(ptr_key(p), |id| {
+                Arc::ptr_eq(&self.entries[id as usize].0, p)
+            })
+            .map(TermId)
     }
 
     /// The id of the entry with `digest` whose node `is_node` accepts.
     fn find_digest(&self, digest: u64, is_node: impl Fn(&Proc) -> bool) -> Option<TermId> {
-        self.by_digest.find(digest, |id| {
-            let (term, d) = &self.entries[id.index()];
-            *d == digest && is_node(term)
-        })
+        self.by_digest
+            .find(digest, |id| {
+                let (term, d) = &self.entries[id as usize];
+                *d == digest && is_node(term)
+            })
+            .map(TermId)
     }
 
     /// Append a new canonical entry and index it under both keys.
     fn push(&mut self, canon: P, digest: u64) -> TermId {
-        // A slot holds `id + 1`, so the largest id is `u32::MAX - 1`.
-        let id = u32::try_from(self.entries.len())
-            .ok()
-            .filter(|&raw| raw < u32::MAX)
+        let id = IdIndex::id_for(self.entries.len())
             .map(TermId)
             .expect("term store overflow");
         self.entries.push((canon, digest));
         let entries = &self.entries;
-        self.by_digest.push(id, |i| entries[i.index()].1);
-        self.by_ptr.push(id, |i| ptr_key(&entries[i.index()].0));
+        self.by_digest.push(id.0, |i| entries[i as usize].1);
+        self.by_ptr.push(id.0, |i| ptr_key(&entries[i as usize].0));
         id
     }
 }
@@ -177,12 +179,15 @@ fn ptr_key(p: &P) -> u64 {
     Arc::as_ptr(p) as usize as u64
 }
 
-/// An open-addressing index of [`TermId`]s: a power-of-two vector of
+/// An open-addressing index of dense `u32` ids: a power-of-two vector of
 /// slots, each holding `id + 1` (0 is empty), probed linearly from a key's
 /// home slot and doubled when more than 3/4 full. It keeps no keys: its
-/// owner reads a candidate's key back from the entry the id names.
+/// owner reads a candidate's key back from the entry the id names. The
+/// store indexes its entries with it (a [`TermId`] wraps the id) and each
+/// step session its timed labels; ids are positions in the owner's entry
+/// vector, each taken from [`IdIndex::id_for`].
 #[derive(Default, Debug)]
-struct IdIndex {
+pub(crate) struct IdIndex {
     slots: Vec<u32>,
 }
 
@@ -190,8 +195,15 @@ impl IdIndex {
     /// Slots of the first allocation.
     const MIN_SLOTS: usize = 16;
 
+    /// The id of the entry at position `len`, the next one an owner
+    /// appends: `None` past the largest id, `u32::MAX - 1`, since a slot
+    /// holds `id + 1`.
+    pub(crate) fn id_for(len: usize) -> Option<u32> {
+        u32::try_from(len).ok().filter(|&id| id < u32::MAX)
+    }
+
     /// The first id on `key`'s probe sequence that `is_hit` accepts.
-    fn find(&self, key: u64, is_hit: impl Fn(TermId) -> bool) -> Option<TermId> {
+    pub(crate) fn find(&self, key: u64, is_hit: impl Fn(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
@@ -200,7 +212,7 @@ impl IdIndex {
         loop {
             match self.slots[i] {
                 0 => return None,
-                slot if is_hit(TermId(slot - 1)) => return Some(TermId(slot - 1)),
+                slot if is_hit(slot - 1) => return Some(slot - 1),
                 _ => i = (i + 1) & mask,
             }
         }
@@ -208,25 +220,25 @@ impl IdIndex {
 
     /// Index `id`, the newest id; `key` gives the key of every id up to it.
     /// Past 3/4 full the index doubles and re-places every id from its key.
-    fn push(&mut self, id: TermId, key: impl Fn(TermId) -> u64) {
-        let len = id.index() + 1;
+    pub(crate) fn push(&mut self, id: u32, key: impl Fn(u32) -> u64) {
+        let len = id as usize + 1;
         if 4 * len > 3 * self.slots.len() {
             self.slots = vec![0; (2 * self.slots.len()).max(Self::MIN_SLOTS)];
-            for raw in 0..=id.0 {
-                self.place(key(TermId(raw)), TermId(raw));
+            for raw in 0..=id {
+                self.place(key(raw), raw);
             }
         } else {
             self.place(key(id), id);
         }
     }
 
-    fn place(&mut self, key: u64, id: TermId) {
+    fn place(&mut self, key: u64, id: u32) {
         let mask = self.slots.len() - 1;
         let mut i = self.home(key);
         while self.slots[i] != 0 {
             i = (i + 1) & mask;
         }
-        self.slots[i] = id.0 + 1;
+        self.slots[i] = id + 1;
     }
 
     /// `key`'s home slot: the top bits of its Fibonacci hash, so aligned

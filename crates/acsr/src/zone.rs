@@ -29,8 +29,7 @@
 //!   label kind (timed or instantaneous). A state strictly inside such a
 //!   chain has out-degree exactly one, so it can neither deadlock nor branch;
 //!   every behaviour of the system flows through the chain's endpoint, and
-//!   the full per-quantum step sequence is returned so counterexample traces
-//!   re-expand to the concrete timeline.
+//!   the full per-quantum step sequence is returned.
 //!
 //! Runs are bounded by a caller-supplied `cap` (a cancellation/ memory
 //! granularity knob — a longer forced run simply becomes several chained

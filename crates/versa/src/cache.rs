@@ -57,6 +57,7 @@
 //! which is the replay's own wall time) but materializes just the trace, so
 //! `num_states()` ≤ `stats.states` on a hit.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -276,7 +277,9 @@ pub(crate) fn replay(
     Some(Exploration {
         states: states.iter().map(|s| s.term().clone()).collect(),
         parents,
-        zone_edges: Vec::new(),
+        // A chain of unit edges: each state's depth is its index.
+        depths: (0..states.len() as u64).collect(),
+        replayed: HashMap::new(),
         deadlocks,
         lts: None,
         stats,

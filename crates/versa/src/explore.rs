@@ -30,12 +30,13 @@
 //! come out in one order. ([`TermId`](acsr::TermId) values are reproducible
 //! run to run too, but they never appear in results.)
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use acsr::{skeleton, Env, Label, MemoConfig, RunEnd, RunSeg, TermStore, P};
+use acsr::{Env, Label, MemoConfig, TermStore, P};
 
 use crate::lts::Lts;
 use crate::trace::Trace;
@@ -197,11 +198,10 @@ pub struct Options {
     pub cas_context: String,
     /// Per-quantum steps a single delay edge of the zone graph may span.
     /// Longer forced runs become several chained edges — the cap bounds the
-    /// work between two cancellation polls and the size of any one edge's
-    /// stored timeline, and doubles as the cycle horizon for closed idle
-    /// loops. Any value changes only edge granularity, never verdicts,
-    /// deadlock sets or trace timelines. `0` is treated as `1`. LTS runs
-    /// ([`Options::collect_lts`]) always use `1`.
+    /// work between two cancellation polls and doubles as the cycle horizon
+    /// for closed idle loops. Any value changes only edge granularity, never
+    /// verdicts, deadlock sets or trace timelines. `0` is treated as `1`.
+    /// LTS runs ([`Options::collect_lts`]) always use `1`.
     pub zone_cap: usize,
 }
 
@@ -516,6 +516,12 @@ impl Stats {
 
 /// The result of exploring a model.
 ///
+/// A verdict run keeps its zone graph's states, parent pointers and
+/// concrete depths, and nothing of a delay edge but its weight (the target's
+/// depth minus its parent's). The interior quanta of the delay edges on the
+/// paths to the deadlocks are re-derived through the step relation after
+/// the search, which is what [`Exploration::trace_to`] reads.
+///
 /// # Examples
 ///
 /// ```
@@ -534,14 +540,16 @@ pub struct Exploration {
     /// Predecessor of each state on its shortest trace (`None` for the
     /// initial state).
     pub(crate) parents: Vec<Option<(StateId, Label)>>,
-    /// The segments of the delay edge into each state, parallel to
-    /// `parents` (`None` for unit edges, which the parent pointer alone
-    /// describes; the last segment ends in the materialized target).
-    /// Concretely walked quanta are [`RunSeg::Unit`] steps; closed-form
-    /// spans keep only their derivative and length ([`RunSeg::Span`]) and
-    /// re-materialize interior states syntactically on demand. LTS runs
-    /// have unit edges only, so every entry is `None`.
-    pub(crate) zone_edges: Vec<Option<Vec<RunSeg>>>,
+    /// Concrete depth of each state, parallel to `parents`: per-quantum
+    /// steps on its shortest trace. A state's depth minus its parent's is
+    /// the weight of the edge between them (1 for a unit edge).
+    pub(crate) depths: Vec<u64>,
+    /// The `w − 1` interior `(label, state)` steps of each delay edge of
+    /// weight `w ≥ 2` on a path to a deadlock, keyed by the edge's target
+    /// and re-derived from the step relation after the search. Empty for
+    /// runs without deadlocks, and for LTS runs (unit edges only); a
+    /// cancelled run may hold only the first deadlock's path.
+    pub(crate) replayed: HashMap<StateId, Vec<(Label, P)>>,
     /// Deadlocked states (no outgoing prioritized transitions), in discovery
     /// order.
     pub deadlocks: Vec<StateId>,
@@ -623,7 +631,15 @@ impl Exploration {
         self.deadlocks.is_empty() && !self.truncated && !self.cancelled
     }
 
-    /// Reconstruct the (shortest) trace from the initial state to `target`.
+    /// Reconstruct the (shortest) trace from the initial state to `target`,
+    /// one step per quantum: the interior quanta of each delay edge on the
+    /// path are spliced in from the steps replayed after the search.
+    ///
+    /// Those steps are kept only on the paths to the deadlocks, so this is
+    /// `Some` for every deadlock (for a cancelled run, only the first is
+    /// certain to have been replayed) and for every state whose path is
+    /// all unit edges, which in an LTS run is every state. Any other state
+    /// behind a delay edge gives `None`.
     ///
     /// # Examples
     ///
@@ -635,9 +651,9 @@ impl Exploration {
     /// let p = act([(Res::new("cpu"), 1)], nil());
     /// let ex = explore(&env, &p, &Options::default());
     /// let dead = ex.deadlocks[0];
-    /// assert_eq!(ex.trace_to(dead).len(), 1);
+    /// assert_eq!(ex.trace_to(dead).unwrap().len(), 1);
     /// ```
-    pub fn trace_to(&self, target: StateId) -> Trace {
+    pub fn trace_to(&self, target: StateId) -> Option<Trace> {
         let mut path: Vec<StateId> = Vec::new();
         let mut cur = target;
         while self.parents[cur.index()].is_some() {
@@ -646,29 +662,27 @@ impl Exploration {
             cur = *parent;
         }
         path.reverse();
-        // Delay edges re-expand to their per-quantum timelines, with interior
-        // states appended to the trace's own state table (they were
-        // deliberately never materialized in `self.states`). Unit edges, and
-        // every edge of an LTS run, are the plain parent walk.
+        // Delay edges splice in their replayed interior quanta, appended to
+        // the trace's own state table (they were deliberately never
+        // materialized in `self.states`). Unit edges, and every edge of an
+        // LTS run, are the plain parent walk.
         let mut states = self.states.clone();
         let mut steps: Vec<(Label, StateId)> = Vec::with_capacity(path.len());
         for to in path {
             let (parent, label) = self.parents[to.index()].as_ref().expect("on path");
-            if let Some(segs) = self.zone_edges.get(to.index()).and_then(|e| e.as_ref()) {
-                let mut edge = edge_steps(&states[parent.index()], segs);
-                edge.pop(); // the edge's own target, already `to`
-                for (label, p) in edge {
-                    states.push(p);
-                    steps.push((label, StateId((states.len() - 1) as u32)));
+            if self.depths[to.index()] - self.depths[parent.index()] >= 2 {
+                for (label, p) in self.replayed.get(&to)? {
+                    states.push(p.clone());
+                    steps.push((label.clone(), StateId((states.len() - 1) as u32)));
                 }
             }
             steps.push((label.clone(), to));
         }
-        Trace {
+        Some(Trace {
             initial: StateId(0),
             steps,
             states,
-        }
+        })
     }
 
     /// The trace to the first deadlock found, if any.
@@ -684,11 +698,15 @@ impl Exploration {
     /// assert_eq!(ex.first_deadlock_trace().unwrap().elapsed_quanta(), 1);
     /// ```
     pub fn first_deadlock_trace(&self) -> Option<Trace> {
-        self.deadlocks.first().map(|&d| self.trace_to(d))
+        self.deadlocks.first().map(|&d| {
+            self.trace_to(d)
+                .expect("the first deadlock's path is always replayed")
+        })
     }
 
     /// Depth of a state: the number of per-quantum steps on its shortest
-    /// trace.
+    /// trace, as the search settled it (a lookup; delay edges count their
+    /// full per-quantum length).
     ///
     /// # Examples
     ///
@@ -702,55 +720,8 @@ impl Exploration {
     /// assert_eq!(ex.depth_of(ex.deadlocks[0]), 1);
     /// ```
     pub fn depth_of(&self, id: StateId) -> usize {
-        let mut depth = 0;
-        let mut cur = id;
-        while let Some((parent, _)) = &self.parents[cur.index()] {
-            // A delay edge counts its full per-quantum length, so depths
-            // agree with the per-quantum step counts.
-            depth += self
-                .zone_edges
-                .get(cur.index())
-                .and_then(|e| e.as_ref())
-                .map_or(1, |segs| segs.iter().map(|s| s.weight() as usize).sum());
-            cur = *parent;
-        }
-        depth
+        self.depths[id.index()] as usize
     }
-}
-
-/// The per-quantum `(label, target)` steps of a delay edge out of `source`,
-/// the edge's own target last. Interior states of a closed-form span are
-/// rebuilt syntactically from the span's source: the span was verified
-/// against the step relation when it was recorded, so the rebuilds are
-/// exactly the states a unit replay would have produced.
-fn edge_steps(source: &P, segs: &[RunSeg]) -> Vec<(Label, P)> {
-    let mut out: Vec<(Label, P)> = Vec::new();
-    let mut cur = source.clone();
-    for seg in segs {
-        if let RunSeg::Span {
-            label, delta, len, ..
-        } = seg
-        {
-            let f = skeleton::factor(&cur);
-            for k in 1..*len {
-                let v: Vec<i64> = f
-                    .values
-                    .iter()
-                    .zip(delta.iter())
-                    .map(|(a, d)| a + d * k as i64)
-                    .collect();
-                let p = skeleton::rebuild(&cur, &v).expect("span vectors stay within the shape");
-                out.push((label.clone(), p));
-            }
-        }
-        cur = match seg.end() {
-            RunEnd::Real(t) => t.into_term(),
-            RunEnd::Virt { template, values } => skeleton::rebuild(template.term(), &values)
-                .expect("virtual zone state must rebuild within its shape"),
-        };
-        out.push((seg.label().clone(), cur.clone()));
-    }
-    out
 }
 
 /// Explore the prioritized transition system of `initial` under `env`.
@@ -940,7 +911,7 @@ mod tests {
         for i in 0..ex.num_states() {
             let id = StateId(i as u32);
             // depth_of must agree with the reconstructed shortest trace.
-            assert_eq!(ex.depth_of(id), ex.trace_to(id).len());
+            assert_eq!(ex.depth_of(id), ex.trace_to(id).unwrap().len());
         }
         // BFS invariant: ids are assigned in nondecreasing depth order.
         let depths: Vec<usize> = (0..ex.num_states())

@@ -67,6 +67,7 @@ pub fn explore_reference(env: &Env, initial: &P, opts: &Options) -> Exploration 
     visited.insert(initial.clone(), StateId(0));
     let mut states = vec![initial.clone()];
     let mut parents = vec![None];
+    let mut depths = vec![0u64];
     let mut deadlocks = Vec::new();
     let mut stats = Stats::default();
     let mut truncated = false;
@@ -98,6 +99,7 @@ pub fn explore_reference(env: &Env, initial: &P, opts: &Options) -> Exploration 
                         states.push(v.key().clone());
                         v.insert(sid);
                         parents.push(Some((id, label)));
+                        depths.push(depths[id.index()] + 1);
                         next.push(sid);
                     }
                 }
@@ -111,7 +113,8 @@ pub fn explore_reference(env: &Env, initial: &P, opts: &Options) -> Exploration 
     Exploration {
         states,
         parents,
-        zone_edges: Vec::new(),
+        depths,
+        replayed: HashMap::new(),
         deadlocks,
         lts: None,
         stats,

@@ -28,9 +28,12 @@
 //! a run at the same place, so the zone graph does not depend on where the
 //! handoff happens.
 //!
-//! A delay edge stores a list of *segments*: concretely walked unit steps,
-//! and closed-form spans that keep only their derivative and length and
-//! re-materialize interior states syntactically on demand.
+//! A delay edge keeps only its weight, and not even that explicitly: it is
+//! the target's concrete depth minus its settled parent's, which the search
+//! stores anyway. Nothing of a run's interior is kept. After the search,
+//! [`replay_deadlock_paths`] walks the paths to the deadlocks once more
+//! through the step relation and re-derives the interior quanta of their
+//! delay edges, the only ones a counterexample trace reads.
 //!
 //! # LTS runs: the same search at unit edges
 //!
@@ -63,8 +66,13 @@
 //! relation when their derivative is learned, and re-checked at the span
 //! ends on every use), and every deadlock state is necessarily materialized
 //! (a deadlock has out-degree 0, an interior state out-degree 1).
-//! [`Exploration::trace_to`] re-expands delay edges into the concrete
-//! timeline `diagnose` needs. [`Stats`] describes the zone graph
+//! [`Exploration::trace_to`] splices the replayed interior quanta into the
+//! delay edges of a deadlock's path, giving the concrete timeline
+//! `diagnose` needs. The replay takes every one of those steps through the
+//! step relation and panics where a step the runner served disagrees, so a
+//! reported counterexample is a sequence of prioritized steps in release
+//! builds too, not only where a debug build re-verifies every serve.
+//! [`Stats`] describes the zone graph
 //! (materialized states, delay edges, buckets); the compression is reported
 //! through the `zone.delay_steps` / `zone.quanta_collapsed` /
 //! `zone.singleton_steps` counters, the handoffs through
@@ -73,16 +81,16 @@
 //! `zone.shapes_derived` and the `zone.shape_cache` gauge.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 use acsr::{
     forced_run, forced_run_closed, AdvanceCache, Env, Interned, Label, MemoConfig, RunOutcome,
-    RunSeg, StepSession, TermId, TermStore, P,
+    StepSession, TermId, TermStore, P,
 };
 
-use crate::explore::{Exploration, Options, StateId, Stats};
+use crate::explore::{CancelToken, Exploration, Options, StateId, Stats};
 use crate::lts::Lts;
 
 /// Forced steps walked concretely before a run is handed to the closed-form
@@ -107,12 +115,12 @@ enum Expansion {
     /// No prioritized successors.
     Deadlock,
     /// Exactly one prioritized successor: the maximal forced chain,
-    /// `steps` concrete steps across the segments. The final segment's end
-    /// is always materialized (it becomes the edge's target state).
-    /// `learned` says the run outgrew [`LEARN_AFTER`] and its tail came
-    /// from the closed-form runner.
+    /// `steps` concrete steps into the materialized `target`, the last one
+    /// labelled `label`. `learned` says the run outgrew [`LEARN_AFTER`] and
+    /// its tail came from the closed-form runner.
     Forced {
-        segs: Vec<RunSeg>,
+        label: Label,
+        target: Interned,
         steps: u64,
         learned: bool,
     },
@@ -139,37 +147,35 @@ fn expand_state(
         };
     }
     let prefix_cap = if learn { cap.min(LEARN_AFTER) } else { cap };
-    let run = forced_run(session, t, prefix_cap as usize).expect("t has exactly one successor");
-    let end = run.endpoint().clone();
+    let mut run = forced_run(session, t, prefix_cap as usize).expect("t has exactly one successor");
     let mut steps = run.len() as u64;
     // The states the prefix left, which seed the closed-form runner's cycle
     // guard so that it ends the run where a concrete walk would.
     let walked: Vec<TermId> = std::iter::once(t.id())
         .chain(run.steps[..run.len() - 1].iter().map(|(_, s)| s.id()))
         .collect();
-    let mut segs: Vec<RunSeg> = run
-        .steps
-        .into_iter()
-        .map(|(label, s)| RunSeg::Unit(label, s))
-        .collect();
+    let (mut label, mut target) = run.steps.pop().expect("forced runs are never empty");
     let mut learned = false;
     if steps == prefix_cap
         && steps < cap
-        && !walked.contains(&end.id())
-        && session.prioritized_steps(&end).len() == 1
+        && !walked.contains(&target.id())
+        && session.prioritized_steps(&target).len() == 1
     {
         if let RunOutcome::Run {
-            segs: rest,
+            label: last,
+            end,
             steps: n,
-        } = forced_run_closed(session, cache, &end, &walked, cap - steps)
+        } = forced_run_closed(session, cache, &target, &walked, cap - steps)
         {
             learned = true;
-            segs.extend(rest);
+            label = last;
+            target = end;
             steps += n;
         }
     }
     Expansion::Forced {
-        segs,
+        label,
+        target,
         steps,
         learned,
     }
@@ -183,9 +189,6 @@ struct ZoneGraph {
     /// Expanded states are settled: their depth is final.
     expanded: Vec<bool>,
     parents: Vec<Option<(StateId, Label)>>,
-    /// Segments of the delay edge into each state (`None` for unit edges,
-    /// which the parent pointer alone describes).
-    edges: Vec<Option<Vec<RunSeg>>>,
     visited: HashMap<TermId, StateId>,
     /// Unexpanded states by concrete depth (stale entries are skipped).
     queue: BTreeMap<u64, Vec<StateId>>,
@@ -209,7 +212,6 @@ impl ZoneGraph {
             depths: vec![0],
             expanded: vec![false],
             parents: vec![None],
-            edges: vec![None],
             visited,
             queue: BTreeMap::from([(0, vec![StateId(0)])]),
             limit,
@@ -217,17 +219,18 @@ impl ZoneGraph {
         }
     }
 
-    /// Record one edge into `target` (a delay edge when `timeline` holds its
-    /// segments, an ordinary unit edge otherwise) out of `from`, relaxing
-    /// the target's depth Dijkstra-style, and into the LTS when one is
-    /// collected. A fresh target past the state budget is not interned.
+    /// Record one edge of `weight` concrete steps (a delay edge when it is
+    /// 2 or more) into `target` out of `from`, relaxing the target's depth
+    /// Dijkstra-style, and into the LTS when one is collected. A fresh
+    /// target past the state budget is not interned. The parent pointer and
+    /// depth change together and `from` is settled, so the target's depth
+    /// minus its parent's is always its parent edge's weight.
     fn record_edge(
         &mut self,
         from: StateId,
         label: Label,
         target: Interned,
         weight: u64,
-        timeline: Option<Vec<RunSeg>>,
         stats: &mut Stats,
     ) -> EdgeOutcome {
         let depth = self.depths[from.index()] + weight;
@@ -244,7 +247,6 @@ impl ZoneGraph {
                 if !self.expanded[sid.index()] && depth < self.depths[sid.index()] {
                     self.depths[sid.index()] = depth;
                     self.parents[sid.index()] = Some((from, label));
-                    self.edges[sid.index()] = timeline;
                     self.queue.entry(depth).or_default().push(sid);
                 }
                 sid
@@ -259,7 +261,6 @@ impl ZoneGraph {
                 self.depths.push(depth);
                 self.expanded.push(false);
                 self.parents.push(Some((from, label)));
-                self.edges.push(timeline);
                 self.queue.entry(depth).or_default().push(sid);
                 if let Some(lts) = &mut self.lts {
                     lts.push(Vec::new());
@@ -285,10 +286,10 @@ pub(crate) fn explore_zones(
 ) -> Exploration {
     let start = Instant::now();
     // Per-edge step cap: bounds the work between two cancellation polls and
-    // the size of any one edge's stored timeline, and doubles as the cycle
-    // horizon for closed idle loops. Longer forced runs simply become
-    // several chained edges, so the value never changes verdicts. LTS runs
-    // need every quantum as its own state, hence unit edges.
+    // doubles as the cycle horizon for closed idle loops. Longer forced runs
+    // simply become several chained edges, so the value never changes
+    // verdicts. LTS runs need every quantum as its own state, hence unit
+    // edges.
     let cap = if opts.collect_lts {
         1
     } else {
@@ -396,7 +397,8 @@ pub(crate) fn explore_zones(
                     }
                 }
                 Expansion::Forced {
-                    segs,
+                    label,
+                    target,
                     steps,
                     learned,
                 } => {
@@ -410,16 +412,8 @@ pub(crate) fn explore_zones(
                     if steps > LEARN_AFTER {
                         long_run_steps += steps;
                     }
-                    let last = segs.last().expect("forced runs are never empty");
-                    let label = last.label().clone();
-                    let target = last
-                        .end()
-                        .interned()
-                        .cloned()
-                        .expect("the final segment of a run is always materialized");
-                    let timeline = (steps >= 2).then_some(segs);
                     if let EdgeOutcome::Truncated =
-                        g.record_edge(id, label, target, steps, timeline, &mut stats)
+                        g.record_edge(id, label, target, steps, &mut stats)
                     {
                         truncated = true;
                         level_span.end();
@@ -430,7 +424,7 @@ pub(crate) fn explore_zones(
                     singleton_steps += 1;
                     for (label, target) in succs {
                         if let EdgeOutcome::Truncated =
-                            g.record_edge(id, label, target, 1, None, &mut stats)
+                            g.record_edge(id, label, target, 1, &mut stats)
                         {
                             truncated = true;
                             level_span.end();
@@ -506,12 +500,23 @@ pub(crate) fn explore_zones(
         .set(stats.unique_subterms as i64);
     run_span.end();
 
+    // Outside the `explore` span and after every counter: the replay's
+    // memo reads and interned states belong to no reported figure.
+    let replayed = replay_deadlock_paths(
+        &session,
+        &g.states,
+        &g.parents,
+        &g.depths,
+        &deadlocks,
+        &opts.cancel,
+    );
     let ex = Exploration {
         // Collected from the slice, the vector holds exactly the states; an
         // in-place collect of `g.states` would keep three slots per state.
         states: g.states.iter().map(|s| s.term().clone()).collect(),
         parents: g.parents,
-        zone_edges: g.edges,
+        depths: g.depths,
+        replayed,
         deadlocks,
         lts: g.lts.map(|transitions| Lts {
             initial: StateId(0),
@@ -525,7 +530,7 @@ pub(crate) fn explore_zones(
     // Deposit for the next process. Cancelled runs are partial (no verdict)
     // and deposit nothing; a failed encode or write degrades to "no cache",
     // never to an error. The artifact records the first deadlock's
-    // per-quantum chain, which `trace_to` re-expands from the zone path.
+    // per-quantum chain, which `trace_to` splices from the replayed path.
     if let (Some(key), Some(artifacts)) = (&cas_key, &opts.cas) {
         if !cancelled {
             let trace = ex.first_deadlock_trace();
@@ -541,14 +546,95 @@ pub(crate) fn explore_zones(
     ex
 }
 
+/// Re-derive, through the step relation, the interior quanta of every delay
+/// edge on the paths from the root to `deadlocks`, keyed by the edge's
+/// target state: the steps [`Exploration::trace_to`] splices into a
+/// counterexample.
+///
+/// Each deadlock's path is walked up its parent pointers, stopping at a
+/// state an earlier path already walked. An edge of weight `w ≥ 2` (the
+/// target's depth minus its parent's) is replayed as exactly `w` calls of
+/// [`StepSession::prioritized_steps`] from the parent: no cycle guard is
+/// needed, since the weight says where the run ended. Every step must be
+/// the state's only successor and the last must reach the recorded target
+/// under the recorded label; the `w − 1` interior steps are kept.
+///
+/// The first deadlock's path is always replayed: its trace is the
+/// verdict's counterexample, which a cancelled run that found a deadlock
+/// still reports. The other deadlocks' paths are read only through
+/// [`Exploration::trace_to`], which in this workspace only the equivalence
+/// suites' `tests/support/reference_checks.rs` calls, so their replay
+/// stops, edge by edge, once `cancel` fires, and `trace_to` then answers
+/// `None` for the deadlocks left unreplayed.
+///
+/// # Panics
+///
+/// On any divergence, naming the edge's target state: a run that the
+/// closed-form runner served wrongly is never printed as a counterexample.
+fn replay_deadlock_paths(
+    session: &StepSession<'_>,
+    states: &[Interned],
+    parents: &[Option<(StateId, Label)>],
+    depths: &[u64],
+    deadlocks: &[StateId],
+    cancel: &CancelToken,
+) -> HashMap<StateId, Vec<(Label, P)>> {
+    let mut replayed = HashMap::new();
+    let mut walked: HashSet<StateId> = HashSet::new();
+    for (i, &dead) in deadlocks.iter().enumerate() {
+        let mut to = dead;
+        while walked.insert(to) {
+            let Some((from, label)) = &parents[to.index()] else {
+                break;
+            };
+            if i > 0 && cancel.is_cancelled() {
+                return replayed;
+            }
+            let weight = depths[to.index()]
+                .checked_sub(depths[from.index()])
+                .unwrap_or_else(|| diverged(to, "the target is shallower than its parent"));
+            if weight >= 2 {
+                let mut interior = Vec::with_capacity((weight - 1) as usize);
+                let mut cur = states[from.index()].clone();
+                for k in 1..=weight {
+                    let mut succs = session.prioritized_steps(&cur);
+                    if succs.len() != 1 {
+                        diverged(to, &format!("step {k} of {weight} is not forced"));
+                    }
+                    let (l, t) = succs.pop().expect("exactly one successor");
+                    if k == weight {
+                        if l != *label || t.id() != states[to.index()].id() {
+                            diverged(to, "the last step is not the recorded label and target");
+                        }
+                    } else {
+                        interior.push((l, t.term().clone()));
+                        cur = t;
+                    }
+                }
+                replayed.insert(to, interior);
+            }
+            to = *from;
+        }
+    }
+    replayed
+}
+
+/// The replay's one panic, for the edge into `to`.
+fn diverged(to: StateId, why: &str) -> ! {
+    panic!(
+        "deadlock-path replay diverged from the step relation on the edge into state {} ({why})",
+        to.0
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
-    use super::{expand_state, Expansion, LEARN_AFTER};
-    use crate::explore::{explore, Options};
+    use super::{expand_state, replay_deadlock_paths, Expansion, LEARN_AFTER};
+    use crate::explore::{explore, CancelToken, Options, StateId};
     use acsr::prelude::*;
-    use acsr::{AdvanceCache, MemoConfig, StepSession, TermStore};
+    use acsr::{AdvanceCache, Interned, MemoConfig, StepSession, TermStore};
 
     fn cpu() -> Res {
         Res::new("cpu")
@@ -572,11 +658,15 @@ mod tests {
         assert_eq!(concrete.num_states(), 101);
         assert_eq!(zoned.num_states(), 2); // entry + the deadlocked endpoint
         assert_eq!(zoned.deadlocks.len(), 1);
-        // The trace re-expands to the full 100-quantum concrete timeline.
+        // The replayed trace is the full 100-quantum concrete timeline.
         let t = zoned.first_deadlock_trace().unwrap();
         assert_eq!(t.len(), 100);
         assert_eq!(t.elapsed_quanta(), 100);
         assert_eq!(zoned.depth_of(zoned.deadlocks[0]), 100);
+        // The one delay edge's 99 interior quanta were replayed, keyed by
+        // its target, the deadlock.
+        assert_eq!(zoned.replayed.len(), 1);
+        assert_eq!(zoned.replayed[&zoned.deadlocks[0]].len(), 99);
         // Every expanded trace state is a real concrete state: replaying the
         // labels through the step relation reproduces it.
         let concrete_trace = concrete.first_deadlock_trace().unwrap();
@@ -595,7 +685,8 @@ mod tests {
                 let entry = session.intern(&chain(n));
                 let cache = AdvanceCache::new();
                 let Expansion::Forced {
-                    segs,
+                    label,
+                    target,
                     steps,
                     learned,
                 } = expand_state(&session, &cache, &entry, 4096, learn)
@@ -604,8 +695,8 @@ mod tests {
                 };
                 assert_eq!(steps, n as u64, "n={n} learn={learn}");
                 assert_eq!(learned, learn && n > t, "n={n} learn={learn}");
-                let end = segs.last().unwrap().end().interned().cloned().unwrap();
-                assert!(matches!(&**end.term(), Proc::Nil), "n={n} learn={learn}");
+                assert!(label.is_timed(), "n={n} learn={learn}");
+                assert!(matches!(&**target.term(), Proc::Nil), "n={n} learn={learn}");
             }
         }
     }
@@ -709,14 +800,141 @@ mod tests {
         let p = chain(10);
         // Whatever the configured cap, an LTS run takes every quantum as its
         // own edge: all 11 states materialized, one LTS edge each but the
-        // deadlock, and no delay edge to re-expand.
+        // deadlock, and no delay edge to replay.
         let ex = explore(&env, &p, &Options::default().with_zone_cap(7).with_lts());
         assert_eq!(ex.num_states(), 11);
         let lts = ex.lts.as_ref().unwrap();
         assert_eq!(lts.transitions.len(), 11);
         assert_eq!(lts.num_transitions(), 10);
-        assert!(ex.zone_edges.iter().all(Option::is_none));
+        assert!(ex.replayed.is_empty());
+        for i in 1..ex.num_states() {
+            let (parent, _) = ex.parents[i].as_ref().unwrap();
+            assert_eq!(ex.depths[i], ex.depths[parent.index()] + 1);
+        }
         assert_eq!(ex.depth_of(ex.deadlocks[0]), 10);
+    }
+
+    /// Replay the one delay edge of `chain(10)` (root → deadlock, weight
+    /// 10) with the deadlock's depth moved by `shift` and, when `relabel`,
+    /// a `τ` label recorded on the edge instead of its timed one.
+    fn replay_planted_chain_edge(shift: i64, relabel: bool) -> usize {
+        let env = Env::new();
+        let ex = explore(&env, &chain(10), &Options::default());
+        let dead = ex.deadlocks[0];
+        assert_eq!((ex.num_states(), ex.depth_of(dead)), (2, 10));
+        let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+        let states: Vec<Interned> = ex.states.iter().map(|p| session.intern(p)).collect();
+        let mut parents = ex.parents.clone();
+        let mut depths = ex.depths.clone();
+        depths[dead.index()] = depths[dead.index()].checked_add_signed(shift).unwrap();
+        if relabel {
+            parents[dead.index()] = Some((StateId(0), Label::Tau { prio: 0, via: None }));
+        }
+        let replayed = replay_deadlock_paths(
+            &session,
+            &states,
+            &parents,
+            &depths,
+            &ex.deadlocks,
+            &CancelToken::new(),
+        );
+        replayed[&dead].len()
+    }
+
+    #[test]
+    fn the_recorded_delay_edge_replays_to_its_interior_quanta() {
+        assert_eq!(replay_planted_chain_edge(0, false), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock-path replay diverged from the step relation")]
+    fn a_delay_edge_one_quantum_longer_than_its_run_is_caught() {
+        replay_planted_chain_edge(1, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock-path replay diverged from the step relation")]
+    fn a_delay_edge_one_quantum_shorter_than_its_run_is_caught() {
+        replay_planted_chain_edge(-1, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock-path replay diverged from the step relation")]
+    fn a_delay_edge_under_another_label_is_caught() {
+        replay_planted_chain_edge(0, true);
+    }
+
+    #[test]
+    fn deadlock_free_explorations_replay_nothing() {
+        let mut env = Env::new();
+        // A forced 12-quantum cycle: one delay edge back to the root.
+        let d = env.declare("Cycle", 0);
+        let mut body = invoke(d, []);
+        for _ in 0..12 {
+            body = act([(cpu(), 1)], body);
+        }
+        env.set_body(d, body);
+        let ex = explore(&env, &invoke(d, []), &Options::default());
+        assert!(ex.deadlock_free());
+        assert!(ex.stats.transitions >= 1);
+        assert!(ex.replayed.is_empty());
+    }
+
+    #[test]
+    fn a_non_deadlock_state_behind_a_delay_edge_has_no_trace() {
+        let mut env = Env::new();
+        // Three forced quanta into a branch point whose two branches both
+        // idle forever: no deadlock, so nothing is replayed.
+        let idle = env.declare("Idle", 0);
+        env.set_body(idle, act([] as [(Res, i32); 0], invoke(idle, [])));
+        let mut p = choice([
+            act([(cpu(), 1)], invoke(idle, [])),
+            act([(Res::new("bus"), 1)], invoke(idle, [])),
+        ]);
+        for _ in 0..3 {
+            p = act([(cpu(), 1)], p);
+        }
+        let ex = explore(&env, &p, &Options::default());
+        assert!(ex.deadlock_free());
+        assert_eq!(ex.depth_of(StateId(1)), 3);
+        assert!(ex.trace_to(StateId(1)).is_none());
+        // The root is behind no edge at all.
+        assert_eq!(ex.trace_to(StateId(0)).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn a_cancelled_replay_still_replays_the_first_deadlock() {
+        let env = Env::new();
+        // Two forced chains of 6 and 9 quanta into two distinct deadlocks
+        // (NIL and NIL ∥ NIL), behind a one-step choice: one delay edge
+        // into each deadlock.
+        let mut second = par([nil(), nil()]);
+        for _ in 0..9 {
+            second = act([(cpu(), 1)], second);
+        }
+        let p = choice([
+            act([(cpu(), 1)], chain(6)),
+            act([(Res::new("bus"), 1)], second),
+        ]);
+        let ex = explore(&env, &p, &Options::default());
+        assert_eq!(ex.deadlocks.len(), 2);
+        let (first, second) = (ex.deadlocks[0], ex.deadlocks[1]);
+        assert_eq!((ex.depth_of(first), ex.depth_of(second)), (7, 10));
+        assert_eq!(ex.trace_to(second).unwrap().len(), 10);
+        let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+        let states: Vec<Interned> = ex.states.iter().map(|p| session.intern(p)).collect();
+        let token = CancelToken::new();
+        token.cancel();
+        let replayed = replay_deadlock_paths(
+            &session,
+            &states,
+            &ex.parents,
+            &ex.depths,
+            &ex.deadlocks,
+            &token,
+        );
+        assert_eq!(replayed.len(), 1);
+        assert_eq!(replayed[&first].len(), 5);
     }
 
     #[test]

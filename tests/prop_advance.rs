@@ -11,7 +11,7 @@
 //! The exploration-level counterpart: closed-form zone exploration must be
 //! indistinguishable from the reference explorer
 //! ([`versa::reference::explore_reference`]) in verdict, deadlocked terms,
-//! shortest-counterexample length, and every re-expanded per-quantum
+//! shortest-counterexample length, and every replayed per-quantum
 //! counterexample timeline must be a path of the plain prioritized step
 //! relation. The per-edge cap is a granularity knob only: any cap produces
 //! the same verdicts.
@@ -168,7 +168,7 @@ det_prop! {
     fn closed_form_zones_and_the_reference_tell_one_story(spec in arb_spec) {
         // The closed-form zone engine must agree with the reference explorer
         // on the verdict, the deadlocked terms and the shortest
-        // counterexample, and every re-expanded timeline must be made of
+        // counterexample, and every replayed timeline must be made of
         // prioritized steps — spans and macros included.
         let ts = uunifast(&spec);
         let pkg = taskset_to_package(&ts, "RMS");

@@ -4,10 +4,11 @@
 //! the zone explorer (every [`versa::explore`] run without an LTS) must
 //! agree with [`versa::reference::explore_reference`] on the verdict, the
 //! set of deadlocked terms (exhaustive mode, by stable digest) and the
-//! length of the shortest counterexample trace — zone traces re-expand to
-//! the per-quantum timeline, so their step counts are directly comparable —
-//! and every re-expanded counterexample must be a path of the plain
-//! prioritized step relation ending in a deadlock. The *state table* is
+//! length of the shortest counterexample trace — zone traces replay their
+//! delay edges through the step relation into the per-quantum timeline, so
+//! their step counts are directly comparable — and every replayed
+//! counterexample must be a path of the plain prioritized step relation
+//! ending in a deadlock, as long as the deadlock's settled depth. The *state table* is
 //! deliberately not compared: zone exploration materializes only zone
 //! endpoints, so a smaller table is the whole point (asserted as
 //! `zoned ≤ reference`).
@@ -388,8 +389,9 @@ fn forced_runs_either_side_of_the_handoff_match_the_reference() {
 /// A branch into two instances of the *same* shape at different time
 /// vectors, behind a warm-up: the second chain is advanced closed-form off
 /// the first chain's learned derivative, so this exercises the span path
-/// end to end — including trace materialization from (delta, len) alone —
-/// and the re-expanded timeline must be the reference's, state for state.
+/// end to end — a delay edge that keeps only its weight, whose interior
+/// quanta the deadlock-path replay re-derives from the step relation — and
+/// the replayed timeline must be the reference's, state for state.
 /// The run reports the closed-form cache: one derivation, a closed-form
 /// advance, and a replay fallback at each chain end.
 #[test]

@@ -101,10 +101,11 @@ pub fn assert_steps_in_relation(env: &Env, trace: &Trace, ctx: &str) {
     );
 }
 
-/// The four checks a zone exploration must pass against the reference: the
+/// The checks a zone exploration must pass against the reference: the
 /// verdict, the deadlocked terms (when both runs were exhaustive), the
-/// shortest counterexample length, and the step relation along every
-/// counterexample timeline the zone run can re-expand.
+/// shortest counterexample length, and, for every deadlock, a replayed
+/// trace as long as the deadlock's settled depth whose every step is in
+/// the step relation.
 pub fn assert_matches_reference(
     env: &Env,
     reference: &Exploration,
@@ -138,6 +139,17 @@ pub fn assert_matches_reference(
         "shortest-counterexample length: {ctx}"
     );
     for &dead in &zoned.deadlocks {
-        assert_steps_in_relation(env, &zoned.trace_to(dead), ctx);
+        let trace = zoned
+            .trace_to(dead)
+            .expect("an uncancelled run replays every deadlock's path");
+        // The settled depth is a lookup; the trace is replayed through the
+        // step relation. Both count the same quanta.
+        assert_eq!(
+            zoned.depth_of(dead),
+            trace.len(),
+            "depth vs replayed trace of deadlock {}: {ctx}",
+            dead.0
+        );
+        assert_steps_in_relation(env, &trace, ctx);
     }
 }

@@ -28,7 +28,11 @@
 #      intern no more than 126807 subterms (`term.unique_subterms`): only
 #      the successors the search keeps are built; and derive no more than
 #      10 root lists a second time (`step.root_rederivations`): the memo's
-#      root window still holds every list the search re-reads
+#      root window still holds every list the search re-reads; the
+#      late-miss model must exit 1 with its 191201-quanta failing scenario
+#      after serving closed-form spans (`zone.closed_form_advances` >= 1),
+#      so a counterexample behind spans the search never derived is
+#      re-derived through the step relation in a release build
 #   6. the daemon smoke: start `aadlschedd`, analyze four small bundled
 #      models and the long-hyperperiod one through `aadlschedc` and diff
 #      the exit codes against the `aadlsched` CLI (the two front ends must
@@ -43,9 +47,11 @@
 #      benchmark/README.md); its output is kept in
 #      target/ci/benchmark-smoke.txt and printed, pass or fail, and the
 #      long-hyperperiod model's peak RSS on its result line
-#      (`longperiod/peak_rss_mb`) must be at most 56 MB: the term store
-#      indexes its entries by id, with no keyed maps and no per-digest
-#      vectors (those read 67 MB)
+#      (`longperiod/peak_rss_mb`) must be at most 34 MB: a delay edge of
+#      the zone graph keeps only its weight, and only a counterexample's
+#      interior quanta are re-derived after the search (per-edge
+#      timelines read 50.8 MB; before that the term store's keyed maps
+#      and per-digest vectors read 67 MB)
 #   8. the hermetic-build audit (path-only deps, pinned dependency graph,
 #      obs dependency-free, `cargo doc` with warnings denied — see
 #      tools/check_hermetic.sh)
@@ -179,6 +185,21 @@ if [ -z "$rederived" ] || [ "$rederived" -gt 10 ]; then
   exit 1
 fi
 echo "zone smoke: longperiod collapsed $collapsed quanta ($closed_advances closed-form advances, $subterms subterms, $rederived root lists derived again)"
+# The late-miss model's first deadline miss lies behind closed-form spans
+# whose interior quanta the search never derived; its counterexample is
+# re-derived through the step relation after the search, which panics
+# (exit 101) rather than print a step the relation does not take.
+latemiss_code=0
+target/release/aadlsched examples/models/latemiss.aadl \
+  --metrics target/ci/latemiss-metrics.json > target/ci/latemiss.txt || latemiss_code=$?
+latemiss_advances="$(grep -o '"zone.closed_form_advances": [0-9]*' target/ci/latemiss-metrics.json \
+  | grep -o '[0-9]*$' || true)"
+if [ "$latemiss_code" -ne 1 ] || ! grep -q '^failing scenario (191201 quanta):$' target/ci/latemiss.txt \
+  || [ "${latemiss_advances:-0}" -lt 1 ]; then
+  echo "zone smoke: latemiss exited $latemiss_code with $(grep -c . target/ci/latemiss.txt) output lines and zone.closed_form_advances=${latemiss_advances:-absent}; expected exit 1, a 191201-quanta failing scenario and closed-form spans on its path"
+  exit 1
+fi
+echo "zone smoke: latemiss misses at quantum 191201 behind $latemiss_advances closed-form advances, counterexample re-derived"
 
 echo "== daemon smoke: aadlschedd verdicts must match the CLI =="
 # Stage 1 built the workspace binaries; run them directly so the smoke
@@ -273,13 +294,13 @@ if [ "$smoke_code" -ne 0 ]; then
   echo "benchmark smoke: bash benchmark/run.sh --smoke exited $smoke_code"
   exit 1
 fi
-# The last line is the result line. The term store finds its entries
-# through two vectors of 4-byte id slots; the keyed maps and per-digest
-# vectors they replaced put this run at 67 MB.
+# The last line is the result line. A delay edge keeps only its weight;
+# the per-quantum timelines every delay edge used to keep put this run at
+# 50.8 MB.
 longperiod_rss="$(tail -n 1 target/ci/benchmark-smoke.txt \
   | grep -o '"longperiod/peak_rss_mb":{"value":[0-9.]*' | grep -o '[0-9.]*$' || true)"
-if [ -z "$longperiod_rss" ] || awk -v mb="$longperiod_rss" 'BEGIN { exit !(mb > 56) }'; then
-  echo "benchmark smoke: longperiod/peak_rss_mb is ${longperiod_rss:-absent}, expected at most 56 MB: the term store's index grew back"
+if [ -z "$longperiod_rss" ] || awk -v mb="$longperiod_rss" 'BEGIN { exit !(mb > 34) }'; then
+  echo "benchmark smoke: longperiod/peak_rss_mb is ${longperiod_rss:-absent}, expected at most 34 MB: delay edges keep timelines again (or the term store's index grew back)"
   exit 1
 fi
 echo "benchmark smoke: longperiod peak RSS $longperiod_rss MB"
