@@ -34,14 +34,13 @@
 //! conflicting boundaries) are poisoned to `ShapeEntry::NonLinear` and
 //! always replay.
 //!
-//! With `AdvanceCache::verify` set (the default in debug builds, hence in
-//! every test run), a closed-form span additionally replays **all** its unit
-//! steps and asserts interned-id equality quantum by quantum — the
-//! property-mode anchor the zone design demands.
+//! Debug builds (hence every test run) additionally replay **all** of a
+//! closed-form span's unit steps and assert interned-id equality quantum by
+//! quantum — the property-mode anchor the zone design demands.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::label::Label;
 use crate::skeleton::{self, Factored};
@@ -127,65 +126,47 @@ pub(crate) enum ShapeEntry {
 /// between shapes of different arity cannot mix their vectors.
 pub(crate) type ShapeKey = (u64, u32);
 
-/// The cross-state cache of per-shape delay derivatives. Shareable across
-/// threads (`&AdvanceCache` is `Sync`); all mutation happens under
-/// one mutex in short critical sections, and the learned content converges
-/// to the same values regardless of interleaving (every derivation replays
-/// the same deterministic step relation).
-#[derive(Debug)]
+/// The cross-state cache of per-shape delay derivatives, owned by one
+/// exploration alongside its [`StepSession`]. It is not `Sync`:
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<acsr::AdvanceCache>();
+/// ```
+#[derive(Debug, Default)]
 pub struct AdvanceCache {
-    pub(crate) shapes: Mutex<HashMap<ShapeKey, ShapeEntry>>,
+    pub(crate) shapes: RefCell<HashMap<ShapeKey, ShapeEntry>>,
     /// Learned single-step transition maps for the vector-domain forced-run
     /// engine ([`crate::runner`]).
-    pub(crate) units: Mutex<HashMap<crate::runner::UnitKey, crate::runner::UnitEntry>>,
-    pub(crate) verify: bool,
-    pub(crate) closed: AtomicU64,
-    pub(crate) fallbacks: AtomicU64,
-    pub(crate) derived: AtomicU64,
-}
-
-impl Default for AdvanceCache {
-    fn default() -> AdvanceCache {
-        AdvanceCache::new()
-    }
+    pub(crate) units: RefCell<HashMap<crate::runner::UnitKey, crate::runner::UnitEntry>>,
+    pub(crate) closed: Cell<u64>,
+    pub(crate) fallbacks: Cell<u64>,
+    pub(crate) derived: Cell<u64>,
 }
 
 impl AdvanceCache {
-    /// An empty cache. Full per-quantum verification of closed-form spans is
-    /// on in debug builds (so the entire test suite runs with it) and off in
-    /// release builds (where the entry/pre-exit checks remain).
+    /// An empty cache. Debug builds (so the entire test suite) replay every
+    /// closed-form span unit step by unit step and panic on the first
+    /// divergence from the step relation; release builds keep the
+    /// entry/pre-exit checks.
     pub fn new() -> AdvanceCache {
-        AdvanceCache::with_verify(cfg!(debug_assertions))
-    }
-
-    /// An empty cache with explicit verification mode. `verify = true`
-    /// replays every closed-form span unit step by unit step and panics on
-    /// the first divergence from the step relation.
-    pub fn with_verify(verify: bool) -> AdvanceCache {
-        AdvanceCache {
-            shapes: Mutex::new(HashMap::new()),
-            units: Mutex::new(HashMap::new()),
-            verify,
-            closed: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-            derived: AtomicU64::new(0),
-        }
+        AdvanceCache::default()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> AdvanceStats {
         AdvanceStats {
-            closed_form_advances: self.closed.load(Ordering::Relaxed),
-            replay_fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            shapes_derived: self.derived.load(Ordering::Relaxed),
-            shape_cache: self.shapes.lock().expect("advance cache poisoned").len() as u64,
+            closed_form_advances: self.closed.get(),
+            replay_fallbacks: self.fallbacks.get(),
+            shapes_derived: self.derived.get(),
+            shape_cache: self.shapes.borrow().len() as u64,
         }
     }
 
     pub(crate) fn poison(&self, key: ShapeKey) {
-        let mut g = self.shapes.lock().expect("advance cache poisoned");
-        if g.insert(key, ShapeEntry::NonLinear).is_none() {
-            self.derived.fetch_add(1, Ordering::Relaxed);
+        let previous = self.shapes.borrow_mut().insert(key, ShapeEntry::NonLinear);
+        if previous.is_none() {
+            self.derived.update(|n| n + 1);
         }
     }
 }
@@ -243,8 +224,8 @@ pub fn advance(
         },
     }
     let plan = {
-        let g = cache.shapes.lock().expect("advance cache poisoned");
-        match g.get(&key) {
+        let shapes = cache.shapes.borrow();
+        match shapes.get(&key) {
             None => Plan::Derive,
             Some(ShapeEntry::NonLinear) => Plan::NonLinear,
             Some(ShapeEntry::Linear(ls)) => Plan::Linear {
@@ -258,7 +239,7 @@ pub fn advance(
         Plan::NonLinear => {
             let out = timed_walk(session, entry, cap);
             if matches!(out, Advance::Replayed(_)) {
-                cache.fallbacks.fetch_add(1, Ordering::Relaxed);
+                cache.fallbacks.update(|n| n + 1);
             }
             out
         }
@@ -266,7 +247,7 @@ pub fn advance(
             match try_closed(session, cache, entry, &f, cap, &delta, variant.as_ref()) {
                 Some(adv) => adv,
                 None => {
-                    cache.fallbacks.fetch_add(1, Ordering::Relaxed);
+                    cache.fallbacks.update(|n| n + 1);
                     pattern_replay(session, cache, entry, &f, key, cap, Some(&delta))
                 }
             }
@@ -374,7 +355,7 @@ fn try_closed(
         return None;
     }
 
-    if cache.verify {
+    if cfg!(debug_assertions) {
         // Property mode: the span *is* its unit steps, quantum by quantum.
         let mut cur = entry.clone();
         for k in 1..=d {
@@ -396,7 +377,7 @@ fn try_closed(
         assert_eq!(cur.id(), s_end.id(), "closed-form span endpoint diverged");
     }
 
-    cache.closed.fetch_add(1, Ordering::Relaxed);
+    cache.closed.update(|n| n + 1);
     Some(Advance::Closed {
         label: var.label.clone(),
         len: d,
@@ -454,53 +435,33 @@ fn pattern_replay(
             return Advance::Replayed(vec![(l1, t1)]);
         }
     }
-    // Install (or re-check) the Linear entry and this frozen region's label.
-    let frozen = frozen_key(&delta, &f.values);
+    // Install the Linear entry, or find the one `cached_delta` was read
+    // from, and check this frozen region's label. A found entry is that
+    // Linear one with the delta just compared: this search alone writes
+    // the cache, and nothing since the read has poisoned the shape.
     {
-        let mut g = cache.shapes.lock().expect("advance cache poisoned");
-        match g.entry(key) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                let mut variants = HashMap::new();
-                variants.insert(
-                    frozen.clone(),
-                    Variant {
-                        label: l1.clone(),
-                        thresholds: vec![None; f.values.len()],
-                        serves: 0,
-                        next_verify: 1,
-                    },
-                );
-                slot.insert(ShapeEntry::Linear(LinearShape {
-                    delta: Arc::new(delta.clone()),
-                    variants,
-                }));
-                cache.derived.fetch_add(1, Ordering::Relaxed);
+        let mut shapes = cache.shapes.borrow_mut();
+        let slot = shapes.entry(key).or_insert_with(|| {
+            cache.derived.update(|n| n + 1);
+            ShapeEntry::Linear(LinearShape {
+                delta: Arc::new(delta.clone()),
+                variants: HashMap::new(),
+            })
+        });
+        if let ShapeEntry::Linear(ls) = slot {
+            let var = ls
+                .variants
+                .entry(frozen_key(&delta, &f.values))
+                .or_insert_with(|| Variant {
+                    label: l1.clone(),
+                    thresholds: vec![None; f.values.len()],
+                    serves: 0,
+                    next_verify: 1,
+                });
+            if var.label != l1 {
+                *slot = ShapeEntry::NonLinear;
+                return Advance::Replayed(vec![(l1, t1)]);
             }
-            std::collections::hash_map::Entry::Occupied(mut slot) => match slot.get_mut() {
-                ShapeEntry::NonLinear => {
-                    // Poisoned by a concurrent observation; stay poisoned.
-                    drop(g);
-                    let mut steps = vec![(l1, t1)];
-                    extend_timed_walk(session, entry, &mut steps, cap);
-                    return Advance::Replayed(steps);
-                }
-                ShapeEntry::Linear(ls) => {
-                    if *ls.delta != delta {
-                        slot.insert(ShapeEntry::NonLinear);
-                        return Advance::Replayed(vec![(l1, t1)]);
-                    }
-                    let var = ls.variants.entry(frozen.clone()).or_insert_with(|| Variant {
-                        label: l1.clone(),
-                        thresholds: vec![None; f.values.len()],
-                        serves: 0,
-                        next_verify: 1,
-                    });
-                    if var.label != l1 {
-                        slot.insert(ShapeEntry::NonLinear);
-                        return Advance::Replayed(vec![(l1, t1)]);
-                    }
-                }
-            },
         }
     }
     // Walk the interval concretely, verifying the linear pattern at every
@@ -555,8 +516,8 @@ fn learn_thresholds(
     // states recur once per span, so without this check a hot shape would
     // re-probe every moving component at every single span end.
     let label = {
-        let g = cache.shapes.lock().expect("advance cache poisoned");
-        match g.get(&key) {
+        let shapes = cache.shapes.borrow();
+        match shapes.get(&key) {
             Some(ShapeEntry::Linear(ls)) if *ls.delta == **delta => {
                 match ls.variants.get(&frozen_key(delta, w)) {
                     Some(v) => {
@@ -592,8 +553,7 @@ fn learn_thresholds(
     if learned.is_empty() {
         return;
     }
-    let mut g = cache.shapes.lock().expect("advance cache poisoned");
-    if let Some(slot) = g.get_mut(&key) {
+    if let Some(slot) = cache.shapes.borrow_mut().get_mut(&key) {
         let poison = match slot {
             ShapeEntry::Linear(ls) if *ls.delta == **delta => {
                 match ls.variants.get_mut(&frozen_key(delta, w)) {
@@ -654,6 +614,9 @@ fn conforms(
 }
 
 /// Plain forced-timed walk (no factoring): the path for poisoned shapes.
+/// Takes up to `cap` forced timed steps, stopping (like
+/// [`crate::zone::forced_run`]) before extending from a state already
+/// visited.
 fn timed_walk(session: &StepSession<'_>, entry: &Interned, cap: u64) -> Advance {
     let (l1, t1) = match unique_step(session, entry) {
         Some(s) => s,
@@ -663,31 +626,18 @@ fn timed_walk(session: &StepSession<'_>, entry: &Interned, cap: u64) -> Advance 
         return Advance::NotTimed;
     }
     let mut steps = vec![(l1, t1)];
-    extend_timed_walk(session, entry, &mut steps, cap);
-    Advance::Replayed(steps)
-}
-
-/// Extend `steps` with further forced timed steps, up to `cap` total,
-/// stopping (like [`crate::zone::forced_run`]) before extending from a state
-/// already visited.
-fn extend_timed_walk(
-    session: &StepSession<'_>,
-    entry: &Interned,
-    steps: &mut Vec<(Label, Interned)>,
-    cap: u64,
-) {
-    let mut seen: HashSet<TermId> = HashSet::new();
-    seen.insert(entry.id());
+    let mut seen: HashSet<TermId> = HashSet::from([entry.id()]);
     loop {
         let cur = steps.last().expect("non-empty").1.clone();
         if steps.len() as u64 >= cap || !seen.insert(cur.id()) {
-            return;
+            break;
         }
         match unique_step(session, &cur) {
             Some((l, t)) if l.is_timed() => steps.push((l, t)),
-            _ => return,
+            _ => break,
         }
     }
+    Advance::Replayed(steps)
 }
 
 /// Closed-form counterpart of [`crate::zone::delay_bound`]: the largest
@@ -756,13 +706,14 @@ mod tests {
     use crate::symbol::{Res, Symbol};
     use crate::term::{act, evt_send, invoke, nil, scope, TimeBound};
     use crate::zone;
+    use std::rc::Rc;
 
     fn cpu() -> Res {
         Res::new("cpu")
     }
 
     fn session(env: &Env) -> StepSession<'_> {
-        StepSession::new(env, Arc::new(TermStore::new()), MemoConfig::default())
+        StepSession::new(env, Rc::new(TermStore::new()), MemoConfig::default())
     }
 
     /// An idle loop clipped by an n-quantum scope: the canonical

@@ -54,19 +54,16 @@
 //!
 //! # Verification
 //!
-//! Like the span cache, nothing here is trusted analysis: with
-//! [`AdvanceCache::with_verify`] (default in debug builds, hence in every
-//! test run) *every* served span and macro step is replayed against the
-//! step relation and any divergence panics. Release builds spot-check each
-//! shape variant and each macro on an exponential-backoff schedule (serves
-//! 1, 2, 4, 8, …); a failed spot check poisons the entry and falls back to
-//! concrete replay. `tools/ci.sh` additionally diffs closed-form zone
+//! Like the span cache, nothing here is trusted analysis: debug builds
+//! (hence every test run) replay *every* served span and macro step
+//! against the step relation, and any divergence panics. Release builds
+//! spot-check each shape variant and each macro on an exponential-backoff
+//! schedule (serves 1, 2, 4, 8, …); a failed spot check poisons the entry
+//! and falls back to concrete replay. `tools/ci.sh` additionally diffs closed-form zone
 //! verdicts against the per-quantum search (the `--dot` path) on every small
 //! bundled model in release mode.
 
 use std::collections::HashSet;
-use std::sync::atomic::Ordering;
-
 use std::sync::Arc;
 
 use crate::advance::{
@@ -249,8 +246,7 @@ fn record_obs(
         target: target.clone(),
         target_key: (ft.digest, ft.values.len() as u32),
     };
-    let mut g = cache.units.lock().expect("advance cache poisoned");
-    match g.entry(ukey) {
+    match cache.units.borrow_mut().entry(ukey) {
         std::collections::hash_map::Entry::Vacant(slot) => {
             slot.insert(UnitEntry::Learning(vec![ob]));
         }
@@ -309,8 +305,7 @@ struct Peeked {
 /// Phase 1 of a macro serve: read the map and compute the predicted target
 /// vector, without committing.
 fn peek_unit(cache: &AdvanceCache, ukey: UnitKey, v: &[i64]) -> Option<Peeked> {
-    let g = cache.units.lock().expect("advance cache poisoned");
-    match g.get(&ukey) {
+    match cache.units.borrow().get(&ukey) {
         Some(UnitEntry::Ready(m)) if in_req_ok(&m.in_req, v) => {
             let w = apply_out(&m.out, v)?;
             Some(Peeked {
@@ -325,26 +320,23 @@ fn peek_unit(cache: &AdvanceCache, ukey: UnitKey, v: &[i64]) -> Option<Peeked> {
     }
 }
 
-/// Phase 2 of a macro serve: bump the serve counter and decide whether this
-/// serve is spot-verified. `None` when the entry was poisoned in between.
-fn commit_unit(cache: &AdvanceCache, ukey: UnitKey) -> Option<bool> {
-    let mut g = cache.units.lock().expect("advance cache poisoned");
-    match g.get_mut(&ukey) {
-        Some(UnitEntry::Ready(m)) => {
-            m.serves += 1;
-            let verify = cache.verify || m.serves >= m.next_verify;
-            if m.serves >= m.next_verify {
-                m.next_verify = m.next_verify.saturating_mul(2);
-            }
-            Some(verify)
-        }
-        _ => None,
+/// Phase 2 of a macro serve: bump the serve counter of the macro that
+/// [`peek_unit`] just read and decide whether this serve is spot-verified.
+fn commit_unit(cache: &AdvanceCache, ukey: UnitKey) -> bool {
+    let mut units = cache.units.borrow_mut();
+    let Some(UnitEntry::Ready(m)) = units.get_mut(&ukey) else {
+        unreachable!("a unit macro is committed right after it was peeked");
+    };
+    m.serves += 1;
+    let verify = cfg!(debug_assertions) || m.serves >= m.next_verify;
+    if m.serves >= m.next_verify {
+        m.next_verify = m.next_verify.saturating_mul(2);
     }
+    verify
 }
 
 fn poison_unit(cache: &AdvanceCache, ukey: UnitKey) {
-    let mut g = cache.units.lock().expect("advance cache poisoned");
-    g.insert(ukey, UnitEntry::Poisoned);
+    cache.units.borrow_mut().insert(ukey, UnitEntry::Poisoned);
 }
 
 /// What the span theory says about the instant at `(key, vals)`:
@@ -353,8 +345,7 @@ fn poison_unit(cache: &AdvanceCache, ukey: UnitKey) {
 /// present but it cannot rule a pending event out. `None` — shape unknown,
 /// no verdict either way.
 fn span_clear(cache: &AdvanceCache, key: ShapeKey, vals: &[i64]) -> Option<bool> {
-    let g = cache.shapes.lock().expect("advance cache poisoned");
-    match g.get(&key) {
+    match cache.shapes.borrow().get(&key) {
         Some(ShapeEntry::Linear(ls)) if ls.delta.len() == vals.len() => {
             if let Some(var) = ls.variants.get(&frozen_key(&ls.delta, vals)) {
                 let mut moving = false;
@@ -399,14 +390,11 @@ fn lookahead_certifies(cache: &AdvanceCache, mut key: ShapeKey, w: &[i64]) -> bo
             Some(verdict) => return verdict,
             None => {}
         }
-        let hop = {
-            let g = cache.units.lock().expect("advance cache poisoned");
-            match g.get(&(key, None)) {
-                Some(UnitEntry::Ready(m)) if !m.timed && in_req_ok(&m.in_req, &vals) => {
-                    apply_out(&m.out, &vals).map(|w| (w, m.target_key))
-                }
-                _ => None,
+        let hop = match cache.units.borrow().get(&(key, None)) {
+            Some(UnitEntry::Ready(m)) if !m.timed && in_req_ok(&m.in_req, &vals) => {
+                apply_out(&m.out, &vals).map(|w| (w, m.target_key))
             }
+            _ => None,
         };
         match hop {
             Some((w, tkey)) => {
@@ -443,8 +431,8 @@ enum SpanPlan {
 }
 
 fn span_plan(cache: &AdvanceCache, key: ShapeKey, values: &[i64], cap_left: u64) -> SpanPlan {
-    let mut g = cache.shapes.lock().expect("advance cache poisoned");
-    let Some(ShapeEntry::Linear(ls)) = g.get_mut(&key) else {
+    let mut shapes = cache.shapes.borrow_mut();
+    let Some(ShapeEntry::Linear(ls)) = shapes.get_mut(&key) else {
         return SpanPlan::NoTheory;
     };
     if ls.delta.len() != values.len() {
@@ -503,7 +491,7 @@ fn span_plan(cache: &AdvanceCache, key: ShapeKey, values: &[i64], cap_left: u64)
         return SpanPlan::NoTheory;
     };
     var.serves += 1;
-    let verify = cache.verify || var.serves >= var.next_verify;
+    let verify = cfg!(debug_assertions) || var.serves >= var.next_verify;
     if var.serves >= var.next_verify {
         var.next_verify = var.next_verify.saturating_mul(2);
     }
@@ -613,14 +601,10 @@ impl<'a, 'e> Runner<'a, 'e> {
     }
 
     /// Serve one macro step that has already passed its eligibility gate.
-    /// Returns `false` when the serve was abandoned (poisoned entry or a
-    /// failed release-mode spot check) — the caller falls back to the
-    /// concrete path.
+    /// Returns `false` when a release-mode spot check failed and poisoned
+    /// the macro — the caller falls back to the concrete path.
     fn serve_jump(&mut self, ukey: UnitKey, p: Peeked, instant_after: bool) -> bool {
-        let Some(verify) = commit_unit(self.cache, ukey) else {
-            return false;
-        };
-        if verify && !self.verify_jump(&p) {
+        if commit_unit(self.cache, ukey) && !self.verify_jump(&p) {
             assert!(
                 !cfg!(debug_assertions),
                 "macro-served step diverged from the step relation (shape {:?})",
@@ -629,7 +613,7 @@ impl<'a, 'e> Runner<'a, 'e> {
             poison_unit(self.cache, ukey);
             return false;
         }
-        self.cache.closed.fetch_add(1, Ordering::Relaxed);
+        self.cache.closed.update(|n| n + 1);
         self.last = Some(p.label);
         self.steps += 1;
         self.instant_valid = instant_after;
@@ -802,7 +786,7 @@ impl<'a, 'e> Runner<'a, 'e> {
                     self.cache.poison(key);
                     return Flow::Continue;
                 }
-                self.cache.closed.fetch_add(1, Ordering::Relaxed);
+                self.cache.closed.update(|n| n + 1);
                 self.last = Some(label);
                 self.steps += d;
                 self.instant_valid = false;
@@ -837,7 +821,7 @@ impl<'a, 'e> Runner<'a, 'e> {
                         };
                     }
                 }
-                self.cache.fallbacks.fetch_add(1, Ordering::Relaxed);
+                self.cache.fallbacks.update(|n| n + 1);
                 let flow = self.concrete_step(Some(ukey), &values, true);
                 // A concrete singleton step at a one-critical boundary
                 // consumed that one event: the instant it opened (if it
@@ -851,7 +835,7 @@ impl<'a, 'e> Runner<'a, 'e> {
             SpanPlan::Multi => {
                 // Two or more simultaneous events: this is where diamonds
                 // live, so always look at the real successor set.
-                self.cache.fallbacks.fetch_add(1, Ordering::Relaxed);
+                self.cache.fallbacks.update(|n| n + 1);
                 let flow = self.concrete_step(None, &values, false);
                 self.instant_valid = false;
                 flow
@@ -1019,9 +1003,10 @@ mod tests {
     use crate::symbol::Res;
     use crate::term::{act, invoke, nil, par, scope, TimeBound, P};
     use crate::zone;
+    use std::rc::Rc;
 
     fn session(env: &Env) -> StepSession<'_> {
-        StepSession::new(env, Arc::new(TermStore::new()), MemoConfig::default())
+        StepSession::new(env, Rc::new(TermStore::new()), MemoConfig::default())
     }
 
     /// A periodic task on its own resource: idle for `period − 1` quanta
@@ -1132,8 +1117,7 @@ mod tests {
         }
         let ready = cache
             .units
-            .lock()
-            .unwrap()
+            .borrow()
             .values()
             .filter(|e| matches!(e, UnitEntry::Ready(_)))
             .count();

@@ -51,9 +51,11 @@
 //! without an intervening prefix). The AADL translation upholds all of these
 //! invariants; the panics exist to fail fast on hand-built models.
 
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::env::{Env, TagId};
 use crate::hashed::Fnv1a;
@@ -555,14 +557,9 @@ impl Fifo {
         }
     }
 
-    /// Insert `key`, returning the key evicted to make room, if any.
+    /// Insert `key`, which the table lacks, returning the key evicted to
+    /// make room, if any.
     fn insert(&mut self, key: MemoKey, value: List) -> Option<MemoKey> {
-        if self.map.contains_key(&key) {
-            // Another thread sharing the session computed the same entry
-            // first; keep the existing value (both are equal) and do not
-            // double-count it in the FIFO order.
-            return None;
-        }
         let evicted = if self.map.len() >= self.capacity {
             self.order.pop_front().inspect(|old| {
                 self.map.remove(old);
@@ -688,9 +685,10 @@ impl LabelTable {
 ///
 /// A session borrows its [`Env`] (so the environment cannot change under the
 /// cache — the borrow checker enforces what the epoch in the cache key
-/// documents) and shares a [`TermStore`]. It produces, for every term, the
-/// **same labels in the same order with structurally identical successors**
-/// as the plain [`steps`] path; the property suite pins this equivalence.
+/// documents) and holds its [`TermStore`] by `Rc`. It produces, for every
+/// term, the **same labels in the same order with structurally identical
+/// successors** as the plain [`steps`] path; the property suite pins this
+/// equivalence.
 /// At a root state — a `Par`, or a `Restrict` over one — it interns only
 /// the successors it returns: the parallel-rule candidates are restricted
 /// and prioritized before any successor is built (see
@@ -707,8 +705,13 @@ impl LabelTable {
 /// The memo is a pure cache: hits, misses and evictions never change the
 /// transition relation, only how often it is re-derived.
 ///
-/// Sessions are `Sync`: the memo and the label table are [`Mutex`]-guarded,
-/// so threads may share a session through a reference.
+/// A session has one owner: the memo and the label table sit in
+/// [`RefCell`]s, and a session is not `Sync`:
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<acsr::StepSession<'static>>();
+/// ```
 ///
 /// # Examples
 ///
@@ -716,14 +719,14 @@ impl LabelTable {
 /// use acsr::prelude::*;
 /// use acsr::step::{MemoConfig, StepSession};
 /// use acsr::store::TermStore;
-/// use std::sync::Arc;
+/// use std::rc::Rc;
 ///
 /// let mut env = Env::new();
 /// let cpu = Res::new("cpu");
 /// let d = env.declare("Tick", 0);
 /// env.set_body(d, act([(cpu, 1)], invoke(d, [])));
 ///
-/// let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+/// let session = StepSession::new(&env, Rc::new(TermStore::new()), MemoConfig::default());
 /// let p = session.intern(&invoke(d, []));
 /// let s1 = session.prioritized_steps(&p);
 /// assert_eq!(s1.len(), 1);
@@ -735,29 +738,29 @@ impl LabelTable {
 /// ```
 pub struct StepSession<'e> {
     env: &'e Env,
-    store: Arc<TermStore>,
+    store: Rc<TermStore>,
     epoch: u64,
-    memo: Option<Mutex<Memo>>,
-    labels: Mutex<LabelTable>,
+    memo: Option<RefCell<Memo>>,
+    labels: RefCell<LabelTable>,
 }
 
 impl<'e> StepSession<'e> {
     /// A session over `env` interning into `store`, with the given memo
     /// configuration.
-    pub fn new(env: &'e Env, store: Arc<TermStore>, config: MemoConfig) -> StepSession<'e> {
+    pub fn new(env: &'e Env, store: Rc<TermStore>, config: MemoConfig) -> StepSession<'e> {
         StepSession {
             env,
             store,
             epoch: env.epoch(),
             memo: config
                 .enabled
-                .then(|| Mutex::new(Memo::new(config.capacity))),
-            labels: Mutex::default(),
+                .then(|| RefCell::new(Memo::new(config.capacity))),
+            labels: RefCell::default(),
         }
     }
 
-    /// The shared term store.
-    pub fn store(&self) -> &Arc<TermStore> {
+    /// The session's term store.
+    pub fn store(&self) -> &Rc<TermStore> {
         &self.store
     }
 
@@ -768,19 +771,14 @@ impl<'e> StepSession<'e> {
 
     /// Hit / miss / eviction / re-derivation counts so far.
     pub fn memo_stats(&self) -> MemoStats {
-        self.memo.as_ref().map_or(MemoStats::default(), |m| {
-            m.lock().expect("memo table poisoned").stats
-        })
+        self.memo
+            .as_ref()
+            .map_or(MemoStats::default(), |m| m.borrow().stats)
     }
 
     /// The session's one `Arc` for the timed action with these uses and tags.
     fn action(&self, uses: &[(Res, u32)], tags: &[TagId]) -> Label {
-        Label::A(
-            self.labels
-                .lock()
-                .expect("label table poisoned")
-                .intern(uses, tags),
-        )
+        Label::A(self.labels.borrow_mut().intern(uses, tags))
     }
 
     /// The unprioritized outgoing transitions of `t`, deduplicated — the
@@ -842,7 +840,9 @@ impl<'e> StepSession<'e> {
     /// the raw table — or compute it and cache it. The insert happens
     /// strictly *after* the compute, so unguarded recursion still runs into
     /// the [`MAX_UNFOLD_DEPTH`] assertion instead of hitting a half-built
-    /// cache entry.
+    /// cache entry. For the same reason the compute never inserts `t`
+    /// itself: a derivation that reaches `t` again recurses until that
+    /// assertion fires.
     fn memoized(
         &self,
         t: TermId,
@@ -851,7 +851,7 @@ impl<'e> StepSession<'e> {
     ) -> List {
         let key = (t, self.epoch);
         if let Some(memo) = &self.memo {
-            let mut memo = memo.lock().expect("memo table poisoned");
+            let mut memo = memo.borrow_mut();
             if let Some(hit) = memo.table(root).map.get(&key).cloned() {
                 memo.stats.hits += 1;
                 return hit;
@@ -863,9 +863,7 @@ impl<'e> StepSession<'e> {
         }
         let computed = Arc::new(compute());
         if let Some(memo) = &self.memo {
-            memo.lock()
-                .expect("memo table poisoned")
-                .insert(key, root, computed.clone());
+            memo.borrow_mut().insert(key, root, computed.clone());
         }
         computed
     }
@@ -1621,7 +1619,7 @@ mod tests {
     // -- StepSession: interned + memoized stepping ---------------------------
 
     fn session_over(env: &Env, config: MemoConfig) -> StepSession<'_> {
-        StepSession::new(env, Arc::new(TermStore::new()), config)
+        StepSession::new(env, Rc::new(TermStore::new()), config)
     }
 
     /// Walk `p` breadth-first a few levels through both engines and insist on
@@ -1934,30 +1932,5 @@ mod tests {
         let session = session_over(&env, MemoConfig::default());
         let p = session.intern(&invoke(d, []));
         let _ = session.steps(&p);
-    }
-
-    #[test]
-    fn sessions_are_shareable_across_threads() {
-        let mut env = Env::new();
-        let d = env.declare("Tick", 0);
-        env.set_body(d, act([(cpu(), 1)], invoke(d, [])));
-        let session = session_over(&env, MemoConfig::default());
-        let p = session.intern(&invoke(d, []));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let session = &session;
-                let p = p.clone();
-                s.spawn(move || {
-                    let mut cur = p;
-                    for _ in 0..16 {
-                        let steps = session.prioritized_steps(&cur);
-                        assert_eq!(steps.len(), 1);
-                        cur = steps[0].1.clone();
-                    }
-                });
-            }
-        });
-        let stats = session.memo_stats();
-        assert!(stats.hits + stats.misses >= 64);
     }
 }

@@ -14,9 +14,10 @@
 //! * interning a freshly built successor walks only its *new spine*: shared
 //!   children are canonical `Arc`s and resolve through the pointer fast path.
 //!
-//! The store keeps two [`Mutex`]-guarded tables: the entries together with
-//! the two indexes that find them, and the memoized shapes, so `&TermStore`
-//! is `Sync` and may be shared across threads. The entries are a vector of
+//! The store keeps two tables, each in a [`RefCell`]: the entries together
+//! with the two indexes that find them, and the memoized shapes. One
+//! analysis owns a store and uses it from one thread, so interning takes
+//! no lock, and the store is not `Sync`. The entries are a vector of
 //! `(canonical term, digest)` addressed by [`TermId`]; one index finds an id
 //! by structural digest, the other by canonical `Arc` address. Each index
 //! is an open-addressing vector of `u32` ids that keeps no keys: a probe
@@ -38,9 +39,10 @@
 //! structurally equal iff their variants and local fields match and their
 //! children are pointer-equal.
 
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::env::TagId;
 use crate::expr::BExpr;
@@ -249,11 +251,16 @@ impl IdIndex {
     }
 }
 
-/// A thread-safe hash-consing interner for [`Proc`] terms.
+/// A hash-consing interner for [`Proc`] terms.
 ///
 /// See the [module documentation](self) for the design; see
 /// [`TermStore::with_digest_mask`] for the collision-injection hook used by
-/// the property tests.
+/// the property tests. A store has one owner and is not `Sync`:
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<acsr::TermStore>();
+/// ```
 ///
 /// # Examples
 ///
@@ -274,11 +281,11 @@ impl IdIndex {
 /// ```
 #[derive(Debug)]
 pub struct TermStore {
-    /// The entries and both indexes, under one lock.
-    entries: Mutex<EntryTable>,
+    /// The entries and both indexes.
+    entries: RefCell<EntryTable>,
     /// [`TermId`] → factored shape, memoized on first demand. Shapes live
     /// with the store so their lifetime matches the ids that key them.
-    shapes: Mutex<HashMap<TermId, Arc<Factored>>>,
+    shapes: RefCell<HashMap<TermId, Arc<Factored>>>,
     digest_mask: u64,
 }
 
@@ -315,8 +322,8 @@ impl TermStore {
     /// ```
     pub fn with_digest_mask(mask: u64) -> TermStore {
         TermStore {
-            entries: Mutex::default(),
-            shapes: Mutex::default(),
+            entries: RefCell::default(),
+            shapes: RefCell::default(),
             digest_mask: mask,
         }
     }
@@ -338,12 +345,7 @@ impl TermStore {
     /// assert!(std::sync::Arc::ptr_eq(&f, &store.shape_of(&t))); // memoized
     /// ```
     pub fn shape_of(&self, t: &Interned) -> Arc<Factored> {
-        if let Some(f) = self
-            .shapes
-            .lock()
-            .expect("term store shape table poisoned")
-            .get(&t.id())
-        {
+        if let Some(f) = self.shapes.borrow().get(&t.id()) {
             return f.clone();
         }
         let f = Arc::new(skeleton::factor(t.term()));
@@ -353,23 +355,15 @@ impl TermStore {
 
     /// Record a shape already known for `t` (because `t` was produced by
     /// [`skeleton::rebuild`] from a factored template), sparing the factor
-    /// walk on the next [`TermStore::shape_of`]. A racing insert wins
-    /// harmlessly: both sides computed the same factorization.
+    /// walk on the next [`TermStore::shape_of`]. A shape already recorded
+    /// for `t` is kept: both are the same factorization.
     pub fn note_shape(&self, t: &Interned, f: Arc<Factored>) {
-        self.shapes
-            .lock()
-            .expect("term store shape table poisoned")
-            .entry(t.id())
-            .or_insert(f);
+        self.shapes.borrow_mut().entry(t.id()).or_insert(f);
     }
 
     /// Number of structurally-unique subterms interned so far.
     pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .expect("term store entry table poisoned")
-            .entries
-            .len()
+        self.entries.borrow().entries.len()
     }
 
     /// True when nothing has been interned.
@@ -396,8 +390,8 @@ impl TermStore {
     ///
     /// Panics when `id` did not come from this store.
     pub fn resolve(&self, id: TermId) -> Interned {
-        let guard = self.entries.lock().expect("term store entry table poisoned");
-        let (term, digest) = &guard.entries[id.index()];
+        let table = self.entries.borrow();
+        let (term, digest) = &table.entries[id.index()];
         Interned {
             id,
             digest: *digest,
@@ -406,11 +400,11 @@ impl TermStore {
     }
 
     fn ptr_lookup(&self, p: &P) -> Option<Interned> {
-        let guard = self.entries.lock().expect("term store entry table poisoned");
-        let id = guard.find_ptr(p)?;
+        let table = self.entries.borrow();
+        let id = table.find_ptr(p)?;
         Some(Interned {
             id,
-            digest: guard.entries[id.index()].1,
+            digest: table.entries[id.index()].1,
             term: p.clone(),
         })
     }
@@ -661,16 +655,16 @@ impl TermStore {
         is_node: impl Fn(&Proc) -> bool,
         build: impl FnOnce() -> P,
     ) -> Interned {
-        let mut guard = self.entries.lock().expect("term store entry table poisoned");
-        if let Some(id) = guard.find_digest(digest, is_node) {
+        let mut table = self.entries.borrow_mut();
+        if let Some(id) = table.find_digest(digest, is_node) {
             return Interned {
                 id,
                 digest,
-                term: guard.entries[id.index()].0.clone(),
+                term: table.entries[id.index()].0.clone(),
             };
         }
         let canon = build();
-        let id = guard.push(canon.clone(), digest);
+        let id = table.push(canon.clone(), digest);
         Interned {
             id,
             digest,
@@ -1067,28 +1061,6 @@ mod tests {
                 assert_eq!(store.intern(r.term()).id(), r.id());
             }
         }
-    }
-
-    #[test]
-    fn concurrent_interning_converges_to_one_id_per_structure() {
-        let store = TermStore::new();
-        let ids: Vec<Vec<TermId>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let store = &store;
-                    s.spawn(move || {
-                        (0..32)
-                            .map(|i| store.intern(&act([(cpu(), i)], nil())).id())
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for other in &ids[1..] {
-            assert_eq!(&ids[0], other);
-        }
-        assert_eq!(store.len(), 33);
     }
 
     #[test]

@@ -64,12 +64,12 @@ impl ForcedRun {
     /// # Examples
     ///
     /// ```
-    /// use std::sync::Arc;
+    /// use std::rc::Rc;
     /// use acsr::prelude::*;
     /// use acsr::{MemoConfig, StepSession, TermStore, zone};
     ///
     /// let env = Env::new();
-    /// let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+    /// let session = StepSession::new(&env, Rc::new(TermStore::new()), MemoConfig::default());
     /// let p = session.intern(&act([(Res::new("cpu"), 1)], nil()));
     /// let run = zone::forced_run(&session, &p, 16).unwrap();
     /// assert!(matches!(&**run.endpoint().term(), acsr::Proc::Nil));
@@ -83,12 +83,12 @@ impl ForcedRun {
     /// # Examples
     ///
     /// ```
-    /// use std::sync::Arc;
+    /// use std::rc::Rc;
     /// use acsr::prelude::*;
     /// use acsr::{MemoConfig, StepSession, TermStore, zone};
     ///
     /// let env = Env::new();
-    /// let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+    /// let session = StepSession::new(&env, Rc::new(TermStore::new()), MemoConfig::default());
     /// let p = session.intern(&act([(Res::new("cpu"), 1)], act([(Res::new("cpu"), 1)], nil())));
     /// assert_eq!(zone::forced_run(&session, &p, 16).unwrap().len(), 2);
     /// ```
@@ -101,12 +101,12 @@ impl ForcedRun {
     /// # Examples
     ///
     /// ```
-    /// use std::sync::Arc;
+    /// use std::rc::Rc;
     /// use acsr::prelude::*;
     /// use acsr::{MemoConfig, StepSession, TermStore, zone};
     ///
     /// let env = Env::new();
-    /// let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+    /// let session = StepSession::new(&env, Rc::new(TermStore::new()), MemoConfig::default());
     /// let p = session.intern(&act([(Res::new("cpu"), 1)], nil()));
     /// assert!(!zone::forced_run(&session, &p, 16).unwrap().is_empty());
     /// ```
@@ -139,12 +139,12 @@ fn unique_step(session: &StepSession<'_>, t: &Interned) -> Option<(Label, Intern
 /// # Examples
 ///
 /// ```
-/// use std::sync::Arc;
+/// use std::rc::Rc;
 /// use acsr::prelude::*;
 /// use acsr::{MemoConfig, StepSession, TermStore, zone};
 ///
 /// let env = Env::new();
-/// let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+/// let session = StepSession::new(&env, Rc::new(TermStore::new()), MemoConfig::default());
 /// let cpu = Res::new("cpu");
 /// // Three forced quanta to NIL collapse into one run…
 /// let p = session.intern(&act([(cpu, 1)], act([(cpu, 1)], act([(cpu, 1)], nil()))));
@@ -194,12 +194,12 @@ pub fn forced_run(session: &StepSession<'_>, entry: &Interned, cap: usize) -> Op
 /// # Examples
 ///
 /// ```
-/// use std::sync::Arc;
+/// use std::rc::Rc;
 /// use acsr::prelude::*;
 /// use acsr::{MemoConfig, StepSession, TermStore, zone};
 ///
 /// let env = Env::new();
-/// let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+/// let session = StepSession::new(&env, Rc::new(TermStore::new()), MemoConfig::default());
 /// let cpu = Res::new("cpu");
 /// let done = Symbol::new("done");
 /// // Two forced quanta, then an instantaneous event ends the delay interval.
@@ -244,12 +244,12 @@ pub fn delay_bound(session: &StepSession<'_>, t: &Interned, cap: u64) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use std::sync::Arc;
+/// use std::rc::Rc;
 /// use acsr::prelude::*;
 /// use acsr::{MemoConfig, StepSession, TermStore, zone};
 ///
 /// let env = Env::new();
-/// let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+/// let session = StepSession::new(&env, Rc::new(TermStore::new()), MemoConfig::default());
 /// let cpu = Res::new("cpu");
 /// let p = session.intern(&act([(cpu, 1)], act([(cpu, 1)], act([(cpu, 1)], nil()))));
 /// // Bulk-advance two quanta, then compare against two unit steps.
@@ -282,14 +282,14 @@ mod tests {
     use crate::store::TermStore;
     use crate::symbol::{Res, Symbol};
     use crate::term::{act, choice, evt_send, invoke, nil, scope, TimeBound};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     fn cpu() -> Res {
         Res::new("cpu")
     }
 
     fn session(env: &Env) -> StepSession<'_> {
-        StepSession::new(env, Arc::new(TermStore::new()), MemoConfig::default())
+        StepSession::new(env, Rc::new(TermStore::new()), MemoConfig::default())
     }
 
     #[test]

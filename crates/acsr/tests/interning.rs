@@ -9,7 +9,7 @@
 //! (`det_prop!` runs 64 seeded cases per property by default; failures print
 //! a `DET_PROP_SEED` that reproduces the exact case).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acsr::prelude::*;
 use acsr::{MemoConfig, StepSession, TermStore};
@@ -142,7 +142,7 @@ det_prop! {
         // step relation label for label, successor for successor.
         let env = Env::new();
         let legacy = steps(&env, &p);
-        let store = Arc::new(TermStore::with_digest_mask(0));
+        let store = Rc::new(TermStore::with_digest_mask(0));
         let session = StepSession::new(&env, store, MemoConfig::default());
         let interned = session.steps(&session.intern(&p));
         assert_eq!(legacy.len(), interned.len(), "step count for {p:?}");
@@ -169,7 +169,7 @@ det_prop! {
         ];
         for (config, window) in configs {
             for mask in [0u64, u64::MAX] {
-                let store = Arc::new(TermStore::with_digest_mask(mask));
+                let store = Rc::new(TermStore::with_digest_mask(mask));
                 let session = StepSession::new(&env, store, config);
                 let ts = roots.map(|r| session.intern(r));
                 let distinct = ts[0].id() != ts[1].id();

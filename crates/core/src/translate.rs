@@ -42,7 +42,7 @@ use acsr::{
 };
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::compute::ComputeSpec;
 use crate::dispatcher::{build_dispatcher, DispatcherKind};
@@ -192,7 +192,7 @@ pub struct TranslatedModel {
     /// every translation. Analysis passes it to the explorer so subterms
     /// shared between the initial term and reachable states intern to the
     /// same [`acsr::TermId`]s.
-    pub store: Arc<TermStore>,
+    pub store: Rc<TermStore>,
     /// The AADL ↔ ACSR name map for diagnostics.
     pub names: NameMap,
     /// The scheduling quantum in picoseconds.
@@ -604,7 +604,7 @@ pub fn translate(
 
     // Canonicalize the composed term so the explorer starts from a store
     // already holding every subterm of the initial state.
-    let store = Arc::new(TermStore::new());
+    let store = Rc::new(TermStore::new());
     let initial = store.intern(&initial).into_term();
 
     if opts.obs.is_enabled() {

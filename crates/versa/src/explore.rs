@@ -32,11 +32,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use acsr::{Env, Label, MemoConfig, TermStore, P};
+use acsr::{Env, Label, TermStore, P};
 
 use crate::lts::Lts;
 use crate::trace::Trace;
@@ -162,17 +163,10 @@ pub struct Options {
     /// transition relation, so every per-quantum step becomes its own unit
     /// edge and state. Such runs never touch [`Options::cas`].
     pub collect_lts: bool,
-    /// Entry cap of the successor memo's component-list table (see
-    /// [`acsr::step::StepSession`]; FIFO eviction past it), which also caps
-    /// the window of root lists at `min(`[`acsr::step::ROOT_WINDOW`]`,
-    /// cap)`. The memo is a pure cache — verdicts, state
-    /// tables and traces never depend on it. The default is
-    /// [`MemoConfig::default`]'s capacity.
-    pub memo_capacity: usize,
     /// Share a pre-populated term store (e.g. the one the AADL translation
     /// interned the model through) instead of starting empty. `None` gives
     /// the run a fresh private store.
-    pub store: Option<Arc<TermStore>>,
+    pub store: Option<Rc<TermStore>>,
     /// Cooperative cancellation token, polled at every frontier state. The
     /// default token is private to this `Options` value and never cancelled;
     /// install a shared clone (see [`Options::with_cancel`]) to stop the run
@@ -211,7 +205,6 @@ impl Default for Options {
             max_states: usize::MAX,
             stop_at_first_deadlock: false,
             collect_lts: false,
-            memo_capacity: MemoConfig::default().capacity,
             store: None,
             cancel: CancelToken::new(),
             obs: obs::Recorder::disabled(),
@@ -262,30 +255,18 @@ impl Options {
         self
     }
 
-    /// Set the successor-memo entry cap.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// assert_eq!(versa::Options::default().with_memo_capacity(64).memo_capacity, 64);
-    /// ```
-    pub fn with_memo_capacity(mut self, capacity: usize) -> Options {
-        self.memo_capacity = capacity;
-        self
-    }
-
     /// Share an existing term store with the run.
     ///
     /// # Examples
     ///
     /// ```
-    /// use std::sync::Arc;
+    /// use std::rc::Rc;
     ///
-    /// let store = Arc::new(acsr::TermStore::new());
+    /// let store = Rc::new(acsr::TermStore::new());
     /// let opts = versa::Options::default().with_store(store.clone());
     /// assert!(opts.store.is_some());
     /// ```
-    pub fn with_store(mut self, store: Arc<TermStore>) -> Options {
+    pub fn with_store(mut self, store: Rc<TermStore>) -> Options {
         self.store = Some(store);
         self
     }
@@ -921,41 +902,10 @@ mod tests {
     }
 
     #[test]
-    fn tiny_memo_capacity_evicts_without_changing_the_verdict() {
-        let mut env = Env::new();
-        let c1 = env.declare("C1", 1);
-        env.set_body(
-            c1,
-            choice([
-                guard(
-                    BExpr::lt(Expr::p(0), Expr::c(40)),
-                    act([(cpu(), 1)], invoke(c1, [Expr::p(0).add(Expr::c(1))])),
-                ),
-                guard(BExpr::eq(Expr::p(0), Expr::c(40)), nil()),
-            ]),
-        );
-        let p = invoke(c1, [Expr::c(0)]);
-        let base = explore(&env, &p, &Options::default());
-        let tiny = explore(&env, &p, &Options::default().with_memo_capacity(16));
-        assert!(tiny.stats.memo_evictions > 0, "41 states must overflow 16 slots");
-        assert_eq!(base.stats.memo_evictions, 0);
-        assert_eq!(base.num_states(), tiny.num_states());
-        assert_eq!(base.deadlocks, tiny.deadlocks);
-        assert_eq!(base.stats.transitions, tiny.stats.transitions);
-        assert_eq!(
-            base.first_deadlock_trace().map(|t| t.len()),
-            tiny.first_deadlock_trace().map(|t| t.len())
-        );
-        for i in 0..base.num_states() {
-            assert_eq!(base.state(StateId(i as u32)), tiny.state(StateId(i as u32)));
-        }
-    }
-
-    #[test]
     fn shared_store_is_reused_across_runs() {
         let env = Env::new();
         let p = act([(cpu(), 1)], act([(cpu(), 2)], nil()));
-        let store = Arc::new(acsr::TermStore::new());
+        let store = Rc::new(acsr::TermStore::new());
         let first = explore(&env, &p, &Options::default().with_store(store.clone()));
         let after_first = store.len();
         assert_eq!(first.stats.unique_subterms, after_first);

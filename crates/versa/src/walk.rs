@@ -15,7 +15,7 @@
 //! successors — while the recorded [`Walk`] still carries plain terms, so
 //! callers and the property suite see exactly the pre-interning API.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acsr::{Env, Label, MemoConfig, StepSession, TermStore, P};
 use det::DetRng;
@@ -132,7 +132,7 @@ impl Walk {
 /// assert_eq!(a.labels, b.labels);
 /// ```
 pub fn random_walk(env: &Env, initial: &P, max_steps: usize, seed: u64) -> Walk {
-    let session = StepSession::new(env, Arc::new(TermStore::new()), MemoConfig::default());
+    let session = StepSession::new(env, Rc::new(TermStore::new()), MemoConfig::default());
     let mut rng = DetRng::new(seed);
     let mut labels = Vec::new();
     let mut states = vec![initial.clone()];

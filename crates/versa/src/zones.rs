@@ -82,7 +82,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
 
 use acsr::{
@@ -326,9 +326,8 @@ pub(crate) fn explore_zones(
     let store = opts
         .store
         .clone()
-        .unwrap_or_else(|| Arc::new(TermStore::new()));
-    let memo_config = MemoConfig::with_capacity(opts.memo_capacity);
-    let session = StepSession::new(env, store.clone(), memo_config);
+        .unwrap_or_else(|| Rc::new(TermStore::new()));
+    let session = StepSession::new(env, store.clone(), MemoConfig::default());
     let advance_cache = AdvanceCache::new();
 
     let mut stats = Stats::default();
@@ -629,7 +628,7 @@ fn diverged(to: StateId, why: &str) -> ! {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     use super::{expand_state, replay_deadlock_paths, Expansion, LEARN_AFTER};
     use crate::explore::{explore, CancelToken, Options, StateId};
@@ -678,7 +677,7 @@ mod tests {
     #[test]
     fn runs_past_learn_after_are_handed_off_only_when_learning_is_on() {
         let env = Env::new();
-        let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+        let session = StepSession::new(&env, Rc::new(TermStore::new()), MemoConfig::default());
         let t = LEARN_AFTER as usize;
         for n in [t - 1, t, t + 1, 50 * t] {
             for learn in [false, true] {
@@ -822,7 +821,7 @@ mod tests {
         let ex = explore(&env, &chain(10), &Options::default());
         let dead = ex.deadlocks[0];
         assert_eq!((ex.num_states(), ex.depth_of(dead)), (2, 10));
-        let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+        let session = StepSession::new(&env, Rc::new(TermStore::new()), MemoConfig::default());
         let states: Vec<Interned> = ex.states.iter().map(|p| session.intern(p)).collect();
         let mut parents = ex.parents.clone();
         let mut depths = ex.depths.clone();
@@ -921,7 +920,7 @@ mod tests {
         let (first, second) = (ex.deadlocks[0], ex.deadlocks[1]);
         assert_eq!((ex.depth_of(first), ex.depth_of(second)), (7, 10));
         assert_eq!(ex.trace_to(second).unwrap().len(), 10);
-        let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+        let session = StepSession::new(&env, Rc::new(TermStore::new()), MemoConfig::default());
         let states: Vec<Interned> = ex.states.iter().map(|p| session.intern(p)).collect();
         let token = CancelToken::new();
         token.cancel();

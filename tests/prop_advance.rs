@@ -19,7 +19,7 @@
 //! `det_prop!` runs 64 seeded cases per property; failures print a
 //! `DET_PROP_SEED` that reproduces the exact case.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use aadl::instance::instantiate;
 use aadl::properties::ConcurrencyControlProtocol;
@@ -95,7 +95,7 @@ fn arb_locking_taskset(rng: &mut DetRng) -> TaskSet {
 /// closed span against the step relation.
 fn pin_primitives(env: &acsr::Env, initial: &acsr::P, rng: &mut DetRng, ctx: &str) {
     const CAP: u64 = 32;
-    let session = StepSession::new(env, Arc::new(TermStore::new()), MemoConfig::default());
+    let session = StepSession::new(env, Rc::new(TermStore::new()), MemoConfig::default());
     let cache = AdvanceCache::new();
     let mut p = initial.clone();
     let mut bounds_checked = 0u32;
@@ -212,7 +212,7 @@ fn closed_advance_stops_exactly_at_the_release_instant() {
     let pkg = taskset_to_package(&ts, "RMS");
     let m = instantiate(&pkg, "Top.impl").unwrap();
     let tm = translate(&m, &TranslateOptions::default()).unwrap();
-    let session = StepSession::new(&tm.env, Arc::new(TermStore::new()), MemoConfig::default());
+    let session = StepSession::new(&tm.env, Rc::new(TermStore::new()), MemoConfig::default());
     let cache = AdvanceCache::new();
     let mut t = session.intern(&tm.initial);
     let mut seen = std::collections::HashSet::new();
@@ -257,7 +257,7 @@ fn zero_delay_is_the_identity() {
     let pkg = taskset_to_package(&ts, "RMS");
     let m = instantiate(&pkg, "Top.impl").unwrap();
     let tm = translate(&m, &TranslateOptions::default()).unwrap();
-    let session = StepSession::new(&tm.env, Arc::new(TermStore::new()), MemoConfig::default());
+    let session = StepSession::new(&tm.env, Rc::new(TermStore::new()), MemoConfig::default());
     let cache = AdvanceCache::new();
     let t = session.intern(&tm.initial);
     let back = closed_step_delay(&session, &cache, &t, 0).expect("d=0 always succeeds");
@@ -275,7 +275,7 @@ fn non_linear_shapes_fall_back_to_replay_and_are_counted() {
     let d = env.declare("Idle", 0);
     env.set_body(d, act([] as [(Res, i32); 0], invoke(d, [])));
     let p = invoke(d, []);
-    let session = StepSession::new(&env, Arc::new(TermStore::new()), MemoConfig::default());
+    let session = StepSession::new(&env, Rc::new(TermStore::new()), MemoConfig::default());
     let cache = AdvanceCache::new();
     let t = session.intern(&p);
     const CAP: u64 = 19;

@@ -29,7 +29,7 @@
 //! `det_prop!` runs 64 seeded cases per property; failures print a
 //! `DET_PROP_SEED` that reproduces the exact case.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use aadl::instance::instantiate;
 use aadl::properties::ConcurrencyControlProtocol;
@@ -144,7 +144,7 @@ det_prop! {
         let tm = translate(&m, &TranslateOptions::default()).unwrap();
         let session = StepSession::new(
             &tm.env,
-            Arc::new(TermStore::new()),
+            Rc::new(TermStore::new()),
             MemoConfig::default(),
         );
         const CAP: u64 = 32;
@@ -440,7 +440,7 @@ fn walk_zones(ts: &TaskSet) -> (Vec<(u64, u64)>, u64) {
     let pkg = taskset_to_package(ts, "RMS");
     let m = instantiate(&pkg, "Top.impl").unwrap();
     let tm = translate(&m, &TranslateOptions::default()).unwrap();
-    let session = StepSession::new(&tm.env, Arc::new(TermStore::new()), MemoConfig::default());
+    let session = StepSession::new(&tm.env, Rc::new(TermStore::new()), MemoConfig::default());
     let mut t = session.intern(&tm.initial);
     let mut seen = std::collections::HashSet::new();
     let mut now = 0u64;

@@ -52,7 +52,13 @@
 #      interior quanta are re-derived after the search (per-edge
 #      timelines read 50.8 MB; before that the term store's keyed maps
 #      and per-digest vectors read 67 MB)
-#   8. the hermetic-build audit (path-only deps, pinned dependency graph,
+#   8. the single-owner check: no file in crates/acsr/src except symbol.rs
+#      (the process-wide name interner) may mention `Mutex`, `RwLock` or an
+#      atomic type — one analysis owns its term store, step memo and
+#      advance cache and steps them on one thread, so they sit in
+#      `RefCell`s and `Cell`s, and a lock that comes back fails here by
+#      file and line
+#   9. the hermetic-build audit (path-only deps, pinned dependency graph,
 #      obs dependency-free, `cargo doc` with warnings denied — see
 #      tools/check_hermetic.sh)
 #
@@ -304,6 +310,16 @@ if [ -z "$longperiod_rss" ] || awk -v mb="$longperiod_rss" 'BEGIN { exit !(mb > 
   exit 1
 fi
 echo "benchmark smoke: longperiod peak RSS $longperiod_rss MB"
+
+echo "== single-owner check: no locks or atomics in the acsr engine =="
+engine_locks="$(grep -rnE 'Mutex|RwLock|Atomic' crates/acsr/src \
+  | grep -v '^crates/acsr/src/symbol\.rs:' || true)"
+if [ -n "$engine_locks" ]; then
+  printf '%s\n' "$engine_locks"
+  echo "single-owner check: a lock or atomic is back in crates/acsr/src (listed above); one analysis owns the store, memo and advance cache on one thread, so use RefCell or Cell"
+  exit 1
+fi
+echo "single-owner check: only symbol.rs locks in crates/acsr/src"
 
 echo "== hermetic audit =="
 tools/check_hermetic.sh
