@@ -18,31 +18,31 @@
 //! renaming-invariant structure and names*; any change to structure, names,
 //! priorities, bounds, or referenced definition names changes the digest.
 
+use std::hash::Hasher;
+
 use crate::env::Env;
 use crate::expr::{BExpr, Expr};
+use crate::hashed::Fnv1a;
 use crate::term::{ActionT, EvKind, EventT, Proc, TimeBound};
 use crate::symbol::Symbol;
 
-/// 64-bit FNV-1a accumulator with length-prefixed variable-width writes.
+/// A structural walk feeding an [`Fnv1a`] hasher, with length-prefixed
+/// variable-width writes.
 struct Walk {
-    h: u64,
+    h: Fnv1a,
 }
 
 impl Walk {
     fn new() -> Walk {
-        Walk {
-            h: 0xcbf2_9ce4_8422_2325,
-        }
+        Walk { h: Fnv1a::new() }
     }
 
     fn byte(&mut self, b: u8) {
-        self.h = (self.h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        self.h.write(&[b]);
     }
 
     fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
+        self.h.write(&v.to_le_bytes());
     }
 
     fn i64(&mut self, v: i64) {
@@ -52,9 +52,7 @@ impl Walk {
     /// Length-prefixed string bytes, so `("ab","c")` ≠ `("a","bc")`.
     fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
+        self.h.write(s.as_bytes());
     }
 
     fn sym(&mut self, s: Symbol) {
@@ -269,7 +267,7 @@ impl Walk {
 pub fn stable_digest(env: &Env, p: &Proc) -> u64 {
     let mut w = Walk::new();
     w.proc(env, p);
-    w.h
+    w.h.finish()
 }
 
 /// Fingerprint an environment: every definition in declaration order, as
@@ -290,7 +288,7 @@ pub fn env_fingerprint(env: &Env) -> u64 {
             }
         }
     }
-    w.h
+    w.h.finish()
 }
 
 #[cfg(test)]
@@ -315,6 +313,15 @@ mod tests {
             [cpu],
         );
         (env, t)
+    }
+
+    #[test]
+    fn digests_keep_their_values_across_builds() {
+        // Every artifact-store key is built from these two digests, so a
+        // change to the walk's byte stream orphans every stored artifact.
+        let (env, t) = small_env();
+        assert_eq!(stable_digest(&env, &t), 0x0298_97c7_3151_0e3e);
+        assert_eq!(env_fingerprint(&env), 0xf702_59a2_8449_c218);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 
 use std::collections::HashSet;
 
+use crate::advance::unique_step;
 use crate::label::Label;
 use crate::step::StepSession;
 use crate::store::{Interned, TermId};
@@ -112,16 +113,6 @@ impl ForcedRun {
     /// ```
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
-    }
-}
-
-/// The single prioritized successor of `t`, when there is exactly one.
-fn unique_step(session: &StepSession<'_>, t: &Interned) -> Option<(Label, Interned)> {
-    let mut steps = session.prioritized_steps(t);
-    if steps.len() == 1 {
-        steps.pop()
-    } else {
-        None
     }
 }
 

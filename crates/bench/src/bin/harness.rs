@@ -1,27 +1,23 @@
 //! Regenerate every quantitative table of `EXPERIMENTS.md` in one run:
 //!
 //! ```sh
-//! cargo run --release -p bench --bin harness
+//! cargo run --release -p bench --bin harness [-- --store <dir>]
 //! ```
 //!
-//! `--smoke` runs the cheap subset — the cruise-control inventory (F1), the
-//! instrumented exploration report (Q6, which refreshes
-//! `BENCH_exploration.json`) and the concurrency-control verdicts (Q7) — so
-//! CI can exercise the harness end-to-end without the full sweeps. The
-//! store A/B (Q12) and the long-hyperperiod zone run (Q13) run in every
-//! mode: both feed committed sections of `BENCH_exploration.json`, which
-//! must not depend on how the harness was invoked. Q13 dominates the smoke
-//! wall clock (best-of-3 exhaustive explorations of the long-hyperperiod
-//! model).
+//! Every run prints every table and rewrites `BENCH_exploration.json` in
+//! the working directory; its `cas`, `zones` and `obs_overhead` sections
+//! come from the store A/B (Q12), the long-hyperperiod zone run (Q13) and
+//! the recorder A/B (Q11). Q13 dominates the wall clock (best-of-3
+//! exhaustive explorations of the long-hyperperiod model).
 //!
 //! `--store <dir>` points the Q12 warm-vs-cold sweep at a persistent
 //! artifact-store directory instead of the default `target/bench-cas`
 //! (which is wiped per run so the cold pass is honestly cold). With an
 //! explicit directory nothing is wiped — a second harness run then serves
 //! its "cold" pass from the store, which is exactly what the CI cas stage
-//! asserts.
+//! asserts. Any other argument prints the usage line and exits 2.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use aadl::examples::{cruise_control_model, cruise_control_overloaded};
 use aadl::instance::instantiate;
@@ -34,27 +30,26 @@ use sched_baselines::rta::rm_schedulable;
 use sched_baselines::taskset::{taskset_to_package, uunifast, TaskSetSpec};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let store_dir = args
-        .windows(2)
-        .find(|w| w[0] == "--store")
-        .map(|w| w[1].clone());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let store_dir = match args.as_slice() {
+        [] => None,
+        [flag, dir] if flag == "--store" => Some(dir.as_str()),
+        _ => {
+            eprintln!("usage: harness [--store <dir>]");
+            std::process::exit(2);
+        }
+    };
     f1_cruise_control();
-    if !smoke {
-        q1_quantum_tradeoff();
-        q2_verdict_agreement();
-        q2b_acceptance_by_utilization();
-        q3_scaling();
-        q5_queue_overflow();
-    }
-    let cas_section = q12_store_warm_sweep(store_dir.as_deref());
+    q1_quantum_tradeoff();
+    q2_verdict_agreement();
+    q2b_acceptance_by_utilization();
+    q3_scaling();
+    q5_queue_overflow();
+    let cas_section = q12_store_warm_sweep(store_dir);
     let zones_section = q13_zones();
-    q6_exploration_report(cas_section, zones_section);
+    let overhead_section = q11_recorder_overhead();
+    q6_exploration_report(cas_section, zones_section, overhead_section);
     q7_locking_protocols();
-    if smoke {
-        println!("\nharness: smoke mode (skipped Q1/Q2/Q2b/Q3/Q5 sweeps)");
-    }
 }
 
 fn header(title: &str) {
@@ -310,11 +305,11 @@ fn q12_store_warm_sweep(store_dir: Option<&str>) -> obs::Json {
     let [wh, wm, ww, wi] = counts(&warm_rec);
     println!(
         "cold pass: hits={ch} misses={cm} writes={cw} invalidations={ci} wall={:?}",
-        std::time::Duration::from_nanos(cold_ns)
+        Duration::from_nanos(cold_ns)
     );
     println!(
         "warm pass: hits={wh} misses={wm} writes={ww} invalidations={wi} wall={:?}",
-        std::time::Duration::from_nanos(warm_ns)
+        Duration::from_nanos(warm_ns)
     );
     let pass = |hits, misses, writes, invalidations, wall_ns| {
         obs::Json::obj([
@@ -365,7 +360,7 @@ fn q13_zones() -> obs::Json {
         "zone.learned_runs",
         "zone.closed_form_advances",
     ];
-    type Best = (std::time::Duration, versa::Exploration, [u64; 5]);
+    type Best = (Duration, versa::Exploration, [u64; 5]);
     let mut best: Option<Best> = None;
     for _ in 0..reps {
         let rec = obs::Recorder::enabled();
@@ -417,10 +412,80 @@ fn q13_zones() -> obs::Json {
     ])
 }
 
+/// The recorder A/B behind `EXPERIMENTS.md` Q11 and the `obs_overhead`
+/// section of `BENCH_exploration.json`: the cruise-control model (parsed
+/// once) translated and explored exhaustively under the three recorder
+/// modes, alternating mode by mode within each rep so machine drift spreads
+/// evenly, keeping each mode's minimum wall clock. `disabled` is
+/// `Recorder::disabled()` (every instrument an inert branch, the CLI's
+/// default), `no_spans` is `Recorder::enabled().with_span_cap(0)` (spans
+/// dropped at the door, counters and histograms live) and `enabled` is
+/// `Recorder::enabled()`. A recorder only watches the search, so the
+/// harness aborts if any run disagrees with the first on states or
+/// transitions.
+fn q11_recorder_overhead() -> obs::Json {
+    header("Q11 — recorder overhead on the cruise-control pipeline");
+    let m = parsed_cruise_control();
+    let reps = 20u32;
+    type Mode = (&'static str, fn() -> obs::Recorder);
+    let modes: [Mode; 3] = [
+        ("disabled", obs::Recorder::disabled),
+        ("no_spans", || obs::Recorder::enabled().with_span_cap(0)),
+        ("enabled", obs::Recorder::enabled),
+    ];
+    let mut best = [Duration::MAX; 3];
+    let mut counts = None;
+    for _ in 0..reps {
+        for ((name, recorder), best) in modes.iter().zip(&mut best) {
+            let rec = recorder();
+            let t0 = Instant::now();
+            let topts = TranslateOptions {
+                obs: rec.clone(),
+                ..Default::default()
+            };
+            let tm = translate(&m, &topts).unwrap();
+            let mut aopts = AnalysisOptions::exhaustive();
+            aopts.explore.obs = rec;
+            let v = aadl2acsr::analyze_translated(&m, &tm, &aopts);
+            *best = (*best).min(t0.elapsed());
+            let seen = (v.stats().states, v.stats().transitions);
+            assert_eq!(
+                *counts.get_or_insert(seen),
+                seen,
+                "the {name} recorder changed the search"
+            );
+        }
+    }
+    let (states, transitions) = counts.unwrap();
+    let rows: Vec<_> = modes
+        .iter()
+        .zip(best)
+        .map(|((name, _), wall)| {
+            println!("{name:>9}: states={states} transitions={transitions} min={wall:?}");
+            let row = [
+                ("wall_ns", obs::Json::from(wall.as_nanos() as u64)),
+                ("states", obs::Json::from(states)),
+                ("transitions", obs::Json::from(transitions)),
+            ];
+            (*name, obs::Json::obj(row))
+        })
+        .collect();
+    obs::Json::obj([
+        ("model", obs::Json::from("cruise_control")),
+        ("reps", obs::Json::from(reps as u64)),
+        ("policy", obs::Json::from("min_wall_of_reps")),
+        ("modes", obs::Json::obj(rows)),
+    ])
+}
+
 /// Instrumented exhaustive run of the cruise-control model, written as
 /// `BENCH_exploration.json` — the same `aadlsched-metrics` schema the CLI
 /// emits with `--metrics`, so the two are diffable with the same tooling.
-fn q6_exploration_report(cas_section: obs::Json, zones_section: obs::Json) {
+fn q6_exploration_report(
+    cas_section: obs::Json,
+    zones_section: obs::Json,
+    overhead_section: obs::Json,
+) {
     header("Q6 — instrumented exploration report (BENCH_exploration.json)");
     let rec = obs::Recorder::enabled();
     let m = cruise_control_model();
@@ -477,6 +542,7 @@ fn q6_exploration_report(cas_section: obs::Json, zones_section: obs::Json) {
     );
     report.set("cas", cas_section);
     report.set("zones", zones_section);
+    report.set("obs_overhead", overhead_section);
     report.attach_run(&rec.finish());
     match std::fs::write("BENCH_exploration.json", report.to_json()) {
         Ok(()) => println!("report written to BENCH_exploration.json (run_id {run_id})"),

@@ -1,11 +1,9 @@
-//! # bench — benchmark harness and workload generators
+//! # bench — the experiment harness and its workload generators
 //!
-//! Wall-clock benches (see [`timing`]), one per experiment of
-//! `EXPERIMENTS.md`, plus shared workload builders. The `harness` binary
-//! regenerates every quantitative table in one run
-//! (`cargo run --release -p bench --bin harness`).
-
-pub mod timing;
+//! The `harness` binary regenerates every quantitative table of
+//! `EXPERIMENTS.md` in one run and writes `BENCH_exploration.json`
+//! (`cargo run --release -p bench --bin harness`); this library holds the
+//! model builders its sweeps share.
 
 use aadl::builder::PackageBuilder;
 use aadl::instance::{instantiate, InstanceModel};

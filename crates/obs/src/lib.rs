@@ -10,11 +10,14 @@
 //! * **[`Recorder`]** — the central handle. Disabled by default: every
 //!   instrument it hands out is a no-op behind an `Option` branch, so
 //!   instrumented hot paths cost nothing observable when observability is
-//!   off (verified against the tier-1 benches; see EXPERIMENTS.md).
+//!   off (the bench harness times the three recorder modes into the
+//!   `obs_overhead` section of `BENCH_exploration.json`; see EXPERIMENTS.md
+//!   Q11).
 //! * **Spans** ([`Span`]) — hierarchical, monotonically timed regions
 //!   (`translate`, `explore`, `explore.level`, `diagnose.raise`).
 //! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) — lock-free atomic
-//!   instruments, safe to update from exploration worker threads.
+//!   instruments: an analysis runs on one thread, but the daemon's worker
+//!   and connection threads update its fleet-wide instruments concurrently.
 //! * **Sinks** ([`SummarySink`], [`JsonLinesSink`], and the [`Report`]) —
 //!   pure renderings of a finished run: human summary, JSON-lines event
 //!   stream, and the schema-versioned end-of-run JSON report

@@ -110,7 +110,14 @@ pub const SCHEMA: &str = "aadlsched-metrics";
 ///     re-derivations;
 ///   - `step.memo_evictions` counts the component-list table only; root
 ///     lists leaving the window are not evictions.
-pub const SCHEMA_VERSION: u64 = 13;
+/// * v14 — one measurement pipeline:
+///   - `BENCH_exploration.json` gained the `obs_overhead` section: the
+///     cruise-control pipeline's minimum wall time, states and transitions
+///     under each recorder mode (`disabled`, `no_spans`, `enabled`);
+///   - the daemon's fleet-report `config` section lost `result_cache`: the
+///     `--no-result-cache` flag is gone, and `cache_capacity` 0 is the one
+///     way to turn the result cache off.
+pub const SCHEMA_VERSION: u64 = 14;
 
 /// Deterministic run identifier: FNV-1a (64-bit) over the given byte slices,
 /// rendered as 16 lowercase hex digits. Feed it the model source and the
@@ -151,7 +158,7 @@ pub fn run_id(parts: &[&[u8]]) -> String {
 /// r.set("model", Json::obj([("file", Json::from("m.aadl"))]));
 /// let text = r.to_json();
 /// assert!(text.starts_with("{\n  \"schema\": \"aadlsched-metrics\""));
-/// assert!(text.contains("\"version\": 13"));
+/// assert!(text.contains("\"version\": 14"));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Report {

@@ -14,8 +14,10 @@
 //!                             states: branch points, deadlocks, run
 //!                             endpoints — not quanta)
 //!   --cache-capacity <n>      completed results kept for cache hits
+//!                             (default 128; 0 = always recompute, and a
+//!                             --store daemon neither boot-warms nor
+//!                             persists the cache)
 //!   --retries <n>             retries on transient analysis failures
-//!   --no-result-cache         always recompute, never serve cached verdicts
 //!   --metrics <file>          write the fleet metrics report on shutdown
 //!   --no-trace                disable request-scoped tracing, the flight
 //!                             recorder and per-stage histograms (the
@@ -26,7 +28,8 @@
 //!   --store <dir>             cross-run artifact store: explorations
 //!                             consult/deposit verdict artifacts there, the
 //!                             result cache is boot-warmed from it, and a
-//!                             graceful drain persists the cache back;
+//!                             graceful drain persists the cache back
+//!                             (both skipped at --cache-capacity 0);
 //!                             readonly:<dir> serves hits without writing
 //! ```
 //!
@@ -46,7 +49,7 @@ fn usage() -> ExitCode {
         "usage: aadlschedd [--addr <host:port>] [--workers <n>] \
          [--queue-capacity <n>] [--rate-limit <n>] [--burst <n>] \
          [--default-timeout-ms <n>] [--max-states <n>] [--cache-capacity <n>] \
-         [--retries <n>] [--no-result-cache] [--metrics <file>] \
+         [--retries <n>] [--metrics <file>] \
          [--no-trace] [--flight-capacity <n>] [--span-cap <n>] \
          [--store <dir|readonly:dir>]"
     );
@@ -102,7 +105,6 @@ fn parse_args() -> Result<Config, String> {
                     .parse()
                     .map_err(|e| format!("--retries: {e}"))?
             }
-            "--no-result-cache" => cfg.result_cache = false,
             "--metrics" => cfg.metrics_path = Some(val("--metrics")?),
             "--no-trace" => cfg.trace = false,
             "--flight-capacity" => {

@@ -71,12 +71,12 @@ pub struct Config {
     pub default_timeout_ms: Option<u64>,
     /// Daemon-wide state budget every request is clamped to.
     pub max_states: usize,
-    /// Completed results kept for cache hits (FIFO eviction).
+    /// Completed results kept for cache hits (FIFO eviction); `0` always
+    /// recomputes, and a daemon with a store then neither boot-warms the
+    /// cache from it nor persists the cache on drain.
     pub cache_capacity: usize,
     /// Bounded retries when the analysis pipeline fails transiently.
     pub retries: u32,
-    /// Keep verdicts in the result cache (`false` = always recompute).
-    pub result_cache: bool,
     /// Write the end-of-life fleet metrics report to this path on shutdown.
     pub metrics_path: Option<String>,
     /// Request-scoped tracing: span trees, stage histograms and the flight
@@ -111,7 +111,6 @@ impl Default for Config {
             max_states: usize::MAX,
             cache_capacity: 128,
             retries: 1,
-            result_cache: true,
             metrics_path: None,
             trace: true,
             flight_capacity: 64,
@@ -145,7 +144,6 @@ impl Config {
             ),
             ("cache_capacity", Json::from(self.cache_capacity)),
             ("retries", Json::from(u64::from(self.retries))),
-            ("result_cache", Json::Bool(self.result_cache)),
             ("trace", Json::Bool(self.trace)),
             ("flight_capacity", Json::from(self.flight_capacity)),
             ("span_cap", Json::from(self.span_cap)),
@@ -345,11 +343,7 @@ pub fn run(cfg: Config) -> Result<(), String> {
 
     let daemon = Arc::new(Daemon {
         limiter: RateLimiter::new(cfg.rate_limit, cfg.burst, clock.clone()),
-        jobs: JobTable::new(if cfg.result_cache {
-            cfg.cache_capacity
-        } else {
-            0
-        }),
+        jobs: JobTable::new(cfg.cache_capacity),
         queue: BoundedQueue::new(cfg.queue_capacity),
         m: Instruments::new(&rec),
         rec,
@@ -365,9 +359,10 @@ pub fn run(cfg: Config) -> Result<(), String> {
     // Boot-warm: re-seed the in-process result cache from the snapshot a
     // previous daemon persisted on drain. A missing snapshot is the normal
     // first boot; a corrupt or alien-version one counts an invalidation and
-    // the daemon starts cold — never a wrong verdict.
+    // the daemon starts cold — never a wrong verdict. A daemon at cache
+    // capacity 0 keeps no results, so it skips this.
     if let Some(store) = &daemon.cas {
-        if daemon.cfg.result_cache {
+        if daemon.cfg.cache_capacity > 0 {
             match store.get(&persist::snapshot_key(daemon.cfg.max_states)) {
                 cas::Lookup::Hit(bytes) => match persist::decode_snapshot(&bytes) {
                     Some(entries) => {
@@ -468,10 +463,11 @@ pub fn run(cfg: Config) -> Result<(), String> {
     }
     reaper.join().expect("reaper panicked");
     // Drain-persist: snapshot the result cache into the artifact store so
-    // the next daemon boots warm. Read-only stores skip it (and the store
-    // itself refuses writes anyway).
+    // the next daemon boots warm. A daemon at cache capacity 0 skips it,
+    // leaving the snapshot it found for the next daemon; read-only stores
+    // skip it too (and the store itself refuses writes anyway).
     if let Some(store) = &daemon.cas {
-        if daemon.cfg.result_cache && !store.read_only() {
+        if daemon.cfg.cache_capacity > 0 && !store.read_only() {
             let entries = daemon.jobs.cached_entries();
             let payload = persist::encode_snapshot(&entries);
             if let Ok(true) = store.put(&persist::snapshot_key(daemon.cfg.max_states), &payload)
@@ -954,7 +950,7 @@ fn run_job(d: &Arc<Daemon>, digest: &str) {
     d.m.results.inc();
     // Verdicts cache; input errors and interruptions do not (a retry might
     // succeed under a fresh deadline or budget).
-    let cacheable = d.cfg.result_cache && matches!(result.code, 0 | 1);
+    let cacheable = matches!(result.code, 0 | 1);
     let waiters = d.jobs.complete(digest, result.clone(), cacheable);
     d.update_gauges();
     let outcome = outcome_str(&result);
@@ -1173,14 +1169,7 @@ fn health_response(d: &Daemon, id: &str) -> Json {
         ("jobs_running", Json::from(d.jobs.running_count())),
         ("connections", Json::Int(d.m.connections.get())),
         ("cache_entries", Json::from(d.jobs.cached_count())),
-        (
-            "cache_capacity",
-            Json::from(if d.cfg.result_cache {
-                d.cfg.cache_capacity
-            } else {
-                0
-            }),
-        ),
+        ("cache_capacity", Json::from(d.cfg.cache_capacity)),
         ("draining", Json::Bool(d.draining())),
     ])
 }

@@ -721,9 +721,40 @@ fn artifact_store_boot_warms_the_cache_across_restarts() {
     assert_eq!(field(&cold, "verdict"), "schedulable");
     assert_eq!(field(&cold, "cached"), "false");
     d1.shutdown();
+    let contents = || -> std::collections::BTreeMap<_, _> {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| (e.file_name(), std::fs::read(e.path()).unwrap()))
+            .collect()
+    };
+    let snapshot = contents();
     assert!(
-        std::fs::read_dir(&dir).unwrap().count() >= 2,
+        snapshot.len() >= 2,
         "drain must leave the exploration artifact and the cache snapshot"
+    );
+
+    // A life at cache capacity 0 keeps no results: the snapshot does not
+    // warm it, a duplicate is computed again, and the drain leaves the
+    // store, snapshot included, as the first life left it.
+    let d0 = Daemon::start(
+        &["--workers", "1", "--cache-capacity", "0", "--store", &store],
+        None,
+    );
+    let mut c = d0.connect();
+    for id in ["z1", "z2"] {
+        c.send(&analyze_file(id, "cruise_control.aadl"));
+        c.recv();
+        assert_eq!(field(&c.recv(), "cached"), "false", "request {id}");
+    }
+    let health = introspect(&mut c, "health", "h");
+    assert_eq!(field(&health, "cache_capacity"), "0");
+    assert_eq!(field(&health, "cache_entries"), "0");
+    d0.shutdown();
+    assert_eq!(
+        contents(),
+        snapshot,
+        "a capacity-0 daemon changed the store"
     );
 
     // Second life: the boot-warm makes the identical request a cache hit
@@ -743,7 +774,7 @@ fn artifact_store_boot_warms_the_cache_across_restarts() {
 
     // Third life, read-only: hits are still served but the store gains
     // nothing — not even the drain-time snapshot.
-    let entries_before = std::fs::read_dir(&dir).unwrap().count();
+    let before = contents();
     let ro = format!("readonly:{store}");
     let d3 = Daemon::start(&["--workers", "1", "--store", &ro], None);
     let mut c = d3.connect();
@@ -752,11 +783,7 @@ fn artifact_store_boot_warms_the_cache_across_restarts() {
     let ro_hit = c.recv();
     assert_eq!(field(&ro_hit, "cached"), "true");
     d3.shutdown();
-    let entries_after = std::fs::read_dir(&dir).unwrap().count();
-    assert_eq!(
-        entries_before, entries_after,
-        "a read-only store must not gain entries"
-    );
+    assert_eq!(contents(), before, "a read-only store must not change");
 
     // A corrupt snapshot degrades to a cold boot, never a crash: garbage
     // every entry, then boot again and expect a fresh (uncached) verdict.
@@ -772,6 +799,22 @@ fn artifact_store_boot_warms_the_cache_across_restarts() {
     assert_eq!(field(&fresh, "cached"), "false");
     d4.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_removed_no_result_cache_flag_is_unknown() {
+    // The trailing bad value stops a daemon that accepted the flag from
+    // starting to serve, so a regression fails here instead of hanging.
+    let out = Command::new(env!("CARGO_BIN_EXE_aadlschedd"))
+        .args(["--no-result-cache", "--workers", "none"])
+        .output()
+        .expect("run aadlschedd");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag `--no-result-cache`"),
+        "{stderr}"
+    );
 }
 
 /// The soak corpus: every set of 2–3 periodic threads on one RMS processor

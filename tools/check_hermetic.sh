@@ -118,9 +118,7 @@ crates/baselines/Cargo.toml dependencies aadl
 crates/baselines/Cargo.toml dependencies det
 crates/bench/Cargo.toml dependencies aadl
 crates/bench/Cargo.toml dependencies aadl2acsr
-crates/bench/Cargo.toml dependencies acsr
 crates/bench/Cargo.toml dependencies cas
-crates/bench/Cargo.toml dependencies det
 crates/bench/Cargo.toml dependencies obs
 crates/bench/Cargo.toml dependencies sched-baselines
 crates/bench/Cargo.toml dependencies versa

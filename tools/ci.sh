@@ -6,15 +6,19 @@
 #   2. the pinned-timeline gates: the golden diagnose trace and the
 #      concurrency-control inversion timeline, named explicitly so a drift
 #      in either renders as its own CI line, not a needle in the full suite
-#   3. the artifact-store A/B: the smoke harness twice against one fresh
+#   3. the artifact-store A/B: the bench harness twice against one fresh
 #      `--store` directory — verdict lines must be byte-identical cold vs
-#      warm, and the second run must demonstrably serve its Q12 cold pass
-#      from the store the first run deposited (cas.hits >= 1)
-#   4. the bench harness in smoke mode, once: it aborts if its Q12 warm
-#      sweep changes a verdict row or its Q13 zone graph misses the 10x
-#      state bar, and it refreshes BENCH_exploration.json, which is
-#      committed — deliberately after the store stage, so the committed
-#      report's `cas` section reflects a fresh cold/warm A/B
+#      warm, the second run must demonstrably serve its Q12 cold pass
+#      from the store the first run deposited (cas.hits >= 1), and the
+#      report it refreshed must carry its `cas` and `obs_overhead` sections
+#   4. the bench harness once more, on its own fresh store: it regenerates
+#      every table and BENCH_exploration.json, which is committed —
+#      deliberately after the store stage, so the committed report's `cas`
+#      section reflects a fresh cold/warm A/B. It aborts if its Q12 warm
+#      sweep changes a verdict row, its Q13 zone graph misses the 10x state
+#      bar or its Q11 recorder modes disagree on states or transitions, and
+#      the stage fails if the report lacks its `cas` or `obs_overhead`
+#      section
 #   5. the zone smoke: every small bundled model analyzed with
 #      `--exhaustive` (the delay-zone graph) and with `--exhaustive --dot`
 #      (the same search at unit edges, which builds the LTS) — exit codes must
@@ -94,11 +98,23 @@ extract_verdicts() {
   grep -E "schedulable|VERDICT" | sed -E 's/ time=[^ ]*//'
 }
 
+# The sections of BENCH_exploration.json that the harness's sweeps write
+# next to the exploration report: the store A/B (Q12) and the recorder A/B
+# (Q11).
+require_bench_sections() {
+  for section in cas obs_overhead; do
+    if ! grep -q "\"$section\"" BENCH_exploration.json; then
+      echo "$1: BENCH_exploration.json lost its $section section"
+      exit 1
+    fi
+  done
+}
+
 echo "== artifact store: cold vs warm verdicts must be byte-identical =="
 rm -rf target/ci/cas
-cargo run --release -q -p bench --bin harness -- --smoke --store target/ci/cas \
+cargo run --release -q -p bench --bin harness -- --store target/ci/cas \
   | extract_verdicts > target/ci/verdicts-cold.txt
-cargo run --release -q -p bench --bin harness -- --smoke --store target/ci/cas \
+cargo run --release -q -p bench --bin harness -- --store target/ci/cas \
   > target/ci/harness-warm.txt
 extract_verdicts < target/ci/harness-warm.txt > target/ci/verdicts-warm.txt
 diff -u target/ci/verdicts-cold.txt target/ci/verdicts-warm.txt
@@ -111,15 +127,13 @@ if [ "${cold_hits:-0}" -lt 1 ]; then
   echo "artifact store: second run did not hit the store (cold-pass hits=${cold_hits:-absent})"
   exit 1
 fi
-if ! grep -q '"cas"' BENCH_exploration.json; then
-  echo "artifact store: BENCH_exploration.json lost its cas section"
-  exit 1
-fi
+require_bench_sections "artifact store"
 echo "artifact store: second run served $cold_hits artifact(s) from the store"
 
-echo "== bench harness (smoke): refresh BENCH_exploration.json =="
-cargo run --release -q -p bench --bin harness -- --smoke > target/ci/harness-smoke.txt
-echo "bench harness: smoke run complete, BENCH_exploration.json refreshed"
+echo "== bench harness: regenerate every table and BENCH_exploration.json =="
+cargo run --release -q -p bench --bin harness > target/ci/harness.txt
+require_bench_sections "bench harness"
+echo "bench harness: every table regenerated, BENCH_exploration.json refreshed"
 
 echo "== zone smoke: zone verdicts must match the per-quantum --dot search =="
 # Every small bundled model, on the zone engine and on the per-quantum
