@@ -458,25 +458,36 @@ mod tests {
         assert!(!v.schedulable());
 
         let run = rec.finish();
-        let names: Vec<&str> = run.spans.iter().map(|s| s.name.as_str()).collect();
-        for expected in ["translate", "explore", "explore.level", "diagnose.raise"] {
-            assert!(names.contains(&expected), "missing span {expected}");
-        }
+        // One span per stage, whatever the size of the search: the
+        // per-bucket detail is in the `explore.bucket_*` histograms.
+        let names: Vec<&str> = run.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["translate", "explore", "diagnose.raise"]);
         let verdicts: Vec<_> = run.events.iter().filter(|e| e.name == "verdict").collect();
         assert_eq!(verdicts.len(), 1);
         assert!(verdicts[0]
             .fields
             .iter()
-            .any(|(k, val)| k == "schedulable" && *val == obs::Json::Bool(false)));
+            .any(|(k, val)| *k == "schedulable" && *val == obs::Json::Bool(false)));
         assert!(verdicts[0]
             .fields
             .iter()
-            .any(|(k, _)| k == "deadlock_depth"));
+            .any(|(k, _)| *k == "deadlock_depth"));
         // Two threads → two skeleton-size observations.
         assert!(run
             .histograms
             .iter()
             .any(|(k, s)| k == "translate.skeleton_size" && s.count == 2));
+        // One observation per bucket, the one the first deadlock stops in
+        // included.
+        let levels = v.stats().levels as u64;
+        for name in ["explore.bucket_frontier", "explore.bucket_discovered"] {
+            assert!(
+                run.histograms
+                    .iter()
+                    .any(|(k, s)| k == name && s.count == levels),
+                "{name}"
+            );
+        }
     }
 
     #[test]

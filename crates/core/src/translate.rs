@@ -829,8 +829,8 @@ mod tests {
         let anchor_id = run.spans.iter().find(|s| s.name == "served.exec").unwrap().id;
         let span = run.spans.iter().find(|s| s.name == "translate").unwrap();
         assert_eq!(span.parent, Some(anchor_id));
-        assert!(span.fields.contains(&("req".to_string(), 9)));
-        assert!(span.fields.contains(&("threads".to_string(), 6)));
+        assert!(span.fields.contains(&("req", 9)));
+        assert!(span.fields.contains(&("threads", 6)));
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!   `obs_overhead` section of `BENCH_exploration.json`; see EXPERIMENTS.md
 //!   Q11).
 //! * **Spans** ([`Span`]) — hierarchical, monotonically timed regions
-//!   (`translate`, `explore`, `explore.level`, `diagnose.raise`).
+//!   (`translate`, `explore`, `diagnose.raise`, and the daemon's
+//!   `served.*` stages), a fixed handful per run: detail per item, such as
+//!   the frontier of each Dijkstra bucket, goes into a histogram
+//!   (`explore.bucket_frontier`), never into a span per item.
 //! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) — lock-free atomic
 //!   instruments: an analysis runs on one thread, but the daemon's worker
 //!   and connection threads update its fleet-wide instruments concurrently.
@@ -33,9 +36,8 @@
 //!
 //! let rec = Recorder::with_clock(Box::new(FakeClock::new(1_000)));
 //! let explore = rec.span("explore");
-//! let level = explore.child("explore.level");
-//! level.set("frontier", 1);
-//! level.end();
+//! explore.set("states", 3);
+//! rec.histogram("explore.bucket_frontier").observe(1);
 //! rec.counter("explore.dedup_hits").add(3);
 //! explore.end();
 //!
@@ -43,7 +45,8 @@
 //! report.set("verdict", Json::obj([("schedulable", Json::Bool(true))]));
 //! report.attach_run(&rec.finish());
 //! let a = report.to_json();
-//! assert!(a.contains("\"explore.level\""));
+//! assert!(a.contains("\"name\": \"explore\""));
+//! assert!(a.contains("\"explore.bucket_frontier\""));
 //! assert!(a.contains("\"explore.dedup_hits\": 3"));
 //! ```
 

@@ -8,10 +8,17 @@
 //! ## Naming conventions (see DESIGN.md, "Observability")
 //!
 //! Span and metric names are lowercase, dot-separated, rooted at the
-//! pipeline stage: `translate`, `explore`, `explore.level`, `analysis`,
-//! `diagnose.raise`; instruments extend the stage name
-//! (`explore.dedup_hits`, `zone.quanta_collapsed`,
-//! `translate.skeleton_size`).
+//! pipeline stage. The engine opens the spans `translate`, `explore` and
+//! `diagnose.raise`; the daemon opens `served.request` and one child per
+//! serving stage (`served.parse`, `served.exec`, …). Instruments extend the
+//! stage name (`explore.dedup_hits`, `explore.bucket_frontier`,
+//! `zone.quanta_collapsed`, `translate.skeleton_size`).
+//!
+//! A stage records a fixed number of spans however large its input: detail
+//! per item (a Dijkstra bucket, a forced run, a quantum) goes into a
+//! histogram, never into a span per item. Span names, event names and field
+//! keys are `&'static str` literals, so a span costs its record plus at most
+//! one fields vector.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -28,13 +35,13 @@ pub struct SpanRecord {
     /// Parent span id, if this span was opened via [`Span::child`].
     pub parent: Option<u64>,
     /// Dot-separated span name.
-    pub name: String,
+    pub name: &'static str,
     /// Clock reading at open.
     pub start_ns: u64,
     /// Clock reading at close (`None` while open).
     pub end_ns: Option<u64>,
     /// Integer fields attached with [`Span::set`], in attachment order.
-    pub fields: Vec<(String, i64)>,
+    pub fields: Vec<(&'static str, i64)>,
 }
 
 /// One instantaneous event with structured fields.
@@ -43,9 +50,9 @@ pub struct EventRecord {
     /// Clock reading at emission.
     pub ts_ns: u64,
     /// Dot-separated event name.
-    pub name: String,
+    pub name: &'static str,
     /// Structured payload, in attachment order.
-    pub fields: Vec<(String, Json)>,
+    pub fields: Vec<(&'static str, Json)>,
 }
 
 /// Everything one run recorded, in deterministic order: metrics sorted by
@@ -171,34 +178,33 @@ impl Recorder {
     /// counted in [`RunData::spans_dropped`]; events emitted past it are
     /// dropped and counted in [`RunData::events_dropped`]. Counters, gauges
     /// and histograms — all fixed-size — keep recording. Long-lived
-    /// processes (the serving daemon) use this so per-request tracing
-    /// cannot grow memory without bound. Call before handing out clones,
-    /// like [`Recorder::with_progress`].
+    /// processes (the serving daemon) use this so tracing cannot grow
+    /// memory without bound; the cap counts every entry of the recorder's
+    /// life, not per request.
+    ///
+    /// # Panics
+    ///
+    /// If the handle has been cloned: configure a recorder before handing
+    /// it out, like [`Recorder::with_progress`].
     pub fn with_span_cap(mut self, cap: usize) -> Recorder {
-        if let Some(inner) = self.inner.take() {
-            let inner = Arc::try_unwrap(inner).unwrap_or_else(rebuild_inner);
-            self.inner = Some(Arc::new(Inner {
-                span_cap: cap,
-                ..inner
-            }));
+        if let Some(inner) = &mut self.inner {
+            sole_owner(inner).span_cap = cap;
         }
         self
     }
 
     /// Turn on rate-limited progress reporting (stderr lines emitted by
     /// [`Recorder::progress`], doubling thresholds from
-    /// [`PROGRESS_FIRST_THRESHOLD`]). Call before handing the recorder to the
-    /// exploration.
+    /// [`PROGRESS_FIRST_THRESHOLD`]).
+    ///
+    /// # Panics
+    ///
+    /// If the handle has been cloned: call it before handing the recorder
+    /// to the exploration.
     pub fn with_progress(mut self) -> Recorder {
-        if let Some(inner) = self.inner.take() {
-            // The recorder was just built and has a single owner; rebuild the
-            // Inner with progress armed.
-            let inner = Arc::try_unwrap(inner).unwrap_or_else(rebuild_inner);
-            self.inner = Some(Arc::new(Inner {
-                progress: Some(Mutex::new(ProgressState {
-                    next: PROGRESS_FIRST_THRESHOLD,
-                })),
-                ..inner
+        if let Some(inner) = &mut self.inner {
+            sole_owner(inner).progress = Some(Mutex::new(ProgressState {
+                next: PROGRESS_FIRST_THRESHOLD,
             }));
         }
         self
@@ -249,7 +255,7 @@ impl Recorder {
     /// Open a root span. Close it with [`Span::end`]; fields with
     /// [`Span::set`]. Under a scoped handle (see [`Recorder::scoped`]) the
     /// span parents under the scope's anchor instead of being a root.
-    pub fn span(&self, name: &str) -> Span {
+    pub fn span(&self, name: &'static str) -> Span {
         self.open_span(name, None, None)
     }
 
@@ -258,7 +264,7 @@ impl Recorder {
     /// (e.g. the serving layer stamps request receipt once and builds the
     /// whole stage tree from stored stamps, keeping the number of clock
     /// reads per request fixed and fake-clock runs byte-stable).
-    pub fn span_at(&self, name: &str, start_ns: u64) -> Span {
+    pub fn span_at(&self, name: &'static str, start_ns: u64) -> Span {
         self.open_span(name, None, Some(start_ns))
     }
 
@@ -277,7 +283,7 @@ impl Recorder {
     /// A clone of this handle whose root spans parent under `anchor` and
     /// carry a `req` field — the request-scoping hook of the serving layer:
     /// hand the engine a scoped clone and every span the engine opens
-    /// (`translate`, `explore`, `explore.level`, `diagnose.raise`, …) lands
+    /// (`translate`, `explore`, `diagnose.raise`) lands
     /// in that request's span tree, tagged with its request sequence
     /// number, without the engine knowing anything about requests. Returns
     /// an unscoped clone when the anchor span is inert (disabled recorder
@@ -298,7 +304,7 @@ impl Recorder {
         }
     }
 
-    fn open_span(&self, name: &str, parent: Option<u64>, start: Option<u64>) -> Span {
+    fn open_span(&self, name: &'static str, parent: Option<u64>, start: Option<u64>) -> Span {
         match &self.inner {
             None => Span {
                 rec: Recorder::disabled(),
@@ -318,13 +324,13 @@ impl Recorder {
                 }
                 let id = spans.len() as u64;
                 let fields = match &self.scope {
-                    Some(s) => vec![("req".to_string(), s.req)],
+                    Some(s) => vec![("req", s.req)],
                     None => Vec::new(),
                 };
                 spans.push(SpanRecord {
                     id,
                     parent,
-                    name: name.to_string(),
+                    name,
                     start_ns,
                     end_ns: None,
                     fields,
@@ -339,7 +345,11 @@ impl Recorder {
 
     /// Emit an instantaneous structured event. Past the log cap (see
     /// [`Recorder::with_span_cap`]) the event is dropped and counted.
-    pub fn event(&self, name: &str, fields: impl IntoIterator<Item = (&'static str, Json)>) {
+    pub fn event(
+        &self,
+        name: &'static str,
+        fields: impl IntoIterator<Item = (&'static str, Json)>,
+    ) {
         if let Some(inner) = &self.inner {
             let ts_ns = inner.clock.now_ns();
             let mut events = inner.events.lock().expect("event log");
@@ -350,11 +360,8 @@ impl Recorder {
             }
             events.push(EventRecord {
                 ts_ns,
-                name: name.to_string(),
-                fields: fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
+                name,
+                fields: fields.into_iter().collect(),
             });
         }
     }
@@ -471,27 +478,11 @@ impl Recorder {
     }
 }
 
-/// Rebuild an [`Inner`] whose `Arc` still has other owners (the
-/// `with_*` builders are meant to run before clones are handed out, but
-/// must stay correct if they do not).
-fn rebuild_inner(arc: Arc<Inner>) -> Inner {
-    Inner {
-        clock: Box::new(MonotonicClock::new()),
-        start_ns: arc.start_ns,
-        counters: Mutex::new(arc.counters.lock().unwrap().clone()),
-        gauges: Mutex::new(arc.gauges.lock().unwrap().clone()),
-        histograms: Mutex::new(arc.histograms.lock().unwrap().clone()),
-        spans: Mutex::new(arc.spans.lock().unwrap().clone()),
-        events: Mutex::new(arc.events.lock().unwrap().clone()),
-        progress: None,
-        span_cap: arc.span_cap,
-        spans_dropped: std::sync::atomic::AtomicU64::new(
-            arc.spans_dropped.load(Ordering::Relaxed),
-        ),
-        events_dropped: std::sync::atomic::AtomicU64::new(
-            arc.events_dropped.load(Ordering::Relaxed),
-        ),
-    }
+/// The store behind a handle that has no clones yet — the only state in
+/// which the `with_*` builders may change its configuration.
+fn sole_owner(inner: &mut Arc<Inner>) -> &mut Inner {
+    Arc::get_mut(inner)
+        .expect("configure a Recorder (with_span_cap, with_progress) before cloning it")
 }
 
 /// An open span; hierarchical via [`Span::child`]. Spans are closed
@@ -506,7 +497,7 @@ pub struct Span {
 
 impl Span {
     /// Open a child span.
-    pub fn child(&self, name: &str) -> Span {
+    pub fn child(&self, name: &'static str) -> Span {
         match self.id {
             None => Span {
                 rec: Recorder::disabled(),
@@ -518,7 +509,7 @@ impl Span {
 
     /// Open a child span with an explicit start timestamp (no clock read);
     /// see [`Recorder::span_at`].
-    pub fn child_at(&self, name: &str, start_ns: u64) -> Span {
+    pub fn child_at(&self, name: &'static str, start_ns: u64) -> Span {
         match self.id {
             None => Span {
                 rec: Recorder::disabled(),
@@ -537,14 +528,14 @@ impl Span {
 
     /// Attach an integer field (last write wins per key at render time; keys
     /// are kept in attachment order).
-    pub fn set(&self, key: &str, value: i64) {
+    pub fn set(&self, key: &'static str, value: i64) {
         if let (Some(id), Some(inner)) = (self.id, &self.rec.inner) {
             let mut spans = inner.spans.lock().expect("span log");
             let rec = &mut spans[id as usize];
-            if let Some(slot) = rec.fields.iter_mut().find(|(k, _)| k == key) {
+            if let Some(slot) = rec.fields.iter_mut().find(|(k, _)| *k == key) {
                 slot.1 = value;
             } else {
-                rec.fields.push((key.to_string(), value));
+                rec.fields.push((key, value));
             }
         }
     }
@@ -576,9 +567,9 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let rec = Recorder::disabled();
-        let span = rec.span("explore");
-        let child = span.child("explore.level");
-        child.set("frontier", 3);
+        let span = rec.span("served.exec");
+        let child = span.child("explore");
+        child.set("states", 3);
         child.end();
         span.end();
         rec.event("verdict", [("schedulable", Json::Bool(true))]);
@@ -594,21 +585,21 @@ mod tests {
         let rec = Recorder::with_clock(Box::new(FakeClock::new(10)));
         // Clock reads: start=0, span open=10, child open=20, child end=30,
         // span end=40, finish=50.
-        let span = rec.span("explore");
-        let child = span.child("explore.level");
-        child.set("frontier", 5);
-        child.set("frontier", 7); // overwrite, not duplicate
+        let span = rec.span("served.exec");
+        let child = span.child("explore");
+        child.set("states", 5);
+        child.set("states", 7); // overwrite, not duplicate
         child.end();
         span.end();
         let run = rec.finish();
         assert_eq!(run.start_ns, 0);
         assert_eq!(run.end_ns, 50);
         assert_eq!(run.spans.len(), 2);
-        assert_eq!(run.spans[0].name, "explore");
+        assert_eq!(run.spans[0].name, "served.exec");
         assert_eq!(run.spans[0].start_ns, 10);
         assert_eq!(run.spans[0].end_ns, Some(40));
         assert_eq!(run.spans[1].parent, Some(0));
-        assert_eq!(run.spans[1].fields, vec![("frontier".to_string(), 7)]);
+        assert_eq!(run.spans[1].fields, vec![("states", 7)]);
     }
 
     #[test]
@@ -657,16 +648,16 @@ mod tests {
         // anchor and carries the request tag — and so do its children,
         // because `child` goes through the same scoped handle.
         let engine = scoped.span("explore");
-        let level = engine.child("explore.level");
-        level.end();
+        let part = engine.child("stage");
+        part.end();
         engine.end();
         anchor.end();
         let run = rec.finish();
         assert_eq!(run.spans[1].name, "explore");
         assert_eq!(run.spans[1].parent, Some(0));
-        assert_eq!(run.spans[1].fields, vec![("req".to_string(), 7)]);
+        assert_eq!(run.spans[1].fields, vec![("req", 7)]);
         assert_eq!(run.spans[2].parent, Some(1));
-        assert_eq!(run.spans[2].fields, vec![("req".to_string(), 7)]);
+        assert_eq!(run.spans[2].fields, vec![("req", 7)]);
         // Scoping an inert anchor yields an unscoped handle.
         let unscoped = Recorder::disabled();
         let inert = unscoped.span("x");
@@ -715,6 +706,16 @@ mod tests {
         assert_eq!(run.spans.len(), 2);
         assert_eq!(run.spans_dropped, 1);
         assert_eq!(run.counters[0], ("still.counting".to_string(), 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "before cloning it")]
+    fn configuring_a_cloned_recorder_panics() {
+        // A clone shares the store, so changing its configuration now would
+        // either reach the other handle's spans or need a second store.
+        let rec = Recorder::with_clock(Box::new(FakeClock::new(1)));
+        let _engine = rec.clone();
+        let _ = rec.with_span_cap(8);
     }
 
     #[test]

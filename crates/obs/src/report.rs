@@ -11,7 +11,7 @@
 
 use crate::json::Json;
 use crate::metrics::HistogramSnapshot;
-use crate::recorder::{RunData, SpanRecord};
+use crate::recorder::{EventRecord, RunData, SpanRecord};
 
 /// The schema family name every report carries.
 pub const SCHEMA: &str = "aadlsched-metrics";
@@ -117,7 +117,15 @@ pub const SCHEMA: &str = "aadlsched-metrics";
 ///   - the daemon's fleet-report `config` section lost `result_cache`: the
 ///     `--no-result-cache` flag is gone, and `cache_capacity` 0 is the one
 ///     way to turn the result cache off.
-pub const SCHEMA_VERSION: u64 = 14;
+/// * v15 — a run records a fixed number of spans, whatever its size:
+///   - the per-bucket `explore.level` spans are gone; the `explore` span
+///     keeps its `levels` and `peak_frontier` fields;
+///   - two new histograms take over the per-bucket detail, one observation
+///     per bucket: `explore.bucket_frontier` (states expanded in the
+///     bucket) and `explore.bucket_discovered` (new states it interned);
+///   - with two fewer clock reads per bucket, fake-clock stamps after the
+///     search move earlier.
+pub const SCHEMA_VERSION: u64 = 15;
 
 /// Deterministic run identifier: FNV-1a (64-bit) over the given byte slices,
 /// rendered as 16 lowercase hex digits. Feed it the model source and the
@@ -158,7 +166,7 @@ pub fn run_id(parts: &[&[u8]]) -> String {
 /// r.set("model", Json::obj([("file", Json::from("m.aadl"))]));
 /// let text = r.to_json();
 /// assert!(text.starts_with("{\n  \"schema\": \"aadlsched-metrics\""));
-/// assert!(text.contains("\"version\": 14"));
+/// assert!(text.contains("\"version\": 15"));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Report {
@@ -204,19 +212,7 @@ impl Report {
         );
         self.set(
             "events",
-            Json::Arr(
-                run.events
-                    .iter()
-                    .map(|e| {
-                        let mut pairs = vec![
-                            ("ts_ns".to_string(), Json::UInt(e.ts_ns)),
-                            ("name".to_string(), Json::from(e.name.as_str())),
-                        ];
-                        pairs.extend(e.fields.iter().cloned());
-                        Json::Obj(pairs)
-                    })
-                    .collect(),
-            ),
+            Json::Arr(run.events.iter().map(event_json).collect()),
         );
         self.set(
             "counters",
@@ -270,7 +266,7 @@ pub(crate) fn span_json(s: &SpanRecord) -> Json {
             "parent".to_string(),
             s.parent.map_or(Json::Null, Json::UInt),
         ),
-        ("name".to_string(), Json::from(s.name.as_str())),
+        ("name".to_string(), Json::from(s.name)),
         ("start_ns".to_string(), Json::UInt(s.start_ns)),
         (
             "duration_ns".to_string(),
@@ -284,11 +280,21 @@ pub(crate) fn span_json(s: &SpanRecord) -> Json {
             Json::Obj(
                 s.fields
                     .iter()
-                    .map(|(k, v)| (k.clone(), Json::Int(*v)))
+                    .map(|&(k, v)| (k.to_string(), Json::Int(v)))
                     .collect(),
             ),
         ));
     }
+    Json::Obj(pairs)
+}
+
+/// Render one event (shared by the report and the JSON-lines sink).
+pub(crate) fn event_json(e: &EventRecord) -> Json {
+    let mut pairs = vec![
+        ("ts_ns".to_string(), Json::UInt(e.ts_ns)),
+        ("name".to_string(), Json::from(e.name)),
+    ];
+    pairs.extend(e.fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
     Json::Obj(pairs)
 }
 

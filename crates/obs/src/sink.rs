@@ -9,7 +9,7 @@ use std::io::{self, Write};
 
 use crate::json::Json;
 use crate::recorder::RunData;
-use crate::report::span_json;
+use crate::report::{event_json, span_json};
 
 /// Render run data to a writer.
 pub trait Sink {
@@ -139,23 +139,19 @@ impl Sink for JsonLinesSink {
     fn emit(&self, run: &RunData, out: &mut dyn Write) -> io::Result<()> {
         // Merge spans and events, keyed by (timestamp, kind, log index) for a
         // deterministic total order.
+        let typed = |kind: &str, json: Json| match json {
+            Json::Obj(mut pairs) => {
+                pairs.insert(0, ("type".to_string(), Json::from(kind)));
+                Json::Obj(pairs)
+            }
+            _ => unreachable!("spans and events render as objects"),
+        };
         let mut lines: Vec<(u64, u8, u64, Json)> = Vec::new();
         for s in &run.spans {
-            let mut obj = match span_json(s) {
-                Json::Obj(pairs) => pairs,
-                _ => unreachable!("span_json returns an object"),
-            };
-            obj.insert(0, ("type".to_string(), Json::from("span")));
-            lines.push((s.start_ns, 0, s.id, Json::Obj(obj)));
+            lines.push((s.start_ns, 0, s.id, typed("span", span_json(s))));
         }
         for (i, e) in run.events.iter().enumerate() {
-            let mut pairs = vec![
-                ("type".to_string(), Json::from("event")),
-                ("ts_ns".to_string(), Json::UInt(e.ts_ns)),
-                ("name".to_string(), Json::from(e.name.as_str())),
-            ];
-            pairs.extend(e.fields.iter().cloned());
-            lines.push((e.ts_ns, 1, i as u64, Json::Obj(pairs)));
+            lines.push((e.ts_ns, 1, i as u64, typed("event", event_json(e))));
         }
         lines.sort_by_key(|(ts, kind, idx, _)| (*ts, *kind, *idx));
         for (_, _, _, json) in &lines {
@@ -173,10 +169,10 @@ mod tests {
 
     fn sample_run() -> RunData {
         let rec = Recorder::with_clock(Box::new(FakeClock::new(10)));
-        let root = rec.span("explore");
-        let lvl = root.child("explore.level");
-        lvl.set("frontier", 2);
-        lvl.end();
+        let root = rec.span("served.exec");
+        let explore = root.child("explore");
+        explore.set("states", 2);
+        explore.end();
         root.end();
         rec.event("verdict", [("schedulable", Json::Bool(false))]);
         rec.counter("explore.dedup_hits").add(5);
@@ -190,9 +186,9 @@ mod tests {
         let mut out = Vec::new();
         SummarySink.emit(&sample_run(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("explore"));
-        assert!(text.contains("  explore.level"), "{text}");
-        assert!(text.contains("frontier=2"));
+        assert!(text.contains("  served.exec"));
+        assert!(text.contains("    explore "), "{text}");
+        assert!(text.contains("states=2"));
         assert!(text.contains("explore.states"));
     }
 
@@ -203,8 +199,8 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"name\":\"explore\""));
-        assert!(lines[1].contains("\"name\":\"explore.level\""));
+        assert!(lines[0].contains("\"name\":\"served.exec\""));
+        assert!(lines[1].contains("\"name\":\"explore\""));
         assert!(lines[2].contains("\"type\":\"event\""));
         // Deterministic: emitting twice gives identical bytes.
         let mut out2 = Vec::new();

@@ -6,21 +6,25 @@
 
 use obs::{FakeClock, Json, JsonLinesSink, Recorder, Report, Sink};
 
-/// A fixed instrumentation sequence, as the pipeline would produce it.
+/// A fixed instrumentation sequence, as the pipeline would produce it
+/// inside one daemon request: the engine's spans nest under the request's
+/// `served.exec` anchor, and the per-bucket detail is a histogram.
 fn record() -> Recorder {
     let rec = Recorder::with_clock(Box::new(FakeClock::new(1_000)));
-    let translate = rec.span("translate");
+    let exec = rec.span("served.exec");
+    let engine = rec.scoped(&exec, 1);
+    let translate = engine.span("translate");
     translate.set("threads", 2);
     translate.end();
-    let explore = rec.span("explore");
-    for (level, frontier) in [(1i64, 1i64), (2, 2)] {
-        let lvl = explore.child("explore.level");
-        lvl.set("level", level);
-        lvl.set("frontier", frontier);
-        lvl.end();
+    let explore = engine.span("explore");
+    let bucket_frontier = engine.histogram("explore.bucket_frontier");
+    for frontier in [1, 2] {
+        bucket_frontier.observe(frontier);
     }
     explore.set("states", 3);
+    explore.set("levels", 2);
     explore.end();
+    exec.end();
     rec.counter("explore.dedup_hits").add(1);
     rec.gauge("explore.states").set(3);
     rec.histogram("translate.skeleton_size").observe(40);
@@ -36,57 +40,45 @@ fn record() -> Recorder {
 
 const EXPECTED_REPORT: &str = r#"{
   "schema": "aadlsched-metrics",
-  "version": 14,
+  "version": 15,
   "run_id": "e0721772aeb595b6",
   "tool": "snapshot-test",
-  "duration_ns": 10000,
+  "duration_ns": 8000,
   "spans": [
     {
       "id": 0,
       "parent": null,
-      "name": "translate",
+      "name": "served.exec",
       "start_ns": 1000,
+      "duration_ns": 5000
+    },
+    {
+      "id": 1,
+      "parent": 0,
+      "name": "translate",
+      "start_ns": 2000,
       "duration_ns": 1000,
       "fields": {
+        "req": 1,
         "threads": 2
       }
     },
     {
-      "id": 1,
-      "parent": null,
-      "name": "explore",
-      "start_ns": 3000,
-      "duration_ns": 5000,
-      "fields": {
-        "states": 3
-      }
-    },
-    {
       "id": 2,
-      "parent": 1,
-      "name": "explore.level",
+      "parent": 0,
+      "name": "explore",
       "start_ns": 4000,
       "duration_ns": 1000,
       "fields": {
-        "level": 1,
-        "frontier": 1
-      }
-    },
-    {
-      "id": 3,
-      "parent": 1,
-      "name": "explore.level",
-      "start_ns": 6000,
-      "duration_ns": 1000,
-      "fields": {
-        "level": 2,
-        "frontier": 2
+        "req": 1,
+        "states": 3,
+        "levels": 2
       }
     }
   ],
   "events": [
     {
-      "ts_ns": 9000,
+      "ts_ns": 7000,
       "name": "verdict",
       "schedulable": true,
       "truncated": false
@@ -102,6 +94,24 @@ const EXPECTED_REPORT: &str = r#"{
     }
   },
   "histograms": {
+    "explore.bucket_frontier": {
+      "count": 2,
+      "sum": 3,
+      "max": 2,
+      "p50": 1,
+      "p90": 2,
+      "p99": 2,
+      "buckets": [
+        [
+          1,
+          1
+        ],
+        [
+          2,
+          1
+        ]
+      ]
+    },
     "translate.skeleton_size": {
       "count": 1,
       "sum": 40,

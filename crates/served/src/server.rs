@@ -87,7 +87,11 @@ pub struct Config {
     pub flight_capacity: usize,
     /// Cap on the span log and on the event log; entries past it are dropped
     /// (counted in the report's `spans_dropped`/`events_dropped`) so a
-    /// long-lived daemon cannot grow memory without bound.
+    /// long-lived daemon cannot grow memory without bound. The cap is
+    /// daemon-wide, not per request: the fleet report's spans are the first
+    /// `span_cap` records of the daemon's life. A traced request records 8
+    /// spans (9 when unschedulable, 4 on a result-cache hit) and one
+    /// `verdict` event when it is analyzed.
     pub span_cap: usize,
     /// Cross-run artifact store directory (`--store`). When set, every
     /// exploration consults/deposits artifacts there, the result cache is

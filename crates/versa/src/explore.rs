@@ -175,8 +175,9 @@ pub struct Options {
     /// Observability recorder. Disabled by default — every instrument the
     /// exploration touches is then an inert handle, so the instrumented hot
     /// path costs nothing observable (see `crates/obs`). Enable it (and
-    /// optionally arm progress reporting) to get per-level spans, the dedup,
-    /// zone and memo counters, and the peak state-store gauge.
+    /// optionally arm progress reporting) to get one `explore` span, the
+    /// per-bucket frontier and discovery histograms, the dedup, zone and
+    /// memo counters, and the peak state-store gauge.
     pub obs: obs::Recorder,
     /// Persistent cross-run artifact store (see `crates/cas` and the
     /// `cache` module). `None` (the default) disables consulting and
@@ -927,7 +928,7 @@ mod tests {
     }
 
     #[test]
-    fn recorder_captures_per_level_spans() {
+    fn recorder_summarizes_buckets_in_two_histograms() {
         let env = Env::new();
         let p = act([(cpu(), 1)], act([(cpu(), 1)], nil()));
         let rec = obs::Recorder::with_clock(Box::new(obs::FakeClock::new(1)));
@@ -937,19 +938,32 @@ mod tests {
             &Options::default().with_lts().with_obs(rec.clone()),
         );
         let run = rec.finish();
-        let roots: Vec<_> = run.spans.iter().filter(|s| s.name == "explore").collect();
-        assert_eq!(roots.len(), 1);
-        assert!(roots[0].fields.contains(&("states".to_string(), 3)));
-        let levels: Vec<_> = run
-            .spans
-            .iter()
-            .filter(|s| s.name == "explore.level")
-            .collect();
-        assert_eq!(levels.len(), ex.stats.levels);
-        for (i, lvl) in levels.iter().enumerate() {
-            assert_eq!(lvl.parent, Some(roots[0].id));
-            assert!(lvl.fields.contains(&("level".to_string(), i as i64 + 1)));
+        // One span for the whole search, whatever its number of buckets.
+        assert_eq!(run.spans.len(), 1);
+        assert_eq!(run.spans[0].name, "explore");
+        for field in [
+            ("states", 3),
+            ("levels", ex.stats.levels as i64),
+            ("peak_frontier", ex.stats.peak_frontier as i64),
+        ] {
+            assert!(run.spans[0].fields.contains(&field), "{field:?}");
         }
+        // One observation per bucket. An exhaustive run expands every state
+        // in exactly one bucket, and every state but the root is discovered
+        // in one.
+        let histogram = |name: &str| {
+            run.histograms
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, snap)| snap.clone())
+                .unwrap_or_else(|| panic!("no histogram `{name}`"))
+        };
+        let frontier = histogram("explore.bucket_frontier");
+        let discovered = histogram("explore.bucket_discovered");
+        assert_eq!(frontier.count, ex.stats.levels as u64);
+        assert_eq!(discovered.count, ex.stats.levels as u64);
+        assert_eq!(frontier.sum, ex.stats.states as u64);
+        assert_eq!(discovered.sum, ex.stats.states as u64 - 1);
         // Straight-line process: no state is ever rediscovered, and at unit
         // edges each of its two forced steps is a singleton step. Counters
         // come back sorted by name.
@@ -993,22 +1007,13 @@ mod tests {
         explore(&env, &p, &Options::default().with_obs(scoped));
         anchor.end();
         let run = rec.finish();
-        let anchor_id = run.spans.iter().find(|s| s.name == "served.exec").unwrap().id;
-        let root = run.spans.iter().find(|s| s.name == "explore").unwrap();
-        assert_eq!(root.parent, Some(anchor_id));
-        assert!(root.fields.contains(&("req".to_string(), 42)));
-        // Engine children keep nesting under the engine root (not the
-        // anchor) and inherit the request tag.
-        let levels: Vec<_> = run
-            .spans
-            .iter()
-            .filter(|s| s.name == "explore.level")
-            .collect();
-        assert!(!levels.is_empty());
-        for lvl in levels {
-            assert_eq!(lvl.parent, Some(root.id));
-            assert!(lvl.fields.contains(&("req".to_string(), 42)));
-        }
+        // The anchor and the engine's one span: per-bucket detail goes to
+        // histograms, not to child spans.
+        let names: Vec<&str> = run.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["served.exec", "explore"]);
+        let root = &run.spans[1];
+        assert_eq!(root.parent, Some(run.spans[0].id));
+        assert!(root.fields.contains(&("req", 42)));
     }
 
     #[test]

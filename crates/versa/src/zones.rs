@@ -322,6 +322,11 @@ pub(crate) fn explore_zones(
 
     let run_span = opts.obs.span("explore");
     let dedup_counter = opts.obs.counter("explore.dedup_hits");
+    // Per-bucket detail at a fixed size: one observation per bucket, at
+    // every exit of the bucket loop, so the search records one span
+    // however many buckets it settles (`longperiod` settles 16 140).
+    let bucket_frontier = opts.obs.histogram("explore.bucket_frontier");
+    let bucket_discovered = opts.obs.histogram("explore.bucket_discovered");
     let states_gauge = opts.obs.gauge("explore.states");
     let store = opts
         .store
@@ -367,17 +372,19 @@ pub(crate) fn explore_zones(
         }
         stats.levels += 1;
         stats.peak_frontier = stats.peak_frontier.max(frontier.len());
-        let level_span = run_span.child("explore.level");
         let learn = long_run_steps >= LEARN_AFTER_VOLUME;
 
         // Expand and merge each state in frontier order: ids, depths and
         // parents come out in one order, the order of this loop.
         let before_states = g.states.len();
-        let before_transitions = stats.transitions;
+        let observe_bucket = |states: usize| {
+            bucket_frontier.observe(frontier.len() as u64);
+            bucket_discovered.observe((states - before_states) as u64);
+        };
         for &id in &frontier {
             if opts.cancel.is_cancelled() {
                 cancelled = true;
-                level_span.end();
+                observe_bucket(g.states.len());
                 break 'search;
             }
             let state = &g.states[id.index()];
@@ -386,12 +393,7 @@ pub(crate) fn explore_zones(
                     deadlocks.push(id);
                     stats.deadlocks += 1;
                     if opts.stop_at_first_deadlock {
-                        level_span.set("level", stats.levels as i64);
-                        level_span.set(
-                            "transitions",
-                            (stats.transitions - before_transitions) as i64,
-                        );
-                        level_span.end();
+                        observe_bucket(g.states.len());
                         break 'search;
                     }
                 }
@@ -415,7 +417,7 @@ pub(crate) fn explore_zones(
                         g.record_edge(id, label, target, steps, &mut stats)
                     {
                         truncated = true;
-                        level_span.end();
+                        observe_bucket(g.states.len());
                         break 'search;
                     }
                 }
@@ -426,22 +428,14 @@ pub(crate) fn explore_zones(
                             g.record_edge(id, label, target, 1, &mut stats)
                         {
                             truncated = true;
-                            level_span.end();
+                            observe_bucket(g.states.len());
                             break 'search;
                         }
                     }
                 }
             }
         }
-        level_span.set("level", stats.levels as i64);
-        level_span.set("frontier", frontier.len() as i64);
-        level_span.set("discovered", (g.states.len() - before_states) as i64);
-        level_span.set(
-            "transitions",
-            (stats.transitions - before_transitions) as i64,
-        );
-        level_span.set("states_total", g.states.len() as i64);
-        level_span.end();
+        observe_bucket(g.states.len());
         states_gauge.set(g.states.len() as i64);
         opts.obs.progress(
             g.states.len() as u64,

@@ -252,7 +252,7 @@ fn metrics_flag_writes_a_schema_versioned_report() {
     let report = std::fs::read_to_string(&report_path).unwrap();
     for key in [
         "\"schema\": \"aadlsched-metrics\"",
-        "\"version\": 14",
+        "\"version\": 15",
         "\"run_id\"",
         "\"tool\": \"aadlsched\"",
         "\"model\"",
@@ -262,7 +262,8 @@ fn metrics_flag_writes_a_schema_versioned_report() {
         "\"spans\"",
         "\"name\": \"translate\"",
         "\"name\": \"explore\"",
-        "\"name\": \"explore.level\"",
+        "\"explore.bucket_frontier\"",
+        "\"explore.bucket_discovered\"",
         "\"counters\"",
         "\"histograms\"",
         "\"translate.skeleton_size\"",
@@ -270,6 +271,7 @@ fn metrics_flag_writes_a_schema_versioned_report() {
     ] {
         assert!(report.contains(key), "missing {key} in {report}");
     }
+    assert!(!report.contains("explore.level"), "{report}");
 }
 
 #[test]

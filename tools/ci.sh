@@ -28,7 +28,10 @@
 #      are a traversal change, never a verdict change); the long-hyperperiod
 #      model must exit 0 and demonstrably collapse quanta
 #      (`zone.quanta_collapsed` >= 1) and serve them closed-form
-#      (`zone.closed_form_advances` >= 1) in its `--metrics` report, and
+#      (`zone.closed_form_advances` >= 1) in its `--metrics` report, which
+#      must stay under 100 000 bytes (a run records a fixed handful of spans
+#      and summarizes its Dijkstra buckets in two histograms; one span per
+#      bucket made this report 4.7 MB), and
 #      intern no more than 126807 subterms (`term.unique_subterms`): only
 #      the successors the search keeps are built; and derive no more than
 #      10 root lists a second time (`step.root_rederivations`): the memo's
@@ -173,6 +176,14 @@ if [ "$longperiod_code" -ne 0 ]; then
   echo "zone smoke: longperiod exited $longperiod_code, expected 0"
   exit 1
 fi
+# The search records one `explore` span and observes each Dijkstra bucket
+# in two histograms (16140 buckets here); with one span per bucket this
+# report was 4683766 bytes.
+report_bytes="$(wc -c < target/ci/zones-metrics.json)"
+if [ "$report_bytes" -gt 100000 ]; then
+  echo "zone smoke: per-bucket spans came back: longperiod's --metrics report is $report_bytes bytes, more than 100000"
+  exit 1
+fi
 collapsed="$(grep -o '"zone.quanta_collapsed": [0-9]*' target/ci/zones-metrics.json \
   | grep -o '[0-9]*$')"
 if [ "${collapsed:-0}" -lt 1 ]; then
@@ -204,7 +215,7 @@ if [ -z "$rederived" ] || [ "$rederived" -gt 10 ]; then
   echo "zone smoke: longperiod derived ${rederived:-absent} root lists again, more than 10 (step.root_rederivations): the root window misses re-reads"
   exit 1
 fi
-echo "zone smoke: longperiod collapsed $collapsed quanta ($closed_advances closed-form advances, $subterms subterms, $rederived root lists derived again)"
+echo "zone smoke: longperiod collapsed $collapsed quanta ($closed_advances closed-form advances, $subterms subterms, $rederived root lists derived again, a $report_bytes-byte report)"
 # The late-miss model's first deadline miss lies behind closed-form spans
 # whose interior quanta the search never derived; its counterexample is
 # re-derived through the step relation after the search, which panics
